@@ -197,10 +197,6 @@ def vec_is_zero(v: Vector) -> bool:
     return all(x.is_zero() for x in v)
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_scale(k: Scalar, v: Vector) -> Vector:
     return tuple(k * x for x in v)
 

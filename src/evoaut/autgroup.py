@@ -5,7 +5,8 @@ the edges of the associated graph (weights do not enter).  A symmetry sigma
 of the unweighted graph lifts to algebra automorphisms e_i -> x_i e_sigma(i)
 exactly when the twisted system x_u**2 / x_v == w(u,v) / w(sigma u, sigma v)
 is solvable; the union of all lifted cosets is a group, a semidirect product
-of the diagonal subgroup by the lifted graph symmetries.
+of the diagonal subgroup by the lifted graph symmetries.  All twisted systems
+share one exponent decomposition per algebra; closure is checked by generators.
 
 ``bruteforce_aut`` is the independent oracle: a raw scan of all n x n
 matrices over F_p for invertible algebra homomorphisms, vectorized with
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import EvolutionAlgebra, Vector
 from .errors import (
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .monomial import (
     ENUMERATION_CAP,
+    ExponentDecomposition,
     GroupDescription,
     MonomialSystem,
     SolutionCoset,
@@ -44,6 +45,9 @@ from .wgraph import (
     enumerate_graph_automorphisms,
     is_unweighted_automorphism,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRUTEFORCE_MATRIX_CAP = 10**8
 
@@ -211,25 +215,51 @@ def coset_automorphisms(algebra: EvolutionAlgebra, sigma, coset: SolutionCoset,
 class AutPresentation:
     """Assembled description of the basis-monomial automorphism group U.
 
-    ``lifted`` pairs each liftable graph automorphism with its canonical
-    particular lift (the section of the quotient map); ``table`` is the
-    composition table of the lifted permutations, indexed like ``lifted``.
-    ``full_automorphism_group`` is True when the algebra is 2LI or has an
-    invertible structure matrix, in which case U is all of Aut(A); otherwise
-    U is reported honestly as a subgroup.
+    ``decomposition`` solves the diagonal and every twisted system; ``diag`` is
+    its homogeneous group.  ``lifted`` pairs each liftable graph automorphism
+    with its canonical particular lift (the section of the quotient map); the
+    lifted sigmas are checked by generators to form a group, and their
+    composition ``table``, indexed like ``lifted``, is computed on demand.
+    ``full_automorphism_group`` is True when the algebra is 2LI or its structure
+    matrix is invertible, so that U is all of Aut(A); otherwise U may be proper.
     """
 
     algebra: EvolutionAlgebra
-    diag: GroupDescription
+    decomposition: ExponentDecomposition
     lifted: tuple[tuple[GraphAutomorphism, MonomialAutomorphism], ...]
     not_lifted: tuple[GraphAutomorphism, ...]
-    table: tuple[tuple[int, ...], ...]
     full_automorphism_group: bool
 
     def __post_init__(self):
         for ga, particular in self.lifted:
             if ga.sigma != particular.sigma:
                 raise InvariantViolation("lift does not project back onto its sigma")
+        # breadth-first closure under greedily picked generators; each new generator at
+        # least doubles it, so this costs at most 2 * |lifted| * |generators| compositions
+        allowed = {ga for ga, _ in self.lifted}
+        reached = {GraphAutomorphism(tuple(range(self.algebra.dim)))}
+        generators = []
+        for g, _ in self.lifted:
+            if g not in reached:
+                generators.append(g)
+                queue = list(reached)
+                for x in queue:
+                    new = {x.compose(s) for s in generators} - reached
+                    if not new <= allowed:
+                        raise InvariantViolation("lifted sigmas are not closed under composition")
+                    reached |= new
+                    queue += new
+        if reached != allowed:
+            raise InvariantViolation("lifted sigmas do not form a group")
+
+    @property
+    def diag(self) -> GroupDescription:
+        return self.decomposition.homogeneous
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        index = {ga: k for k, (ga, _) in enumerate(self.lifted)}
+        return tuple(tuple(index[a.compose(b)] for b, _ in self.lifted) for a, _ in self.lifted)
 
     @property
     def quotient_order(self) -> int:
@@ -244,9 +274,7 @@ class AutPresentation:
         """All of U, element by element; requires a finite diagonal part."""
         if self.diag.concrete_order() is None:
             raise TooLarge("diagonal subgroup is infinite; U cannot be enumerated")
-        diag_vectors = self.diag.elements(cap)
-        if not diag_vectors:
-            diag_vectors = [tuple(self.algebra.field.one for _ in range(self.algebra.dim))]
+        diag_vectors = self.decomposition.solve(diag_system(self.algebra)).elements(cap)
         out = []
         for _, lift in self.lifted:
             for vec in diag_vectors:
@@ -262,32 +290,18 @@ def assemble_aut(algebra: EvolutionAlgebra,
     """Enumerate graph symmetries, keep the liftable ones, verify closure."""
     graph = algebra_to_wgraph(algebra)
     autos = enumerate_graph_automorphisms(graph, cap)
-    diag = diag_group(algebra)
+    decomposition = ExponentDecomposition(diag_system(algebra))
     lifted = []
     not_lifted = []
     for ga in autos:
-        coset = solve_inhomogeneous(twisted_system(algebra, ga.sigma))
+        coset = decomposition.solve(twisted_system(algebra, ga.sigma))
         if coset.is_feasible:
             lifted.append((ga, MonomialAutomorphism(algebra, ga.sigma, coset.particular)))
         else:
             not_lifted.append(ga)
-    index = {ga.sigma: k for k, (ga, _) in enumerate(lifted)}
-    table = []
-    for ga, _ in lifted:
-        row = []
-        for gb, _ in lifted:
-            product = ga.compose(gb).sigma
-            if product not in index:
-                raise InvariantViolation("lifted sigmas are not closed under composition")
-            row.append(index[product])
-        table.append(tuple(row))
-    for ga, _ in lifted:
-        if ga.inverse().sigma not in index:
-            raise InvariantViolation("lifted sigmas are not closed under inversion")
     full = algebra.is_2li() or algebra.is_invertible()
-    return AutPresentation(algebra=algebra, diag=diag, lifted=tuple(lifted),
-                           not_lifted=tuple(not_lifted), table=tuple(table),
-                           full_automorphism_group=full)
+    return AutPresentation(algebra=algebra, decomposition=decomposition, lifted=tuple(lifted),
+                           not_lifted=tuple(not_lifted), full_automorphism_group=full)
 
 
 # -- brute-force oracle over F_p ----------------------------------------
@@ -303,11 +317,11 @@ def _oracle_guard(algebra: EvolutionAlgebra, cap: int) -> int:
 
 
 def _det_mod(T: np.ndarray, p: int, n: int) -> np.ndarray:
-    acc = np.zeros(len(T), dtype=np.int64)
+    acc = 0  # becomes an int64 array at the first product, as n >= 1
     for perm in itertools.permutations(range(n)):
         inversions = sum(1 for a in range(n) for b in range(a + 1, n)
                          if perm[a] > perm[b])
-        prod = np.ones(len(T), dtype=np.int64)
+        prod = 1
         for r in range(n):
             prod = prod * T[:, r, perm[r]] % p
         acc = (acc + (-1) ** inversions * prod) % p
@@ -334,6 +348,7 @@ def _scan_chunk(T: np.ndarray, M: np.ndarray, p: int, n: int) -> np.ndarray:
 
 
 def _bruteforce_scan(algebra: EvolutionAlgebra, cap: int, collect: bool):
+    import numpy as np
     total = _oracle_guard(algebra, cap)
     p = algebra.field.p
     n = algebra.dim

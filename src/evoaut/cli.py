@@ -17,7 +17,6 @@ from .autgroup import (
     assemble_aut,
     bruteforce_aut_count,
     diag_coset,
-    diag_group,
     diag_system,
     is_automorphism_matrix,
     twisted_system,
@@ -42,7 +41,7 @@ from .limits import (
     tate_stationary_index,
     truncated_chain,
 )
-from .monomial import enumerate_solutions_bruteforce, solve_inhomogeneous
+from .monomial import enumerate_solutions_bruteforce
 from .scalar import PrimeField
 from .wgraph import DEFAULT_VERTEX_CAP, algebra_to_wgraph, wgraph_to_algebra
 
@@ -107,12 +106,13 @@ def _group_pairs(prefix: str, group) -> list[tuple[str, str]]:
 
 def cmd_diag(args) -> str:
     algebra = _load_algebra(args)
-    group = diag_group(algebra)
+    coset = diag_coset(algebra)
+    group = coset.homogeneous
     order = group.concrete_order()
     elements = None
     if isinstance(algebra.field, PrimeField) and order is not None \
             and order <= ELEMENT_LISTING_CAP:
-        elements = diag_coset(algebra).elements()
+        elements = coset.elements()
     if args.structured:
         pairs = [("command", "diag"), ("field", field_tag(algebra.field))]
         pairs += [("diag", group.describe()), ("free_rank", str(group.free_rank))]
@@ -211,9 +211,9 @@ def cmd_oracle(args) -> str:
     lines = []
     failures = 0
 
-    coset = diag_coset(algebra)
-    structured = coset.elements()
-    brute = enumerate_solutions_bruteforce(diag_system(algebra))
+    system = diag_system(algebra)
+    structured = pres.decomposition.solve(system).elements()
+    brute = enumerate_solutions_bruteforce(system)
     if structured == brute:
         lines.append(f"diag solutions: PASS ({len(structured)} = {len(brute)})")
     else:
@@ -222,22 +222,17 @@ def cmd_oracle(args) -> str:
                     if x not in structured or x not in brute)
         lines.append(f"diag solutions: FAIL (first divergence {_vector_text(diff)})")
 
-    for ga, _ in pres.lifted:
-        coset = solve_inhomogeneous(twisted_system(algebra, ga.sigma))
+    for ga in [ga for ga, _ in pres.lifted] + list(pres.not_lifted):
+        system = twisted_system(algebra, ga.sigma)
+        coset = pres.decomposition.solve(system)
         structured = coset.elements()
-        brute = enumerate_solutions_bruteforce(twisted_system(algebra, ga.sigma))
+        brute = enumerate_solutions_bruteforce(system)
         verdict = "PASS" if structured == brute else "FAIL"
         if verdict == "FAIL":
             failures += 1
-        lines.append(f"twisted coset sigma={_vector_text(ga.sigma)}: "
-                     f"{verdict} ({len(structured)} = {len(brute)})")
-    for ga in pres.not_lifted:
-        brute = enumerate_solutions_bruteforce(twisted_system(algebra, ga.sigma))
-        verdict = "PASS" if not brute else "FAIL"
-        if verdict == "FAIL":
-            failures += 1
-        lines.append(f"twisted coset sigma={_vector_text(ga.sigma)}: "
-                     f"{verdict} (infeasible = {len(brute)} solutions)")
+        counts = (f"{len(structured)} = {len(brute)}" if coset.is_feasible
+                  else f"infeasible = {len(brute)} solutions")
+        lines.append(f"twisted coset sigma={_vector_text(ga.sigma)}: {verdict} ({counts})")
 
     total = algebra.field.p ** (algebra.dim * algebra.dim)
     if total > BRUTEFORCE_MATRIX_CAP:

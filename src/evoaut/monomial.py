@@ -6,6 +6,8 @@ the system into independent power equations y_k**d_k == c'_k in transformed
 coordinates: the solution group of the homogeneous system is
 (K^x)^(n - rank) x prod mu_{d_i}(K) over the nontrivial invariant factors d_i,
 and an inhomogeneous system is either infeasible or a coset of that group.
+Systems that differ only in their right-hand sides share one
+``ExponentDecomposition``: one per algebra serves all of its systems.
 
 Over F_p the d-th root step is a linear congruence in discrete-log
 coordinates and generators are materialized as explicit vectors.  Over Q the
@@ -49,11 +51,6 @@ class MonomialSystem:
                 raise ZeroArgument("monomial relations cannot have zero right-hand side")
             frozen.append((exps, rhs))
         object.__setattr__(self, "rows", tuple(frozen))
-
-    def homogeneous_version(self) -> "MonomialSystem":
-        one = self.field.one
-        return MonomialSystem(self.field, self.n_vars,
-                              tuple((exps, one) for exps, _ in self.rows))
 
     def satisfied_by(self, xs) -> bool:
         xs = [self.field.scalar(x) for x in xs]
@@ -110,9 +107,6 @@ class GroupDescription:
         return " x ".join(parts) if parts else "1"
 
     __str__ = describe
-
-    def is_trivial_shape(self) -> bool:
-        return self.symbol is None and self.free_rank == 0 and not self.torsion
 
     def concrete_order(self):
         """Group order over the attached field; None when infinite/symbolic."""
@@ -180,10 +174,6 @@ class SolutionCoset:
                 raise InvariantViolation("particular solution must lie in (K^x)^n")
             if not self.system.satisfied_by(self.particular):
                 raise InvariantViolation("particular solution fails the system")
-        homogeneous_system = self.system.homogeneous_version()
-        for gen in self.homogeneous.generators:
-            if not homogeneous_system.satisfied_by(gen):
-                raise InvariantViolation("homogeneous generator fails the system")
 
     @property
     def is_feasible(self) -> bool:
@@ -203,15 +193,6 @@ class SolutionCoset:
             return [self.particular]
         out = [tuple(p * h for p, h in zip(self.particular, vec)) for vec in subgroup]
         return sorted(out, key=_vector_sort_key)
-
-
-def _decompose(system: MonomialSystem):
-    """SNF of the exponent matrix; handles the row-free system directly."""
-    if not system.rows:
-        n = system.n_vars
-        return None, 0, [], identity(n)
-    snf = smith_normal_form([list(exps) for exps, _ in system.rows])
-    return snf, snf.rank, snf.diagonal(), [list(r) for r in snf.V]
 
 
 def _materialize_generators(field: Field, v_columns, rank: int, diag, n: int):
@@ -250,57 +231,73 @@ def _materialize_generators(field: Field, v_columns, rank: int, diag, n: int):
     return tuple(generators), tuple(orders)
 
 
+class ExponentDecomposition:
+    """One Smith normal form of a system's exponent rows: U, the diagonal, V
+    and the homogeneous solution group, whose generators are checked against
+    the rows once, here.  Every system with the same rows and any right-hand
+    sides (an algebra's diagonal and twisted systems) is solved against it.
+    """
+
+    def __init__(self, system: MonomialSystem):
+        field, n = system.field, system.n_vars
+        self.field, self.n_vars = field, n
+        self.exponents = tuple(exps for exps, _ in system.rows)
+        if self.exponents:
+            snf = smith_normal_form(self.exponents)
+            self.U, self.V, self.rank, self.diagonal = snf.U, snf.V, snf.rank, tuple(snf.diagonal())
+        else:
+            self.U, self.V, self.rank, self.diagonal = (), identity(n), 0, ()
+        generators, orders = _materialize_generators(field, self.V, self.rank, self.diagonal, n)
+        if any(power_product(field, gen, exps) != field.one
+               for gen in generators for exps in self.exponents):
+            raise InvariantViolation("homogeneous generator fails the system")
+        self.homogeneous = GroupDescription(
+            free_rank=n - self.rank, torsion=tuple(d for d in self.diagonal[:self.rank] if d > 1),
+            field=field, generators=generators, generator_orders=orders)
+
+    def solve(self, system: MonomialSystem) -> SolutionCoset:
+        """Solution coset of a system with this exponent matrix (Infeasible is a value).
+
+        The right-hand sides are transformed multiplicatively by U; the system
+        is solvable iff every zero row yields 1 and every diagonal equation
+        y**d == c' has a d-th root in the field.  The canonical particular
+        solution takes, per diagonal equation, the root 1 when available and
+        the canonically smallest root otherwise, then maps back through V.
+        """
+        if (system.field, system.n_vars) != (self.field, self.n_vars) \
+                or tuple(exps for exps, _ in system.rows) != self.exponents:
+            raise InvariantViolation("system's exponent rows differ from the decomposition's")
+        one = self.field.one
+        rhs = [c for _, c in system.rows]
+        ys = [one] * self.n_vars
+        particular = None
+        for k, u_row in enumerate(self.U):
+            c = power_product(self.field, rhs, u_row)
+            if k < self.rank:
+                roots = nth_roots(self.field, self.diagonal[k], c)
+                if not roots:
+                    break
+                ys[k] = one if one in roots else roots[0]
+            elif c != one:
+                break
+        else:
+            particular = tuple(power_product(self.field, ys, row) for row in self.V)
+        return SolutionCoset(system=system, particular=particular, homogeneous=self.homogeneous)
+
+
 def solve_homogeneous(system: MonomialSystem) -> GroupDescription:
     """Structure of {x in (K^x)^n : prod x**a == 1 for every row}.
 
     The solution group is Hom(Z^n / row lattice, K^x); its shape is read off
     the Smith normal form as free rank n - rank plus one mu_{d}(K) factor per
-    nontrivial invariant factor d.
+    nontrivial invariant factor d.  Right-hand sides are not read.
     """
-    if any(rhs != system.field.one for _, rhs in system.rows):
-        raise ValueError("solve_homogeneous expects all right-hand sides equal to 1")
-    snf, rank, diag, v = _decompose(system)
-    n = system.n_vars
-    torsion = tuple(d for d in diag[:rank] if d > 1)
-    generators, orders = _materialize_generators(system.field, v, rank, diag, n)
-    return GroupDescription(free_rank=n - rank, torsion=torsion, field=system.field,
-                            generators=generators, generator_orders=orders)
+    return ExponentDecomposition(system).homogeneous
 
 
 def solve_inhomogeneous(system: MonomialSystem) -> SolutionCoset:
-    """Full solution coset of a monomial system (Infeasible is a value).
-
-    The right-hand sides are transformed multiplicatively by U; the system is
-    solvable iff every zero row yields 1 and every diagonal equation
-    y**d == c' has a d-th root in the field.  The canonical particular
-    solution takes, per diagonal equation, the root 1 when available and the
-    canonically smallest root otherwise, then maps back through V.
-    """
-    snf, rank, diag, v = _decompose(system)
-    n = system.n_vars
-    one = system.field.one
-    homogeneous = solve_homogeneous(system.homogeneous_version())
-
-    ys = [one] * n
-    feasible = True
-    if snf is not None:
-        rhs_vec = [rhs for _, rhs in system.rows]
-        m = len(rhs_vec)
-        for k in range(m):
-            c = power_product(system.field, rhs_vec, snf.U[k])
-            if k < rank:
-                roots = nth_roots(system.field, diag[k], c)
-                if not roots:
-                    feasible = False
-                    break
-                ys[k] = one if one in roots else roots[0]
-            elif c != one:
-                feasible = False
-                break
-    if not feasible:
-        return SolutionCoset(system=system, particular=None, homogeneous=homogeneous)
-    particular = tuple(power_product(system.field, ys, v[i]) for i in range(n))
-    return SolutionCoset(system=system, particular=particular, homogeneous=homogeneous)
+    """Full solution coset of a monomial system; see ``ExponentDecomposition.solve``."""
+    return ExponentDecomposition(system).solve(system)
 
 
 def enumerate_solutions_bruteforce(system: MonomialSystem,

@@ -78,9 +78,6 @@ class SmithDecomposition:
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal() if d != 0]
 
-    def nontrivial_factors(self) -> list[int]:
-        return [d for d in self.diagonal() if d > 1]
-
     def _verify(self):
         a = [list(r) for r in self.matrix]
         u = [list(r) for r in self.U]

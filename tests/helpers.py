@@ -1,8 +1,10 @@
-"""Shared builders for the test suite: named algebras and the random corpus."""
+"""Shared builders for the test suite: named algebras, the random corpus and
+monkeypatch probes into the solver."""
 
 import random
+from dataclasses import replace
 
-from evoaut import EvolutionAlgebra
+from evoaut import EvolutionAlgebra, autgroup, monomial
 from evoaut.scalar import PrimeField, QQ
 
 F2 = PrimeField(2)
@@ -100,3 +102,38 @@ def build_corpus(seed=CORPUS_SEED, f5_count=300, f7_count=200):
     for _ in range(f7_count):
         corpus.append(random_algebra(rng, F7, rng.randint(1, 3)))
     return corpus
+
+
+def count_snf_calls(monkeypatch) -> list:
+    """Record the row count of every Smith normal form the solver runs."""
+    calls = []
+    real = monomial.smith_normal_form
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(monomial, "smith_normal_form", counting)
+    return calls
+
+
+def drop_lift(monkeypatch, dropped):
+    """Make the twisted system of one sigma report infeasible."""
+    marked = []
+    real_twisted = autgroup.twisted_system
+    real_solve = monomial.ExponentDecomposition.solve
+
+    def twisted(algebra, sigma):
+        system = real_twisted(algebra, sigma)
+        if tuple(sigma) == dropped:
+            marked.append(system)
+        return system
+
+    def solve(self, system):
+        coset = real_solve(self, system)
+        if any(system is m for m in marked):
+            return replace(coset, particular=None)
+        return coset
+
+    monkeypatch.setattr(autgroup, "twisted_system", twisted)
+    monkeypatch.setattr(monomial.ExponentDecomposition, "solve", solve)

@@ -1,8 +1,10 @@
+import math
 import random
+import time
 
 import pytest
 
-from evoaut import EvolutionAlgebra
+from evoaut import EvolutionAlgebra, autgroup
 from evoaut.autgroup import (
     MonomialAutomorphism,
     assemble_aut,
@@ -19,6 +21,7 @@ from evoaut.autgroup import (
 )
 from evoaut.errors import (
     AlgebraMismatch,
+    InvariantViolation,
     NotAGraphAutomorphism,
     NotAnAutomorphism,
     NotPrimeField,
@@ -31,6 +34,8 @@ from helpers import (
     F3,
     F5,
     F7,
+    count_snf_calls,
+    drop_lift,
     ear_algebra,
     random_algebra,
     star_algebra,
@@ -314,3 +319,37 @@ def test_is_automorphism_matrix_agrees_with_scan():
         for mat in itertools.product(range(3), repeat=4):
             rows = ((mat[0], mat[1]), (mat[2], mat[3]))
             assert (rows in brute) == is_automorphism_matrix(a, rows)
+
+
+def test_assemble_seven_spoke_star_within_gate():
+    start = time.perf_counter()
+    pres = assemble_aut(star_algebra(F7, 7))
+    elapsed = time.perf_counter() - start
+    assert pres.group_order() == math.factorial(7) * 3 * 2**7
+    assert elapsed < 30.0
+
+
+def test_assemble_runs_one_snf_per_algebra(monkeypatch):
+    calls = count_snf_calls(monkeypatch)
+    pres = assemble_aut(star_algebra(F7, 4))
+    assert pres.quotient_order == 24
+    assert calls == [4]
+    # the kept decomposition serves later solves without another SNF
+    for ga, lift in pres.lifted:
+        coset = pres.decomposition.solve(autgroup.twisted_system(pres.algebra, ga.sigma))
+        assert coset.particular == lift.scales
+    assert len(pres.monomial_elements()) == pres.group_order()
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("dropped, message", [
+    ((1, 2, 0, 3), "not closed under composition"),   # a 3-cycle of the spokes
+    ((1, 0, 2, 3), "not closed under composition"),   # a transposition
+    ((0, 1, 2, 3), "do not form a group"),            # the identity
+])
+def test_closure_check_catches_a_dropped_lift(monkeypatch, dropped, message):
+    algebra = star_algebra(QQ, 3)
+    assert assemble_aut(algebra).quotient_order == 6
+    drop_lift(monkeypatch, dropped)
+    with pytest.raises(InvariantViolation, match=message):
+        assemble_aut(algebra)

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from evoaut.cli import main
 from evoaut.files import group_from_structured, parse_algebra, parse_structured
 from evoaut.scalar import PrimeField
+
+from helpers import count_snf_calls, drop_lift
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -252,3 +259,43 @@ def test_outputs_are_byte_deterministic(capsys):
     first = run(capsys, "oracle", SAMPLES / "cubic_root_lift_f7.graph")
     second = run(capsys, "oracle", SAMPLES / "cubic_root_lift_f7.graph")
     assert first == second
+
+
+@pytest.mark.parametrize("argv, snf_calls", [
+    (("diag", "cycle_with_ear_f7.alg"), 1),      # lists its three elements
+    (("diag", "star_spokes.alg"), 1),
+    (("aut", "star_spokes.alg"), 1),
+    (("oracle", "cubic_root_lift_f7.graph"), 1),  # two lifted sigmas
+    (("oracle", "two_loops_swap_f5.alg"), 1),     # one sigma not lifted
+    (("oracle", "zero_algebra_n3.alg"), 0),       # no edges, so no rows to factor
+])
+def test_one_snf_per_algebra(capsys, monkeypatch, argv, snf_calls):
+    calls = count_snf_calls(monkeypatch)
+    code, _, _ = run(capsys, argv[0], SAMPLES / argv[1])
+    assert code == 0
+    assert len(calls) == snf_calls
+
+
+def test_dropped_lift_is_an_internal_violation(capsys, monkeypatch):
+    drop_lift(monkeypatch, (1, 2, 0, 3))
+    code, out, err = run(capsys, "aut", SAMPLES / "star_spokes.alg")
+    assert code == 4
+    assert out == ""
+    assert "lifted sigmas are not closed under composition" in err
+
+
+def test_numpy_is_loaded_by_the_matrix_oracle_only():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import sys\n"
+              "import evoaut.cli\n"
+              "assert 'numpy' not in sys.modules, 'import evoaut.cli loaded numpy'\n"
+              "for command in ('diag', 'aut', 'check'):\n"
+              "    evoaut.cli.main([command, sys.argv[1]])\n"
+              "assert 'numpy' not in sys.modules, 'a non-oracle command loaded numpy'\n"
+              "evoaut.cli.main(['oracle', sys.argv[1]])\n"
+              "assert 'numpy' in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", script, str(SAMPLES / "zero_algebra_n3.alg")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from evoaut.errors import NotPrimeField, TooLarge, ZeroArgument
+from evoaut import monomial
+from evoaut.errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from evoaut.monomial import (
+    ExponentDecomposition,
     GroupDescription,
     MonomialSystem,
     enumerate_solutions_bruteforce,
@@ -248,3 +250,40 @@ def test_group_description_orders():
     assert g.concrete_order() == 4 * 2 * 2
     assert GroupDescription(free_rank=1, field=QQ).concrete_order() is None
     assert GroupDescription(free_rank=0, torsion=(2, 6), field=QQ).concrete_order() == 4
+
+
+def test_decomposition_solves_every_right_hand_side():
+    decomposition = ExponentDecomposition(system(F7, 5, EAR_ROWS))
+    rng = random.Random(11)
+    for _ in range(20):
+        s = system(F7, 5, [(e, rng.randrange(1, 7)) for e, _ in EAR_ROWS])
+        assert decomposition.solve(s).elements() == enumerate_solutions_bruteforce(s)
+        assert decomposition.solve(s) == solve_inhomogeneous(s)
+
+
+def test_decomposition_rejects_other_exponent_rows():
+    decomposition = ExponentDecomposition(system(F7, 5, EAR_ROWS))
+    others = [system(F7, 5, EAR_ROWS[:-1]),
+              system(F7, 5, EAR_ROWS[1:] + EAR_ROWS[:1]),
+              system(F7, 5, [([3, -1, 0, 0, 0], 1)] + EAR_ROWS[1:]),
+              system(F5, 5, EAR_ROWS),
+              system(F7, 6, [(e + [0], c) for e, c in EAR_ROWS])]
+    for other in others:
+        with pytest.raises(InvariantViolation):
+            decomposition.solve(other)
+    empty = ExponentDecomposition(system(F7, 2, []))
+    with pytest.raises(InvariantViolation):
+        empty.solve(system(F7, 3, []))
+
+
+def test_decomposition_checks_its_generators_against_the_rows(monkeypatch):
+    real = monomial._materialize_generators
+
+    def corrupted(*args):
+        generators, orders = real(*args)
+        assert generators
+        return tuple(tuple(F7.scalar(3) for _ in gen) for gen in generators), orders
+
+    monkeypatch.setattr(monomial, "_materialize_generators", corrupted)
+    with pytest.raises(InvariantViolation):
+        ExponentDecomposition(system(F7, 5, EAR_ROWS))
