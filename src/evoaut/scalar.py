@@ -1,9 +1,9 @@
 """Exact scalar arithmetic over prime finite fields F_p and the rationals Q.
 
 Scalars are immutable.  Elements of F_p are canonical residues in [0, p);
-rational scalars carry an eager prime factorization of numerator and
-denominator next to a normalized ``Fraction`` view, because the multiplicative
-solvers work with per-prime exponent vectors.  Zero is representable but is
+rational scalars are a sign and a normalized ``Fraction``.  Rationals are never
+factored: a reduced p/q has a rational n-th root exactly when |p| and q are
+perfect n-th powers, which integer roots decide.  Zero is representable but is
 rejected by every multiplicative-group operation (dlog, roots, inversion).
 """
 
@@ -54,10 +54,28 @@ def factorize(n: int) -> dict[int, int]:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 2 if d % 6 == 1 else 4
+        d += 2 if d % 6 == 5 else 4
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def exact_root(m: int, n: int) -> int | None:
+    """The integer r >= 0 with r**n == m for m >= 0, or None if there is none."""
+    if n == 1 or m < 2:
+        return m
+    if n >= m.bit_length():   # r >= 2 would give r**n >= 2**n > m
+        return None
+    if n == 2:
+        r = math.isqrt(m)
+    else:   # Newton's method from above converges to floor(m ** (1/n))
+        r = 1 << -(-m.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + m // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == m else None
 
 
 class Field:
@@ -294,37 +312,14 @@ class FpScalar(Scalar):
 
 
 class QScalar(Scalar):
-    """Rational scalar: sign, factored magnitude, and a Fraction view.
+    """Rational scalar: a sign and a normalized Fraction."""
 
-    ``factors`` maps primes to (possibly negative) exponents of the reduced
-    magnitude |num/den|; the invariant sign * prod(p^e) == fraction is checked
-    on every construction, so the two representations cannot drift apart.
-    """
+    __slots__ = ("field", "sign", "fraction")
 
-    __slots__ = ("field", "sign", "factors", "fraction")
-
-    def __init__(self, field: RationalField, fraction: Fraction, factors: dict[int, int] | None = None):
+    def __init__(self, field: RationalField, fraction: Fraction):
         self.field = field
         self.fraction = fraction
-        if fraction == 0:
-            self.sign = 0
-            self.factors = {}
-        else:
-            self.sign = 1 if fraction > 0 else -1
-            if factors is None:
-                factors = factorize(abs(fraction.numerator))
-                for q, e in factorize(fraction.denominator).items():
-                    factors[q] = factors.get(q, 0) - e
-            self.factors = {q: e for q, e in factors.items() if e != 0}
-        self._check()
-
-    def _check(self):
-        rebuilt = Fraction(self.sign)
-        for q, e in self.factors.items():
-            rebuilt *= Fraction(q) ** e
-        if rebuilt != self.fraction:
-            raise InvariantViolation(
-                f"factored form {self.sign}*{self.factors} != {self.fraction}")
+        self.sign = (fraction > 0) - (fraction < 0)
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -342,18 +337,13 @@ class QScalar(Scalar):
         return QScalar(self.field, self.fraction - other.fraction)
 
     def __neg__(self):
-        return QScalar(self.field, -self.fraction, dict(self.factors))
+        return QScalar(self.field, -self.fraction)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.sign == 0 or other.sign == 0:
-            return QScalar(self.field, Fraction(0))
-        merged = dict(self.factors)
-        for q, e in other.factors.items():
-            merged[q] = merged.get(q, 0) + e
-        return QScalar(self.field, self.fraction * other.fraction, merged)
+        return QScalar(self.field, self.fraction * other.fraction)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -362,14 +352,12 @@ class QScalar(Scalar):
             if exponent < 0:
                 raise DivisionByZero("0 has no negative powers")
             return QScalar(self.field, Fraction(1 if exponent == 0 else 0))
-        scaled = {q: e * exponent for q, e in self.factors.items()}
-        return QScalar(self.field, self.fraction**exponent, scaled)
+        return QScalar(self.field, self.fraction**exponent)
 
     def inv(self) -> "QScalar":
         if self.sign == 0:
             raise DivisionByZero("0 is not invertible in Q")
-        return QScalar(self.field, 1 / self.fraction,
-                       {q: -e for q, e in self.factors.items()})
+        return QScalar(self.field, 1 / self.fraction)
 
     def __eq__(self, other):
         if isinstance(other, QScalar):
@@ -402,8 +390,9 @@ def nth_roots(field: Field, n: int, a) -> list[Scalar]:
     """All x in K^x with x**n == a, sorted canonically (may be empty).
 
     Over F_p the equation linearizes to n*y = dlog(a) (mod p-1).  Over Q a
-    root exists iff every prime exponent of a is divisible by n and the sign
-    admits it; even n on a positive rational yields both square-root signs.
+    root exists iff the reduced numerator and denominator of |a| are perfect
+    n-th powers and the sign admits it; even n on a positive rational yields
+    both square-root signs.
     """
     if n < 1:
         raise ValueError(f"root index must be >= 1, got {n}")
@@ -422,13 +411,11 @@ def nth_roots(field: Field, n: int, a) -> list[Scalar]:
         roots = [pow(field.generator, y0 + k * step, p) for k in range(d)]
         return [FpScalar(field, r) for r in sorted(roots)]
     assert isinstance(a, QScalar)
-    if any(e % n for e in a.factors.values()):
+    num = exact_root(abs(a.fraction.numerator), n)
+    den = exact_root(a.fraction.denominator, n)
+    if num is None or den is None:
         return []
-    root_factors = {q: e // n for q, e in a.factors.items()}
-    rebuilt = Fraction(1)
-    for q, e in root_factors.items():
-        rebuilt *= Fraction(q) ** e
-    magnitude = QScalar(field, rebuilt, root_factors)
+    magnitude = QScalar(field, Fraction(num, den))
     if n % 2 == 1:
         return [magnitude if a.sign > 0 else -magnitude]
     if a.sign < 0:

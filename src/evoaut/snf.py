@@ -1,13 +1,15 @@
 """Smith normal form of integer matrices with unimodular transforms.
 
 Pure big-integer arithmetic; the pivot rule (smallest absolute value, ties
-broken row-major) makes the output deterministic.  Entry growth during
-elimination is accepted: the relation matrices in this library are tiny.
+broken row-major) makes the output deterministic.  Each elementary operation
+on a transform is undone on a tracked inverse, so every decomposition is
+certified by exact products: U @ A @ V == D and U @ U^-1 == I == V @ V^-1,
+which proves U and V unimodular without an O(m^3) determinant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import InvariantViolation
 
@@ -33,44 +35,48 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def int_det(m: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    work = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k] != 0:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
+def is_inverse(t: Matrix, t_inv_t: Matrix) -> bool:
+    """t @ t_inv == I for square t, given t_inv transposed; compared with the
+    identity one row at a time, over the sparse rows of t_inv."""
+    size = len(t)
+    if len(t_inv_t) != size or any(len(r) != size for r in (*t, *t_inv_t)):
+        return False
+    inv_rows = [[] for _ in range(size)]
+    for j, column in enumerate(t_inv_t):
+        for k, y in enumerate(column):
+            if y:
+                inv_rows[k].append((j, y))
+    for i, row in enumerate(t):
+        acc = {i: -1}
+        for k, c in enumerate(row):
+            if c:
+                for j, y in inv_rows[k]:
+                    acc[j] = acc.get(j, 0) + c * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ matrix @ V == D with U, V unimodular and D = diag(d_1 | d_2 | ...)."""
+    """U @ matrix @ V == D with U, V unimodular and D = diag(d_1 | d_2 | ...).
+
+    ``U_inv_t`` and ``V_inv_t`` are the transposed integer inverses of the
+    transforms: the certificate that U and V are unimodular.  Construction
+    checks them with the other invariants and does not keep them.
+    """
 
     matrix: tuple[tuple[int, ...], ...]
     U: tuple[tuple[int, ...], ...]
     D: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
+    U_inv_t: InitVar[Matrix]
+    V_inv_t: InitVar[Matrix]
     rank: int = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, U_inv_t, V_inv_t):
         object.__setattr__(self, "rank", sum(1 for d in self.diagonal() if d != 0))
-        self._verify()
+        self._verify(U_inv_t, V_inv_t)
 
     def diagonal(self) -> list[int]:
         return [self.D[k][k] for k in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
@@ -78,16 +84,16 @@ class SmithDecomposition:
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal() if d != 0]
 
-    def _verify(self):
-        a = [list(r) for r in self.matrix]
-        u = [list(r) for r in self.U]
-        v = [list(r) for r in self.V]
-        if [list(r) for r in self.D] != mat_mul(mat_mul(u, a), v):
+    def _verify(self, u_inv_t, v_inv_t):
+        m, n = len(self.matrix), len(self.matrix[0]) if self.matrix else 0
+        if (len(self.U), len(self.V)) != (m, n):
+            raise InvariantViolation(
+                f"transforms of a {m} x {n} matrix must be {m} x {m} and {n} x {n}")
+        if [list(r) for r in self.D] != mat_mul(mat_mul(self.U, self.matrix), self.V):
             raise InvariantViolation("U @ A @ V != D")
-        if int_det(u) not in (1, -1) or int_det(v) not in (1, -1):
+        if not (is_inverse(self.U, u_inv_t) and is_inverse(self.V, v_inv_t)):
             raise InvariantViolation("transform matrices are not unimodular")
         diag = self.diagonal()
-        m, n = len(self.D), len(self.D[0]) if self.D else 0
         for i in range(m):
             for j in range(n):
                 if i != j and self.D[i][j] != 0:
@@ -123,28 +129,32 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
     d = [r[:] for r in rows]
-    u = identity(m)
-    v = identity(n)
+    # the inverses are kept transposed, so U^-1 takes row operations like U
+    # and V^-1 column operations like V
+    u, u_inv_t = identity(m), identity(m)
+    v, v_inv_t = identity(n), identity(n)
+
+    def combine(mat, dst, src, factor):
+        mat[dst] = [x + factor * y for x, y in zip(mat[dst], mat[src])]
 
     def swap_rows(a, b):
-        d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
+        for mat in (d, u, u_inv_t):
+            mat[a], mat[b] = mat[b], mat[a]
 
     def swap_cols(a, b):
-        for row in d:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
+        for row in (*d, *v, *v_inv_t):
             row[a], row[b] = row[b], row[a]
 
     def add_row(dst, src, factor):
-        d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        combine(d, dst, src, factor)
+        combine(u, dst, src, factor)
+        combine(u_inv_t, src, dst, -factor)
 
     def add_col(dst, src, factor):
-        for row in d:
+        for row in (*d, *v):
             row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+        for row in v_inv_t:
+            row[src] -= factor * row[dst]
 
     t = 0
     while t < min(m, n):
@@ -158,8 +168,8 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             if pj != t:
                 swap_cols(t, pj)
             if d[t][t] < 0:
-                d[t] = [-x for x in d[t]]
-                u[t] = [-x for x in u[t]]
+                for mat in (d, u, u_inv_t):
+                    mat[t] = [-x for x in mat[t]]
             pivot = d[t][t]
             # clear the pivot column and row; a nonzero remainder becomes the
             # new, strictly smaller pivot on the next pass
@@ -189,4 +199,5 @@ def smith_normal_form(matrix) -> SmithDecomposition:
         t += 1
 
     freeze = lambda mat: tuple(tuple(r) for r in mat)
-    return SmithDecomposition(matrix=freeze(rows), U=freeze(u), D=freeze(d), V=freeze(v))
+    return SmithDecomposition(matrix=freeze(rows), U=freeze(u), D=freeze(d), V=freeze(v),
+                              U_inv_t=u_inv_t, V_inv_t=v_inv_t)

@@ -329,6 +329,17 @@ def test_assemble_seven_spoke_star_within_gate():
     assert elapsed < 30.0
 
 
+def test_dense_dimension_64_diag_within_gate():
+    # about 1,200 edges: the SNF's row transform is that large, and must be
+    # proven unimodular without an O(m^3) determinant
+    algebra = random_algebra(random.Random(64), F7, 64, density=19 / 64)
+    start = time.perf_counter()
+    group = diag_group(algebra)
+    elapsed = time.perf_counter() - start
+    assert (group.free_rank, group.torsion) == (0, ())
+    assert elapsed < 30.0
+
+
 def test_assemble_runs_one_snf_per_algebra(monkeypatch):
     calls = count_snf_calls(monkeypatch)
     pres = assemble_aut(star_algebra(F7, 4))

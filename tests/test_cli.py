@@ -1,6 +1,9 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -284,10 +287,16 @@ def test_dropped_lift_is_an_internal_violation(capsys, monkeypatch):
     assert "lifted sigmas are not closed under composition" in err
 
 
-def test_numpy_is_loaded_by_the_matrix_oracle_only():
+def run_python(args, timeout, cwd=None):
+    """A fresh interpreter with this checkout's src on its path, killed after ``timeout`` s."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True,
+                          timeout=timeout, cwd=cwd)
+
+
+def test_numpy_is_loaded_by_the_matrix_oracle_only():
     script = ("import sys\n"
               "import evoaut.cli\n"
               "assert 'numpy' not in sys.modules, 'import evoaut.cli loaded numpy'\n"
@@ -296,6 +305,63 @@ def test_numpy_is_loaded_by_the_matrix_oracle_only():
               "assert 'numpy' not in sys.modules, 'a non-oracle command loaded numpy'\n"
               "evoaut.cli.main(['oracle', sys.argv[1]])\n"
               "assert 'numpy' in sys.modules\n")
-    done = subprocess.run([sys.executable, "-c", script, str(SAMPLES / "zero_algebra_n3.alg")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = run_python(["-c", script, str(SAMPLES / "zero_algebra_n3.alg")], timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+LARGE_PRIME_Q = ("field Q\nbasis u1 u2\n"
+                 "sq u1 = 1*u1 + 1000000000000000003*u2\nsq u2 = 1*u2\n")
+
+
+def test_diag_never_factors_a_large_weight(tmp_path):
+    (tmp_path / "large.alg").write_text(LARGE_PRIME_Q)
+    done = run_python(["-m", "evoaut.cli", "diag", "large.alg"], timeout=5, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Diag(A;B) = 1\norder = 1\n"
+
+
+def test_aut_with_a_large_weight_finishes(tmp_path):
+    (tmp_path / "large.alg").write_text(LARGE_PRIME_Q)
+    done = run_python(["-m", "evoaut.cli", "aut", "large.alg"], timeout=10, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "group order = 1\n" in done.stdout
+
+
+@pytest.mark.parametrize("exponent, lifted", [(1, False), (3, True)])
+def test_aut_takes_roots_of_a_14_digit_prime_weight(tmp_path, exponent, lifted):
+    # the swap lifts iff the weight is a cube; 10000000000037 is prime
+    weight = 10000000000037**exponent
+    (tmp_path / "cycle.alg").write_text(
+        f"field Q\nbasis u1 u2\nsq u1 = {weight}*u2\nsq u2 = 1*u1\n")
+    done = run_python(["-m", "evoaut.cli", "aut", "cycle.alg"], timeout=10, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert ("lift: u1->u2 u2->u1\n" in done.stdout) == lifted
+    assert f"group order = {2 if lifted else 1}\n" in done.stdout
+
+
+def test_diag_and_check_on_large_q_coefficients_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.one_of(st.just(0), st.integers(-10**40, 10**40))
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(coefficient, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def check(squares):
+        labels = [f"u{i + 1}" for i in range(len(squares))]
+        lines = ["field Q", "basis " + " ".join(labels)]
+        for label, column in zip(labels, squares):
+            terms = [f"{c}*{v}" for c, v in zip(column, labels) if c]
+            if terms:
+                lines.append(f"sq {label} = " + " + ".join(terms))
+        path = tmp_path / "large.alg"
+        path.write_text("\n".join(lines) + "\n")
+        for command in ("diag", "check"):
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([command, str(path)])
+            assert code == 0, err.getvalue()
+            assert time.perf_counter() - start < 2.0
+
+    check()

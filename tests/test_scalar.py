@@ -15,6 +15,7 @@ from evoaut.scalar import (
     PrimeField,
     QQ,
     dlog,
+    exact_root,
     factorize,
     is_prime,
     mu_order,
@@ -192,3 +193,49 @@ def test_f2_edge_cases():
     assert F2.nonzero_elements() == [F2.one]
     assert dlog(F2, F2.one) == 0
     assert nth_roots(F2, 4, F2.one) == [F2.one]
+
+
+def test_factorize_tries_every_wheel_residue():
+    assert factorize(121) == {11: 2}
+    assert factorize(7 * 17 * 23 * 25) == {5: 2, 7: 1, 17: 1, 23: 1}
+    for n in range(1, 2000):
+        product = 1
+        for q, e in factorize(n).items():
+            assert is_prime(q)
+            product *= q**e
+        assert product == n
+
+
+def test_generator_has_full_order():
+    # F_683: 682 = 2 * 11 * 31, where a wheel that skips 11 and 31 accepts 2
+    for p in (683, 1013, 1289, 1429) + tuple(q for q in range(3, 400) if is_prime(q)):
+        field = PrimeField(p)
+        powers = {pow(field.generator, k, p) for k in range(p - 1)}
+        assert len(powers) == p - 1, p
+
+
+LARGE_PRIME = 1000000000000000003
+P14 = 10000000000037   # a 14-digit prime
+
+
+def test_exact_root():
+    for n in range(1, 12):
+        for r in (0, 1, 2, 3, 10, 97, LARGE_PRIME):
+            assert exact_root(r**n, n) == r
+            if r > 1 and n > 1:
+                assert exact_root(r**n + 1, n) is None
+                assert exact_root(r**n - 1, n) is None
+    assert exact_root(2, 2) is None
+    assert exact_root(2**64, 64) == 2
+    assert exact_root(2**64, 65) is None
+
+
+def test_q_roots_of_large_primes_need_no_factoring():
+    assert nth_roots(QQ, 2, 121) == [QQ.scalar(-11), QQ.scalar(11)]
+    assert nth_roots(QQ, 3, Fraction(-8, 27 * 7**3)) == [QQ.scalar(Fraction(-2, 21))]
+    big = QQ.scalar(Fraction(P14, LARGE_PRIME))
+    assert nth_roots(QQ, 2, big**2) == [-big, big]
+    assert nth_roots(QQ, 5, -big**5) == [-big]
+    assert nth_roots(QQ, 2, big) == []
+    assert nth_roots(QQ, 2, -big**2) == []
+    assert nth_roots(QQ, 3, big**6 * 2) == []

@@ -2,7 +2,39 @@ import itertools
 import math
 import random
 
-from evoaut.snf import int_det, smith_normal_form
+import pytest
+
+from evoaut.errors import InvariantViolation
+from evoaut.snf import SmithDecomposition, mat_mul, smith_normal_form
+
+
+def int_det(m):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    work = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            for i in range(k + 1, n):
+                if work[i][k] != 0:
+                    work[k], work[i] = work[i], work[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
+            work[i][k] = 0
+        prev = work[k][k]
+    return sign * work[n - 1][n - 1]
+
+
+def freeze(mat):
+    return tuple(tuple(r) for r in mat)
 
 
 def minor_gcd_factors(mat):
@@ -110,3 +142,66 @@ def test_int_det():
     assert int_det([[0, 1], [1, 0]]) == -1
     assert int_det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
     assert int_det([[1, 1], [1, 1]]) == 0
+
+
+def test_transforms_unimodular_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        entry = st.one_of(st.just(0), st.integers(-40, 40))
+        mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0))))
+        zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0))))
+        return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+                for i, row in enumerate(mat)]
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(matrices())
+    def check(mat):
+        snf = smith_normal_form(mat)
+        u, v = [list(r) for r in snf.U], [list(r) for r in snf.V]
+        assert mat_mul(mat_mul(u, mat), v) == [list(r) for r in snf.D]
+        assert int_det(u) in (1, -1)
+        assert int_det(v) in (1, -1)
+
+    check()
+
+
+@pytest.mark.parametrize("matrix, U, V, U_inv_t, V_inv_t", [
+    # U has determinant 2: it has no integer inverse, so any claimed one fails
+    ([[1]], [[2]], [[1]], [[1]], [[1]]),
+    ([[1, 0], [0, 2]], [[2, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    # V has determinant 2
+    ([[2, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    # unimodular U, but the claimed inverse is wrong (V's is right)
+    ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, -1], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [1, 1]]),
+])
+def test_non_unimodular_transform_is_rejected(matrix, U, V, U_inv_t, V_inv_t):
+    # every other invariant holds: D == U @ A @ V is diagonal with a divisibility chain
+    D = mat_mul(mat_mul(U, matrix), V)
+    assert all(D[i][j] == 0 for i in range(len(D)) for j in range(len(D[0])) if i != j)
+    with pytest.raises(InvariantViolation, match="unimodular"):
+        SmithDecomposition(matrix=freeze(matrix), U=freeze(U), D=freeze(D), V=freeze(V),
+                           U_inv_t=U_inv_t, V_inv_t=V_inv_t)
+
+
+def test_corrupted_transform_is_rejected():
+    snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    u = [list(r) for r in snf.U]
+    u[1][0] += 1
+    with pytest.raises(InvariantViolation, match="U @ A @ V != D"):
+        SmithDecomposition(matrix=snf.matrix, U=freeze(u), D=snf.D, V=snf.V,
+                           U_inv_t=u, V_inv_t=snf.V)
+
+
+@pytest.mark.parametrize("matrix, U, D, V", [
+    ([[2]], [[1, 0], [0, 1]], [[2], [0]], [[1]]),     # U is 2 x 2 for one row
+    ([[1, 0]], [[1]], [[1]], [[1]]),                  # V is 1 x 1 for two columns
+])
+def test_transform_of_the_wrong_size_is_rejected(matrix, U, D, V):
+    with pytest.raises(InvariantViolation, match="must be"):
+        SmithDecomposition(matrix=freeze(matrix), U=freeze(U), D=freeze(D), V=freeze(V),
+                           U_inv_t=U, V_inv_t=V)
