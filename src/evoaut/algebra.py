@@ -351,28 +351,11 @@ def verify_unique_basis_up_to_scaling(algebra: EvolutionAlgebra,
         had = [x * y % p for x, y in zip(a, b)]
         return all(sum(m[j][i] * had[i] for i in range(n)) % p == 0 for j in range(n))
 
-    def int_rank(vecs):
-        rows = [list(v) for v in vecs]
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = pow(rows[rank][col], -1, p)
-            rows[rank] = [x * inv % p for x in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] % p:
-                    f = rows[r][col]
-                    rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
-
     unit_reps = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
     for combo in itertools.combinations(reps, n):
         if not all(product_is_zero(a, b) for a, b in itertools.combinations(combo, 2)):
             continue
-        if int_rank(combo) != n:
+        if _rank([[field.scalar(x) for x in v] for v in combo]) != n:
             continue
         if any(vec not in unit_reps for vec in combo):
             return False

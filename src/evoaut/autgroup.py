@@ -8,18 +8,19 @@ is solvable; the union of all lifted cosets is a group, a semidirect product
 of the diagonal subgroup by the lifted graph symmetries.  All twisted systems
 share one exponent decomposition per algebra; closure is checked by generators.
 
-``bruteforce_aut`` is the independent oracle: a raw scan of all n x n
-matrices over F_p for invertible algebra homomorphisms, vectorized with
-integer numpy arithmetic (exact; no floating point).
+``bruteforce_aut`` is the independent oracle: it finds every invertible
+algebra homomorphism over F_p from the definition alone, assigning the image
+of one basis vector at a time and keeping only partial assignments whose
+columns already satisfy the homomorphism relations among themselves.  The
+work follows the number of partial solutions, not the p^(n^2) matrices; it
+is vectorized with integer numpy arithmetic (exact; no floating point).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .algebra import EvolutionAlgebra, Vector
+from .algebra import EvolutionAlgebra, Vector, _rank
 from .errors import (
     AlgebraMismatch,
     InvariantViolation,
@@ -46,10 +47,8 @@ from .wgraph import (
     is_unweighted_automorphism,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 BRUTEFORCE_MATRIX_CAP = 10**8
+ORACLE_CHUNK = 1 << 16  # candidate columns the matrix oracle examines per numpy step
 
 
 class MonomialAutomorphism:
@@ -306,87 +305,117 @@ def assemble_aut(algebra: EvolutionAlgebra,
 
 # -- brute-force oracle over F_p ----------------------------------------
 
-def _oracle_guard(algebra: EvolutionAlgebra, cap: int) -> int:
-    field = algebra.field
-    if not isinstance(field, PrimeField):
-        raise NotPrimeField("the brute-force oracle needs a finite field")
-    total = field.p ** (algebra.dim * algebra.dim)
-    if total > cap:
-        raise TooLarge(f"p^(n^2) = {total} exceeds the cap {cap}")
-    return total
+def _oracle_search(algebra: EvolutionAlgebra, cap: int):
+    """Yield, chunk by chunk, every invertible homomorphism e_i -> t_i as the
+    base-p number whose digits are its matrix entries row by row, so that
+    numeric order is the order of the residue matrices as tuples.  The
+    columns t_0..t_{n-1} are assigned one at a time.
 
-
-def _det_mod(T: np.ndarray, p: int, n: int) -> np.ndarray:
-    acc = 0  # becomes an int64 array at the first product, as n >= 1
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n)
-                         if perm[a] > perm[b])
-        prod = 1
-        for r in range(n):
-            prod = prod * T[:, r, perm[r]] % p
-        acc = (acc + (-1) ** inversions * prod) % p
-    return acc
-
-
-def _scan_chunk(T: np.ndarray, M: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Surviving matrices of one decoded chunk (invertible homomorphisms)."""
-    for i in range(n):
-        had = T[:, :, i] * T[:, :, i] % p
-        lhs = had @ M.T % p
-        rhs = T @ M[:, i] % p
-        T = T[(lhs == rhs).all(axis=1)]
-        if not len(T):
-            return T
-    for i in range(n):
-        for j in range(i + 1, n):
-            had = T[:, :, i] * T[:, :, j] % p
-            lhs = had @ M.T % p
-            T = T[(lhs == 0).all(axis=1)]
-            if not len(T):
-                return T
-    return T[_det_mod(T, p, n) != 0]
-
-
-def _bruteforce_scan(algebra: EvolutionAlgebra, cap: int, collect: bool):
+    Only the definition of a homomorphism is used: M(t_j o t_k) = 0 for
+    j != k, and M(t_i o t_i) = sum_c M[c][i] t_c, where o is the entrywise
+    product.  A vector of F_p^n travels as its base-p index.  Prefixes are
+    extended depth first, at most ``ORACLE_CHUNK`` candidates at a time, so
+    memory stays bounded while the work follows the number of partial
+    solutions.  A column must also lie outside the span of the columns
+    before it, which makes the assembled matrix invertible.
+    """
     import numpy as np
-    total = _oracle_guard(algebra, cap)
+    if not isinstance(algebra.field, PrimeField):
+        raise NotPrimeField("the brute-force oracle needs a finite field")
     p = algebra.field.p
     n = algebra.dim
+    if p ** (n * n) > cap:
+        raise TooLarge(f"p^(n^2) = {p ** (n * n)} exceeds the cap {cap}")
     M = np.array([[algebra.matrix[j][i].residue for i in range(n)]
                   for j in range(n)], dtype=np.int64)
-    count = 0
-    found = [] if collect else None
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        size = min(total, lo + chunk) - lo
-        rem = np.arange(lo, lo + size, dtype=np.int64)
-        T = np.empty((size, n, n), dtype=np.int64)
-        for r in range(n):
-            for c in range(n):
-                T[:, r, c] = rem % p
-                rem = rem // p
-        good = _scan_chunk(T, M, p, n)
-        count += len(good)
-        if collect:
-            found.extend(tuple(tuple(int(x) for x in row) for row in mat) for mat in good)
-    return count, found
+    size = p ** n
+    powers = p ** np.arange(n, dtype=np.int64)
+    # the square of e_i is checked once t_i and its whole support are
+    # assigned, so columns are assigned in an order that completes squares early
+    needs = [{i} | {c for c in range(n) if M[c, i]} for i in range(n)]
+    order = []
+    while len(order) < n:
+        order += min((sorted(need - set(order)) for need in needs
+                      if not need <= set(order)), key=len)
+    ready = [max(order.index(c) for c in need) for need in needs]
+    block = min(size, ORACLE_CHUNK)
+    width = max(1, ORACLE_CHUNK // block)
+    pair_table = {}  # vector index -> packed row: M(a o b) == 0 for every b
+    # the place value of entry (r, c) sits at [k, r] for the column c = order[k]
+    place = p ** (n * n - 1 - (np.array(order)[:, None] + n * np.arange(n)))
+
+    def vectors(ids):
+        return ids[..., None] // powers % p
+
+    def pair_rows(ids):
+        missing = [a for a in ids.tolist() if a not in pair_table]
+        if missing:
+            scaled = M * vectors(np.array(missing))[:, None, :]
+            image = scaled.reshape(-1, n) @ vectors(np.arange(size)).T % p
+            zero = ~image.reshape(len(missing), n, size).any(axis=1)
+            pair_table.update(zip(missing, np.packbits(zero, axis=1)))
+        packed = np.stack([pair_table[a] for a in ids.tolist()])
+        return np.unpackbits(packed, axis=1, count=size).view(bool)
+
+    def extend(prefix):
+        k = prefix.shape[1]
+        columns = vectors(prefix)
+        span = (vectors(np.arange(p ** k))[:, :k] @ columns % p) @ powers
+        assigned = []
+        for j in range(k):
+            seen, where = np.unique(prefix[:, j], return_inverse=True)
+            assigned.append((pair_rows(seen), where))
+        for lo in range(0, size, block):
+            ids = np.arange(lo, min(size, lo + block), dtype=np.int64)
+            keep = np.ones((len(prefix), len(ids)), dtype=bool)
+            for rows, where in assigned:
+                keep &= rows[where, lo:lo + len(ids)]
+            inside = (span >= lo) & (span < lo + len(ids))
+            keep[np.nonzero(inside)[0], span[inside] - lo] = False
+            at, picks = np.nonzero(keep)
+            full = np.concatenate([columns[at], vectors(ids[picks, None])], axis=1)
+            good = np.ones(len(full), dtype=bool)
+            for i in range(n):
+                if ready[i] == k:
+                    t = full[:, order.index(i)]
+                    image = t * t % p @ M.T % p
+                    good &= (image == M[order[:k + 1], i] @ full % p).all(axis=1)
+            if k + 1 == n:
+                yield full[good].reshape(-1, n * n) @ place.ravel()
+                continue
+            grown = np.concatenate([prefix[at], ids[picks, None]], axis=1)[good]
+            for lo_prefix in range(0, len(grown), width):
+                yield from extend(grown[lo_prefix:lo_prefix + width])
+
+    yield from extend(np.zeros((1, 0), dtype=np.int64))
 
 
 def bruteforce_aut(algebra: EvolutionAlgebra,
                    cap: int = BRUTEFORCE_MATRIX_CAP) -> list[tuple[tuple[int, ...], ...]]:
     """Oracle: every invertible matrix acting as an algebra homomorphism.
 
-    Scans all p^(n^2) matrices; returns residue matrices in sorted order.
-    Deliberately ignorant of the monomial structure theory it validates.
+    Searches the images of the basis column by column, keeping the partial
+    assignments that satisfy the homomorphism relations among their columns;
+    returns residue matrices in sorted order.  Deliberately ignorant of the
+    monomial structure theory it validates.  ``cap`` bounds p^(n^2).
     """
-    _, found = _bruteforce_scan(algebra, cap, collect=True)
-    return sorted(found)
+    import numpy as np
+    codes = np.sort(np.concatenate([np.zeros(0, dtype=np.int64),
+                                    *_oracle_search(algebra, cap)]))
+    p, n = algebra.field.p, algebra.dim
+    # rows are shared tuples built once per distinct row, and zip builds each
+    # matrix without an intermediate list: millions of matrices stay cheap
+    rows = codes[:, None] // p ** (n * (n - 1 - np.arange(n))) % p ** n
+    distinct = np.unique(rows)
+    entries = distinct[:, None] // p ** (n - 1 - np.arange(n)) % p
+    row_of = dict(zip(distinct.tolist(), map(tuple, entries.tolist()))).__getitem__
+    return list(zip(*(map(row_of, rows[:, r].tolist()) for r in range(n))))
 
 
 def bruteforce_aut_count(algebra: EvolutionAlgebra,
                          cap: int = BRUTEFORCE_MATRIX_CAP) -> int:
-    count, _ = _bruteforce_scan(algebra, cap, collect=False)
-    return count
+    """The number of matrices ``bruteforce_aut`` returns, without building them."""
+    return sum(len(codes) for codes in _oracle_search(algebra, cap))
 
 
 def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:
@@ -408,18 +437,4 @@ def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:
                 rhs = [0] * n
             if lhs != rhs:
                 return False
-    work = [row[:] for row in T]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if work[r][col] % p), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col] % p:
-                f = work[r][col]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank == n
+    return _rank([[field.scalar(x) for x in row] for row in T]) == n

@@ -124,10 +124,11 @@ class PrimeField(Field):
     """
 
     def __init__(self, p: int):
+        # the cap comes first: trial division of a huge p would never end
+        if isinstance(p, int) and p > PRIME_CAP:
+            raise NotPrimeField(f"{p} exceeds the 2^31 cap on field primes")
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrimeField(f"{p} is not prime")
-        if p > PRIME_CAP:
-            raise NotPrimeField(f"prime {p} exceeds the 2^31 cap")
         self.p = p
         self.characteristic = p
         self._unit_factors = factorize(p - 1) if p > 2 else {}

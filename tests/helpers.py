@@ -1,8 +1,12 @@
 """Shared builders for the test suite: named algebras, the random corpus and
 monkeypatch probes into the solver."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 from evoaut import EvolutionAlgebra, autgroup, monomial
 from evoaut.scalar import PrimeField, QQ
@@ -137,3 +141,12 @@ def drop_lift(monkeypatch, dropped):
 
     monkeypatch.setattr(autgroup, "twisted_system", twisted)
     monkeypatch.setattr(monomial.ExponentDecomposition, "solve", solve)
+
+
+def run_python(args, timeout, cwd=None):
+    """A fresh interpreter with this checkout's src on its path, killed after ``timeout`` s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True,
+                          timeout=timeout, cwd=cwd)

@@ -13,6 +13,7 @@ from pathlib import Path
 from evoaut import EvolutionAlgebra
 from evoaut.algebra import same_orbit, verify_unique_basis_up_to_scaling
 from evoaut.autgroup import (
+    BRUTEFORCE_MATRIX_CAP,
     assemble_aut,
     bruteforce_aut,
     compose,
@@ -50,10 +51,9 @@ from helpers import (
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
-# p^(n^2) bound for running the full matrix oracle inside the 60 s budget;
-# covers every corpus shape except n=3 over F_7 and n=4 over F_5 (the latter
-# also exceeds the oracle's own hard cap)
-MATRIX_ORACLE_BUDGET = 2_000_000
+# the matrix oracle runs wherever its own cap admits: every corpus shape
+# except n=4 over F_5
+MATRIX_ORACLE_BUDGET = BRUTEFORCE_MATRIX_CAP
 
 
 def report(criterion, text):

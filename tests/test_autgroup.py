@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evoaut import EvolutionAlgebra, autgroup
@@ -27,10 +30,11 @@ from evoaut.errors import (
     NotPrimeField,
     TooLarge,
 )
-from evoaut.scalar import QQ
+from evoaut.scalar import PrimeField, QQ
 from evoaut.wgraph import algebra_to_wgraph, tree_of
 
 from helpers import (
+    F2,
     F3,
     F5,
     F7,
@@ -38,11 +42,68 @@ from helpers import (
     drop_lift,
     ear_algebra,
     random_algebra,
+    run_python,
     star_algebra,
     three_cycle_algebra,
     two_loop_algebra,
     zero_algebra,
 )
+
+
+def det_mod(T, p, n):
+    """Determinants mod p of a stack of n x n matrices, by the permutation expansion."""
+    acc = 0  # becomes an int64 array at the first product, as n >= 1
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        prod = 1
+        for r in range(n):
+            prod = prod * T[:, r, perm[r]] % p
+        acc = (acc + (-1) ** inversions * prod) % p
+    return acc
+
+
+def scan_chunk(T, M, p, n):
+    """Surviving matrices of one decoded chunk (invertible homomorphisms)."""
+    for i in range(n):
+        had = T[:, :, i] * T[:, :, i] % p
+        lhs = had @ M.T % p
+        rhs = T @ M[:, i] % p
+        T = T[(lhs == rhs).all(axis=1)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            had = T[:, :, i] * T[:, :, j] % p
+            lhs = had @ M.T % p
+            T = T[(lhs == 0).all(axis=1)]
+    return T[det_mod(T, p, n) != 0]
+
+
+def raw_scan(algebra):
+    """Reference matrix oracle: decode all p^(n^2) matrices and keep every
+    invertible homomorphism, as sorted residue matrices."""
+    p = algebra.field.p
+    n = algebra.dim
+    M = np.array([[algebra.matrix[j][i].residue for i in range(n)]
+                  for j in range(n)], dtype=np.int64)
+    total = p ** (n * n)
+    found = []
+    chunk = 1 << 16
+    for lo in range(0, total, chunk):
+        size = min(total, lo + chunk) - lo
+        rem = np.arange(lo, lo + size, dtype=np.int64)
+        T = np.empty((size, n, n), dtype=np.int64)
+        for r in range(n):
+            for c in range(n):
+                T[:, r, c] = rem % p
+                rem = rem // p
+        good = scan_chunk(T, M, p, n)
+        found.extend(tuple(tuple(int(x) for x in row) for row in mat) for mat in good)
+    return sorted(found)
+
+
+def assert_oracle_matches_scan(algebra):
+    expected = raw_scan(algebra)
+    assert bruteforce_aut(algebra) == expected
+    assert bruteforce_aut_count(algebra) == len(expected)
 
 
 def residue_vectors(vectors):
@@ -219,6 +280,82 @@ def test_bruteforce_aut_examples():
         bruteforce_aut(ear_algebra(F7))
     with pytest.raises(NotPrimeField):
         bruteforce_aut(two_loop_algebra(QQ))
+
+
+def test_oracle_matches_raw_scan_on_corpus(corpus):
+    small = [a for a in corpus if a.field.p ** (a.dim ** 2) <= 10**5]
+    assert len(small) > 250
+    for algebra in small:
+        assert_oracle_matches_scan(algebra)
+
+
+@pytest.mark.parametrize("field, n, order", [(F2, 1, 1), (F2, 2, 6), (F2, 3, 168),
+                                             (F3, 1, 2), (F3, 2, 48)])
+def test_oracle_matches_raw_scan_on_zero_algebras(field, n, order):
+    # every invertible matrix is an automorphism: |GL_n(F_p)|
+    assert_oracle_matches_scan(zero_algebra(field, n))
+    assert bruteforce_aut_count(zero_algebra(field, n)) == order
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_oracle_is_independent_of_its_chunk_size(monkeypatch, chunk):
+    # small chunks split the prefixes of a level, and for n = 1 the vectors too
+    monkeypatch.setattr(autgroup, "ORACLE_CHUNK", chunk)
+    cases = [zero_algebra(PrimeField(101), 1), EvolutionAlgebra.from_squares(F7, [[3]]),
+             zero_algebra(F3, 2), three_cycle_algebra(F3),
+             EvolutionAlgebra.from_squares(F5, [[0, 0], [2, 0]])]
+    for algebra in cases:
+        assert_oracle_matches_scan(algebra)
+
+
+def test_oracle_matches_raw_scan_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # every shape with p^(n^2) <= 10^5
+    shapes = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+              (5, 1), (5, 2), (7, 1), (7, 2), (11, 2)]
+
+    @st.composite
+    def algebras(draw):
+        p, n = draw(st.sampled_from(shapes))
+        entry = st.one_of(st.just(0), st.integers(0, p - 1))
+        squares = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                min_size=n, max_size=n))
+        zero_rows = draw(st.sets(st.integers(0, n - 1)))
+        zero_cols = draw(st.sets(st.integers(0, n - 1)))
+        squares = [[0 if i in zero_cols or j in zero_rows else x for j, x in enumerate(col)]
+                   for i, col in enumerate(squares)]
+        return EvolutionAlgebra.from_squares(PrimeField(p), squares)
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(algebras())
+    def check(algebra):
+        assert_oracle_matches_scan(algebra)
+
+    check()
+
+
+def test_oracle_count_of_the_f5_zero_algebra_stays_small():
+    # |GL_3(F_5)| = 1,488,000 automorphisms, counted in bounded chunks.  The
+    # interpreter's own peak is VmHWM: its ru_maxrss would also count the
+    # peak of this (large) test process, which Linux carries across exec
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status")
+    script = ("from pathlib import Path\n"
+              "from evoaut import EvolutionAlgebra\n"
+              "from evoaut.autgroup import bruteforce_aut_count\n"
+              "from evoaut.scalar import PrimeField\n"
+              "zero = EvolutionAlgebra.from_squares(PrimeField(5), [[0] * 3 for _ in range(3)])\n"
+              "count = bruteforce_aut_count(zero)\n"
+              "peak = next(line for line in Path('/proc/self/status').read_text().splitlines()\n"
+              "            if line.startswith('VmHWM:'))\n"
+              "print(count, peak.split()[1])\n")
+    done = run_python(["-c", script], timeout=120)
+    assert done.returncode == 0, done.stderr
+    count, peak_kb = map(int, done.stdout.split())
+    assert count == 1488000
+    assert peak_kb < 150 * 1024
 
 
 def test_bruteforce_matches_assembled_on_small_cases():

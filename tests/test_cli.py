@@ -1,8 +1,5 @@
 import contextlib
 import io
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -12,7 +9,7 @@ from evoaut.cli import main
 from evoaut.files import group_from_structured, parse_algebra, parse_structured
 from evoaut.scalar import PrimeField
 
-from helpers import count_snf_calls, drop_lift
+from helpers import count_snf_calls, drop_lift, run_python
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -287,15 +284,6 @@ def test_dropped_lift_is_an_internal_violation(capsys, monkeypatch):
     assert "lifted sigmas are not closed under composition" in err
 
 
-def run_python(args, timeout, cwd=None):
-    """A fresh interpreter with this checkout's src on its path, killed after ``timeout`` s."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True,
-                          timeout=timeout, cwd=cwd)
-
-
 def test_numpy_is_loaded_by_the_matrix_oracle_only():
     script = ("import sys\n"
               "import evoaut.cli\n"
@@ -325,6 +313,14 @@ def test_aut_with_a_large_weight_finishes(tmp_path):
     done = run_python(["-m", "evoaut.cli", "aut", "large.alg"], timeout=10, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert "group order = 1\n" in done.stdout
+
+
+def test_huge_field_prime_is_refused_at_the_cap(tmp_path):
+    # 10^18 + 3 lies far past the 2^31 cap; trial division would run for hours
+    (tmp_path / "huge.alg").write_text("field F1000000000000000003\nbasis u1\nsq u1 = 1*u1\n")
+    done = run_python(["-m", "evoaut.cli", "diag", "huge.alg"], timeout=2, cwd=tmp_path)
+    assert done.returncode == 2
+    assert "1000000000000000003 exceeds the 2^31 cap" in done.stderr
 
 
 @pytest.mark.parametrize("exponent, lifted", [(1, False), (3, True)])
