@@ -48,6 +48,7 @@ from .wgraph import (
 )
 
 BRUTEFORCE_MATRIX_CAP = 10**8
+BRUTEFORCE_OUTPUT_CAP = 2 * 10**6  # matrices bruteforce_aut returns, ~150 bytes each
 ORACLE_CHUNK = 1 << 16  # candidate columns the matrix oracle examines per numpy step
 
 
@@ -125,12 +126,6 @@ class MonomialAutomorphism:
         images = " ".join(f"e{i + 1}->{x}*e{s + 1}"
                           for i, (s, x) in enumerate(zip(self.sigma, self.scales)))
         return f"MonomialAutomorphism({images})"
-
-
-def identity_automorphism(algebra: EvolutionAlgebra) -> MonomialAutomorphism:
-    one = algebra.field.one
-    return MonomialAutomorphism(algebra, tuple(range(algebra.dim)),
-                                tuple(one for _ in range(algebra.dim)))
 
 
 def compose(f: MonomialAutomorphism, g: MonomialAutomorphism) -> MonomialAutomorphism:
@@ -397,11 +392,19 @@ def bruteforce_aut(algebra: EvolutionAlgebra,
     Searches the images of the basis column by column, keeping the partial
     assignments that satisfy the homomorphism relations among their columns;
     returns residue matrices in sorted order.  Deliberately ignorant of the
-    monomial structure theory it validates.  ``cap`` bounds p^(n^2).
+    monomial structure theory it validates.  ``cap`` bounds p^(n^2), and
+    past ``BRUTEFORCE_OUTPUT_CAP`` matrices the search stops with TooLarge
+    before any is built; ``bruteforce_aut_count`` counts without that cap.
     """
     import numpy as np
-    codes = np.sort(np.concatenate([np.zeros(0, dtype=np.int64),
-                                    *_oracle_search(algebra, cap)]))
+    chunks, total = [np.zeros(0, dtype=np.int64)], 0
+    for codes in _oracle_search(algebra, cap):
+        total += len(codes)
+        if total > BRUTEFORCE_OUTPUT_CAP:
+            raise TooLarge(f"more than {BRUTEFORCE_OUTPUT_CAP} automorphisms to list; "
+                           "bruteforce_aut_count counts them")
+        chunks.append(codes)
+    codes = np.sort(np.concatenate(chunks))
     p, n = algebra.field.p, algebra.dim
     # rows are shared tuples built once per distinct row, and zip builds each
     # matrix without an intermediate list: millions of matrices stay cheap

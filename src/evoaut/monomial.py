@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, mu_order, nth_roots
-from .snf import identity, smith_normal_form
+from .snf import SparseMatrix, identity, smith_normal_form
 
 ENUMERATION_CAP = 10**6
 BRUTEFORCE_CAP = 10**7
@@ -246,7 +246,7 @@ class ExponentDecomposition:
             snf = smith_normal_form(self.exponents)
             self.U, self.V, self.rank, self.diagonal = snf.U, snf.V, snf.rank, tuple(snf.diagonal())
         else:
-            self.U, self.V, self.rank, self.diagonal = (), identity(n), 0, ()
+            self.U, self.V, self.rank, self.diagonal = SparseMatrix(()), identity(n), 0, ()
         generators, orders = _materialize_generators(field, self.V, self.rank, self.diagonal, n)
         if any(power_product(field, gen, exps) != field.one
                for gen in generators for exps in self.exponents):
@@ -271,8 +271,10 @@ class ExponentDecomposition:
         rhs = [c for _, c in system.rows]
         ys = [one] * self.n_vars
         particular = None
-        for k, u_row in enumerate(self.U):
-            c = power_product(self.field, rhs, u_row)
+        for k, u_row in enumerate(self.U.rows):
+            c = one
+            for j, e in u_row:
+                c = c * rhs[j] ** e
             if k < self.rank:
                 roots = nth_roots(self.field, self.diagonal[k], c)
                 if not roots:

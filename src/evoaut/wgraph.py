@@ -157,19 +157,6 @@ def tree_of(graph: WeightedGraph, seeds) -> frozenset[int]:
     return frozenset(seen)
 
 
-def is_unweighted_automorphism(graph: WeightedGraph, sigma) -> bool:
-    """Does sigma preserve adjacency of the graph (both directions)?"""
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(graph.n_vertices)):
-        return False
-    n = graph.n_vertices
-    for u in range(n):
-        for v in range(n):
-            if graph.has_edge(u, v) != graph.has_edge(sigma[u], sigma[v]):
-                return False
-    return True
-
-
 def is_graph_isomorphism(graph: WeightedGraph, other: WeightedGraph, sigma) -> bool:
     """Adjacency-only isomorphism test between two graphs along sigma."""
     sigma = tuple(sigma)
@@ -178,6 +165,11 @@ def is_graph_isomorphism(graph: WeightedGraph, other: WeightedGraph, sigma) -> b
         return False
     return all(graph.has_edge(u, v) == other.has_edge(sigma[u], sigma[v])
                for u in range(n) for v in range(n))
+
+
+def is_unweighted_automorphism(graph: WeightedGraph, sigma) -> bool:
+    """Does sigma preserve adjacency of the graph (both directions)?"""
+    return is_graph_isomorphism(graph, graph, sigma)
 
 
 def enumerate_graph_automorphisms(graph: WeightedGraph,

@@ -17,7 +17,6 @@ from evoaut.autgroup import (
     coset_automorphisms,
     diag_coset,
     diag_group,
-    identity_automorphism,
     invert,
     is_automorphism_matrix,
     twisted_limit,
@@ -185,7 +184,7 @@ def test_monomial_automorphism_validation():
         MonomialAutomorphism(a, (1, 0), (QQ.one, QQ.one))  # swap does not lift
     with pytest.raises(NotAnAutomorphism):
         MonomialAutomorphism(a, (0, 1), (QQ.one, QQ.zero))
-    ident = identity_automorphism(a)
+    ident = MonomialAutomorphism(a, (0, 1), (QQ.one, QQ.one))
     assert ident.is_identity()
     assert ident.apply(a.vector([3, -2])) == a.vector([3, -2])
 
@@ -207,7 +206,8 @@ def test_compose_invert_match_matrices():
         assert compose(f, invert(f)).is_identity()
         assert compose(invert(f), f).is_identity()
     with pytest.raises(AlgebraMismatch):
-        compose(identity_automorphism(z), identity_automorphism(zero_algebra(F5, 2)))
+        compose(MonomialAutomorphism(z, (0, 1, 2), (F5.one,) * 3),
+                MonomialAutomorphism(zero_algebra(F5, 2), (0, 1), (F5.one,) * 2))
 
 
 def test_three_cycle_composition_collapses_to_identity():
@@ -280,6 +280,23 @@ def test_bruteforce_aut_examples():
         bruteforce_aut(ear_algebra(F7))
     with pytest.raises(NotPrimeField):
         bruteforce_aut(two_loop_algebra(QQ))
+
+
+def test_bruteforce_aut_stops_past_its_output_cap(monkeypatch):
+    # p^(n^2) = 7^9 is inside the matrix cap, but the list of all
+    # |GL_3(F_7)| = 33,784,128 automorphisms would take about 5 GB
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="automorphisms to list"):
+        bruteforce_aut(zero_algebra(F7, 3))
+    assert time.perf_counter() - start < 20.0
+    # under a cap below |GL_3(F_5)| = 1,488,000 the F_5 zero algebra stops
+    # the same way, and counting it is not capped
+    monkeypatch.setattr(autgroup, "BRUTEFORCE_OUTPUT_CAP", 10**6)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="automorphisms to list"):
+        bruteforce_aut(zero_algebra(F5, 3))
+    assert time.perf_counter() - start < 10.0
+    assert bruteforce_aut_count(zero_algebra(F5, 3)) == 1488000
 
 
 def test_oracle_matches_raw_scan_on_corpus(corpus):

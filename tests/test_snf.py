@@ -1,11 +1,24 @@
+import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from evoaut.errors import InvariantViolation
-from evoaut.snf import SmithDecomposition, mat_mul, smith_normal_form
+from evoaut.snf import SmithDecomposition, SparseMatrix, smith_normal_form
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for k in range(inner):
+            if a[i][k]:
+                for j in range(cols):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
 
 
 def int_det(m):
@@ -205,3 +218,115 @@ def test_transform_of_the_wrong_size_is_rejected(matrix, U, D, V):
     with pytest.raises(InvariantViolation, match="must be"):
         SmithDecomposition(matrix=freeze(matrix), U=freeze(U), D=freeze(D), V=freeze(V),
                            U_inv_t=U, V_inv_t=V)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0, 1, 0]],          # a dense row of the wrong length
+    [{0: 1}, {2: 1}],             # a sparse entry past the last column
+    [{-1: 1}, {1: 1}],            # a sparse entry before the first column
+])
+def test_transform_rows_outside_the_square_are_rejected(rows):
+    with pytest.raises(InvariantViolation, match="not square"):
+        SparseMatrix(rows)
+
+
+@pytest.mark.parametrize("matrix, D, message", [
+    ([[1, 1]], [[1, 1]], "not diagonal"),
+    ([[1], [1]], [[1], [1]], "not diagonal"),                  # a row below the diagonal
+    ([[2, 0], [0, 3]], [[2, 0], [0, 3]], "divisibility chain"),
+    ([[0, 0], [0, 1]], [[0, 0], [0, 1]], "divisibility chain"),  # a zero before a nonzero
+])
+def test_d_off_the_smith_form_is_rejected(matrix, D, message):
+    # identity transforms: D == U @ A @ V holds and both are unimodular
+    m, n = len(matrix), len(matrix[0])
+    eye = lambda k: [[int(i == j) for j in range(k)] for i in range(k)]
+    with pytest.raises(InvariantViolation, match=message):
+        SmithDecomposition(matrix=freeze(matrix), U=freeze(eye(m)), D=freeze(D),
+                           V=freeze(eye(n)), U_inv_t=eye(m), V_inv_t=eye(n))
+
+
+def edge_rows(rng, n, out_degree):
+    """Exponent rows 2 e_u - e_v, one per edge u -> v, ordered as the diagonal
+    system orders them, of an algebra whose basis squares have
+    ``out_degree`` terms each: the shape of the benchmark's dense cases."""
+    rows = []
+    for u in range(n):
+        for v in sorted(rng.sample(range(n), out_degree)):
+            exps = [0] * n
+            exps[u] += 2
+            exps[v] -= 1
+            rows.append(exps)
+    return rows
+
+
+def random_matrices():
+    rng = random.Random(43)
+    out = []
+    for _ in range(400):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.random()
+        out.append([[rng.randint(-30, 30) if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(m)])
+    return out
+
+
+def transforms_digest(matrices):
+    digest = hashlib.sha256()
+    for mat in matrices:
+        snf = smith_normal_form(mat)
+        digest.update(repr((tuple(map(tuple, snf.U)), snf.D, snf.V)).encode())
+    return digest.hexdigest()[:24]
+
+
+# U, D and V as the dense-transform elimination produced them: the sparse
+# transforms change the cost of each operation, never its result
+@pytest.mark.parametrize("matrices, pin", [
+    (random_matrices, "dd400ff371860759d477457e"),
+    (lambda: [edge_rows(random.Random(32), 32, 6)], "95d4200dce3735e44991c55f"),   # 192 x 32
+    (lambda: [edge_rows(random.Random(64), 64, 5)], "865a1ce5faa62a9ec8bdfb2c"),   # 320 x 64
+    (lambda: [edge_rows(random.Random(48), 48, 5)], "594dd9d21e5b235284f27610"),   # 240 x 48
+])
+def test_decompositions_are_unchanged_entry_for_entry(matrices, pin):
+    assert transforms_digest(matrices()) == pin
+
+
+def exact_inverse(mat):
+    """Inverse of an integer matrix by Gauss-Jordan over the rationals."""
+    size = len(mat)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size)]
+            for i, row in enumerate(mat)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(size):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    assert all(x.denominator == 1 for row in work for x in row[size:])
+    return [[int(x) for x in row[size:]] for row in work]
+
+
+def test_certificate_reads_every_stored_entry():
+    rows = edge_rows(random.Random(37), 10, 4)                  # 40 x 10
+    snf = smith_normal_form(rows)
+    transpose = lambda mat: [list(col) for col in zip(*mat)]
+    U, V = [list(r) for r in snf.U], [list(r) for r in snf.V]
+    parts = {"U": U, "V": V,
+             "U_inv_t": transpose(exact_inverse(U)), "V_inv_t": transpose(exact_inverse(V))}
+
+    def build(parts):
+        return SmithDecomposition(matrix=snf.matrix, U=freeze(parts["U"]), D=snf.D,
+                                  V=freeze(parts["V"]), U_inv_t=parts["U_inv_t"],
+                                  V_inv_t=parts["V_inv_t"])
+
+    assert build(parts) == snf
+    zeros = 0
+    for name, mat in parts.items():
+        for i, j in itertools.product(range(len(mat)), repeat=2):
+            zeros += mat[i][j] == 0
+            mat[i][j] += 1
+            with pytest.raises(InvariantViolation):
+                build(parts)
+            mat[i][j] -= 1
+    assert zeros > 3000        # most forged entries are zero in the real transforms
