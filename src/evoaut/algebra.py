@@ -2,7 +2,9 @@
 
 An algebra is stored as its structure matrix M with the column convention
 M[j][i] = coefficient of e_j in e_i**2; distinct basis elements multiply to
-zero.  Vectors are plain tuples of scalars in basis coordinates.  All objects
+zero.  ``edges`` lists the nonzero entries once, as the edges (i, j, M[j][i])
+of the associated graph in (i, j) order; whatever needs only them reads that
+list.  Vectors are plain tuples of scalars in basis coordinates.  All objects
 are immutable and the predicates are pure.
 """
 
@@ -39,6 +41,8 @@ class EvolutionAlgebra:
             matrix.append(tuple(field.scalar(x) for x in row))
         self.field = field
         self.matrix = tuple(matrix)
+        self.edges = tuple((i, j, matrix[j][i]) for i in range(n) for j in range(n)
+                           if not matrix[j][i].is_zero())
         if labels is None:
             labels = tuple(f"e{i + 1}" for i in range(n))
         else:
@@ -89,13 +93,8 @@ class EvolutionAlgebra:
         u = self.vector(u)
         v = self.vector(v)
         out = list(self.zero_vector())
-        for i in range(self.dim):
-            c = u[i] * v[i]
-            if not c.is_zero():
-                for j in range(self.dim):
-                    w = self.matrix[j][i]
-                    if not w.is_zero():
-                        out[j] = out[j] + c * w
+        for i, j, w in self.edges:
+            out[j] = out[j] + u[i] * v[i] * w
         return tuple(out)
 
     # -- structural predicates ------------------------------------------
@@ -124,8 +123,7 @@ class EvolutionAlgebra:
 
     def is_nondegenerate(self) -> bool:
         """No basis element squares to zero."""
-        return all(any(not self.matrix[j][i].is_zero() for j in range(self.dim))
-                   for i in range(self.dim))
+        return len({i for i, _, _ in self.edges}) == self.dim
 
     def rank(self) -> int:
         return _rank([list(row) for row in self.matrix])

@@ -5,8 +5,11 @@ the edges of the associated graph (weights do not enter).  A symmetry sigma
 of the unweighted graph lifts to algebra automorphisms e_i -> x_i e_sigma(i)
 exactly when the twisted system x_u**2 / x_v == w(u,v) / w(sigma u, sigma v)
 is solvable; the union of all lifted cosets is a group, a semidirect product
-of the diagonal subgroup by the lifted graph symmetries.  All twisted systems
-share one exponent decomposition per algebra; closure is checked by generators.
+of the diagonal subgroup by the lifted graph symmetries.  The systems are
+read off the algebra's edge list and share one exponent decomposition per
+algebra; closure is checked by generators.  Each lift is checked once, by
+the ``MonomialAutomorphism`` built from it: that check is the twisted system
+itself, so ``assemble_aut`` builds no ``SolutionCoset`` to repeat it.
 
 ``bruteforce_aut`` is the independent oracle: it finds every invertible
 algebra homomorphism over F_p from the definition alone, assigning the image
@@ -55,8 +58,11 @@ ORACLE_CHUNK = 1 << 16  # candidate columns the matrix oracle examines per numpy
 class MonomialAutomorphism:
     """The linear map e_i -> x_i e_sigma(i), verified to be an automorphism.
 
-    Construction checks the defining relation on every basis square, so an
-    instance is an algebra automorphism by fiat.
+    f(e_i)**2 == f(e_i**2) reads x_i**2 * w(sigma i -> sigma j) == w(i -> j) * x_j
+    for all i, j, a missing edge weighing 0.  Construction checks this on every
+    edge, where a missing image edge fails it.  As sigma permutes the ordered
+    pairs, a map of the edges into the edges also maps non-edges to non-edges:
+    no graph symmetry is assumed, and an instance is an automorphism by fiat.
     """
 
     def __init__(self, algebra: EvolutionAlgebra, sigma, scales):
@@ -72,13 +78,11 @@ class MonomialAutomorphism:
         self._verify()
 
     def _verify(self):
-        for i in range(self.algebra.dim):
-            lhs = self.apply(self.algebra.square_of(i))
-            x2 = self.scales[i] * self.scales[i]
-            rhs = tuple(x2 * w for w in self.algebra.square_of(self.sigma[i]))
-            if lhs != rhs:
+        sigma, x = self.sigma, self.scales
+        for i, j, w in self.algebra.edges:
+            if x[i] * x[i] * self.algebra.entry(sigma[j], sigma[i]) != w * x[j]:
                 raise NotAnAutomorphism(
-                    f"sigma={self.sigma}, scales fail the square relation at index {i}")
+                    f"sigma={self.sigma}, scales fail the square relation on edge {i}->{j}")
 
     def apply(self, vec) -> Vector:
         vec = self.algebra.vector(vec)
@@ -155,25 +159,26 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
 
     Each edge u -> v of weight w contributes x_u**2 / x_v == w / w', where w'
     is the weight of the image edge sigma(u) -> sigma(v); a loop contributes
-    the linear relation x_u == w / w'.
+    the linear relation x_u == w / w'.  Rows follow the algebra's edge list.
     """
-    sigma = tuple(sigma)
-    n = algebra.dim
     rows = []
-    for u in range(n):
-        for v in range(n):
-            w = algebra.entry(v, u)
-            if w.is_zero():
-                continue
-            image_w = algebra.entry(sigma[v], sigma[u])
-            if image_w.is_zero():
-                raise NotAGraphAutomorphism(
-                    f"edge {u}->{v} has no image under sigma={sigma}")
-            exps = [0] * n
-            exps[u] += 2
-            exps[v] -= 1
-            rows.append((tuple(exps), w / image_w))
-    return MonomialSystem(algebra.field, n, tuple(rows))
+    for (u, v, _), c in zip(algebra.edges, _twisted_rhs(algebra, tuple(sigma))):
+        exps = [0] * algebra.dim
+        exps[u] += 2
+        exps[v] -= 1
+        rows.append((tuple(exps), c))
+    return MonomialSystem(algebra.field, algebra.dim, tuple(rows))
+
+
+def _twisted_rhs(algebra: EvolutionAlgebra, sigma) -> list[Scalar]:
+    """w(e) / w(sigma e) for every edge e, in edge-list order."""
+    rhs = []
+    for u, v, w in algebra.edges:
+        image_w = algebra.entry(sigma[v], sigma[u])
+        if image_w.is_zero():
+            raise NotAGraphAutomorphism(f"edge {u}->{v} has no image under sigma={sigma}")
+        rhs.append(w / image_w)
+    return rhs
 
 
 def diag_group(algebra: EvolutionAlgebra) -> GroupDescription:
@@ -265,16 +270,14 @@ class AutPresentation:
         return None if d is None else d * len(self.lifted)
 
     def monomial_elements(self, cap: int = ENUMERATION_CAP) -> list[MonomialAutomorphism]:
-        """All of U, element by element; requires a finite diagonal part."""
+        """All of U, element by element; requires a finite diagonal part.
+        d . lift maps e_i to lift.scales[i] * d[sigma(i)] e_sigma(i)."""
         if self.diag.concrete_order() is None:
             raise TooLarge("diagonal subgroup is infinite; U cannot be enumerated")
-        diag_vectors = self.decomposition.solve(diag_system(self.algebra)).elements(cap)
-        out = []
-        for _, lift in self.lifted:
-            for vec in diag_vectors:
-                out.append(compose(MonomialAutomorphism(self.algebra,
-                                                        tuple(range(self.algebra.dim)),
-                                                        vec), lift))
+        diag_vectors = self.diag.elements(cap)
+        out = [MonomialAutomorphism(self.algebra, lift.sigma,
+                                    [x * d[s] for x, s in zip(lift.scales, lift.sigma)])
+               for _, lift in self.lifted for d in diag_vectors]
         out.sort(key=lambda a: a.sort_key())
         return out
 
@@ -288,9 +291,9 @@ def assemble_aut(algebra: EvolutionAlgebra,
     lifted = []
     not_lifted = []
     for ga in autos:
-        coset = decomposition.solve(twisted_system(algebra, ga.sigma))
-        if coset.is_feasible:
-            lifted.append((ga, MonomialAutomorphism(algebra, ga.sigma, coset.particular)))
+        scales = decomposition.particular(_twisted_rhs(algebra, ga.sigma))
+        if scales is not None:
+            lifted.append((ga, MonomialAutomorphism(algebra, ga.sigma, scales)))
         else:
             not_lifted.append(ga)
     full = algebra.is_2li() or algebra.is_invertible()

@@ -49,7 +49,7 @@ ELEMENT_LISTING_CAP = 256
 
 
 def _resource_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return args.cap
     env = os.environ.get("EVOAUT_CAP")
     if env is not None:
@@ -361,18 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
                                        "or tate/chain field)")
         p.add_argument("--structured", action="store_true",
                        help=f"emit the {STRUCTURED_FORMAT} key-value format")
-        p.add_argument("--cap", type=int, help="override the graph enumeration cap "
-                                               f"(default {DEFAULT_VERTEX_CAP}; "
-                                               "env EVOAUT_CAP)")
         p.set_defaults(handler=handler)
         return p
 
     add("diag", cmd_diag, True, "diagonal automorphism group")
-    add("aut", cmd_aut, True, "full monomial automorphism presentation")
+    aut = add("aut", cmd_aut, True, "full monomial automorphism presentation")
     check = add("check", cmd_check, True, "structural predicate report")
     check.add_argument("--vector", action="append",
                        help="comma-separated coordinates to test for naturality")
-    add("oracle", cmd_oracle, True, "brute-force cross-check report")
+    oracle = add("oracle", cmd_oracle, True, "brute-force cross-check report")
+    for p in (aut, oracle):  # the two commands that enumerate graph symmetries
+        p.add_argument("--cap", type=int, help="override the graph enumeration cap "
+                                               f"(default {DEFAULT_VERTEX_CAP}; "
+                                               "env EVOAUT_CAP)")
     add("tate", cmd_tate, False, "2-power inverse limit of roots of unity")
     chain = add("chain", cmd_chain, False, "truncated power-map chain census")
     chain.add_argument("--exp", help="comma-separated exponent sequence")

@@ -16,6 +16,8 @@ the caller) and always emitted on output.  Structured reports are
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import EvolutionAlgebra
 from .errors import EvoautError, ParseError
 from .monomial import GroupDescription
@@ -145,11 +147,9 @@ def _parse_terms(field: Field, labels, tokens, line_no: int):
 def serialize_algebra(algebra: EvolutionAlgebra) -> str:
     lines = [f"field {field_tag(algebra.field)}",
              "basis " + " ".join(algebra.labels)]
-    for i, label in enumerate(algebra.labels):
-        terms = [f"{algebra.matrix[j][i]}*{algebra.labels[j]}"
-                 for j in range(algebra.dim) if not algebra.matrix[j][i].is_zero()]
-        if terms:
-            lines.append(f"sq {label} = " + " + ".join(terms))
+    for i, edges in itertools.groupby(algebra.edges, key=lambda e: e[0]):
+        terms = [f"{w}*{algebra.labels[j]}" for _, j, w in edges]
+        lines.append(f"sq {algebra.labels[i]} = " + " + ".join(terms))
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,9 @@ coordinates: the solution group of the homogeneous system is
 (K^x)^(n - rank) x prod mu_{d_i}(K) over the nontrivial invariant factors d_i,
 and an inhomogeneous system is either infeasible or a coset of that group.
 Systems that differ only in their right-hand sides share one
-``ExponentDecomposition``: one per algebra serves all of its systems.
+``ExponentDecomposition``: one per algebra serves all of its systems.  Its
+``solve`` returns a ``SolutionCoset``, which checks itself against the
+system; ``particular`` is the bare solution, for a caller that checks it.
 
 Over F_p the d-th root step is a linear congruence in discrete-log
 coordinates and generators are materialized as explicit vectors.  Over Q the
@@ -71,10 +73,11 @@ class GroupDescription:
     """Abstract shape (K^x)^r x prod mu_{d_i}(K), optionally materialized.
 
     ``torsion`` holds the nontrivial invariant factors in divisibility order.
-    Over F_p, ``generators`` are solution vectors generating the whole group
-    (orders in ``generator_orders``); over Q only the finite sign part gets
-    generators and free factors are reported symbolically.  ``symbol``
-    overrides the shape for table-backed answers such as Z_2.
+    Over F_p, ``generators`` are solution vectors of length ``n_vars``
+    generating the whole group (orders in ``generator_orders``); over Q only
+    the finite sign part gets generators and free factors are reported
+    symbolically.  ``symbol`` overrides the shape for table-backed answers
+    such as Z_2.
     """
 
     free_rank: int
@@ -83,6 +86,7 @@ class GroupDescription:
     generators: tuple[tuple[Scalar, ...], ...] = ()
     generator_orders: tuple[int, ...] = ()
     symbol: str | None = None
+    n_vars: int = 0
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -131,15 +135,10 @@ class GroupDescription:
             raise TooLarge("group is infinite or symbolic; cannot enumerate")
         if order > cap:
             raise TooLarge(f"group order {order} exceeds the enumeration cap {cap}")
-        if not self.generators:
-            if order != 1:
-                raise InvariantViolation("nontrivial group without generators")
-            return []
-        n = len(self.generators[0])
         one = self.field.one
         out = set()
         for powers in itertools.product(*(range(o) for o in self.generator_orders)):
-            vec = [one] * n
+            vec = [one] * self.n_vars
             for gen, a in zip(self.generators, powers):
                 if a:
                     vec = [v * g**a for v, g in zip(vec, gen)]
@@ -159,7 +158,8 @@ class SolutionCoset:
     """Solutions of an inhomogeneous system: particular * homogeneous group.
 
     ``particular`` is None exactly when the system is infeasible; the
-    homogeneous description is meaningful either way.
+    homogeneous description is meaningful either way.  Construction checks
+    ``particular`` against every relation, so each ``solve`` is certified.
     """
 
     system: MonomialSystem
@@ -188,10 +188,8 @@ class SolutionCoset:
     def elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[Scalar, ...]]:
         if not self.is_feasible:
             return []
-        subgroup = self.homogeneous.elements(cap)
-        if not subgroup:
-            return [self.particular]
-        out = [tuple(p * h for p, h in zip(self.particular, vec)) for vec in subgroup]
+        out = [tuple(p * h for p, h in zip(self.particular, vec))
+               for vec in self.homogeneous.elements(cap)]
         return sorted(out, key=_vector_sort_key)
 
 
@@ -253,10 +251,21 @@ class ExponentDecomposition:
             raise InvariantViolation("homogeneous generator fails the system")
         self.homogeneous = GroupDescription(
             free_rank=n - self.rank, torsion=tuple(d for d in self.diagonal[:self.rank] if d > 1),
-            field=field, generators=generators, generator_orders=orders)
+            field=field, generators=generators, generator_orders=orders, n_vars=n)
 
     def solve(self, system: MonomialSystem) -> SolutionCoset:
-        """Solution coset of a system with this exponent matrix (Infeasible is a value).
+        """Solution coset of a system with this exponent matrix (Infeasible is a value),
+        certified by ``SolutionCoset`` against every relation of the system."""
+        if (system.field, system.n_vars) != (self.field, self.n_vars) \
+                or tuple(exps for exps, _ in system.rows) != self.exponents:
+            raise InvariantViolation("system's exponent rows differ from the decomposition's")
+        return SolutionCoset(system=system, particular=self.particular([c for _, c in system.rows]),
+                             homogeneous=self.homogeneous)
+
+    def particular(self, rhs) -> tuple[Scalar, ...] | None:
+        """The canonical solution for right-hand sides ``rhs`` (one per exponent
+        row, in row order), or None when there is none.  Unchecked: ``solve``
+        certifies it, and a caller that uses it directly checks it itself.
 
         The right-hand sides are transformed multiplicatively by U; the system
         is solvable iff every zero row yields 1 and every diagonal equation
@@ -264,13 +273,8 @@ class ExponentDecomposition:
         solution takes, per diagonal equation, the root 1 when available and
         the canonically smallest root otherwise, then maps back through V.
         """
-        if (system.field, system.n_vars) != (self.field, self.n_vars) \
-                or tuple(exps for exps, _ in system.rows) != self.exponents:
-            raise InvariantViolation("system's exponent rows differ from the decomposition's")
         one = self.field.one
-        rhs = [c for _, c in system.rows]
         ys = [one] * self.n_vars
-        particular = None
         for k, u_row in enumerate(self.U.rows):
             c = one
             for j, e in u_row:
@@ -278,13 +282,11 @@ class ExponentDecomposition:
             if k < self.rank:
                 roots = nth_roots(self.field, self.diagonal[k], c)
                 if not roots:
-                    break
+                    return None
                 ys[k] = one if one in roots else roots[0]
             elif c != one:
-                break
-        else:
-            particular = tuple(power_product(self.field, ys, row) for row in self.V)
-        return SolutionCoset(system=system, particular=particular, homogeneous=self.homogeneous)
+                return None
+        return tuple(power_product(self.field, ys, row) for row in self.V)
 
 
 def solve_homogeneous(system: MonomialSystem) -> GroupDescription:

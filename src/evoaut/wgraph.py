@@ -121,15 +121,8 @@ class GraphAutomorphism:
 def algebra_to_wgraph(algebra: EvolutionAlgebra) -> WeightedGraph:
     """One vertex per basis element; edge i -> j weighted by the coefficient
     of e_j in e_i**2, whenever that coefficient is nonzero."""
-    weights = {}
-    n = algebra.dim
-    for i in range(n):
-        for j in range(n):
-            w = algebra.entry(j, i)
-            if not w.is_zero():
-                weights[(i, j)] = w
-    graph = WeightedGraph(algebra.field, algebra.labels, weights)
-    return graph
+    weights = {(i, j): w for i, j, w in algebra.edges}
+    return WeightedGraph(algebra.field, algebra.labels, weights)
 
 
 def wgraph_to_algebra(graph: WeightedGraph, field: Field) -> EvolutionAlgebra:
@@ -158,13 +151,13 @@ def tree_of(graph: WeightedGraph, seeds) -> frozenset[int]:
 
 
 def is_graph_isomorphism(graph: WeightedGraph, other: WeightedGraph, sigma) -> bool:
-    """Adjacency-only isomorphism test between two graphs along sigma."""
+    """Adjacency-only isomorphism test between two graphs along sigma: the
+    image of the edge set under sigma is the other graph's edge set."""
     sigma = tuple(sigma)
     n = graph.n_vertices
     if other.n_vertices != n or sorted(sigma) != list(range(n)):
         return False
-    return all(graph.has_edge(u, v) == other.has_edge(sigma[u], sigma[v])
-               for u in range(n) for v in range(n))
+    return {(sigma[u], sigma[v]) for u, v in graph.weights} == other.weights.keys()
 
 
 def is_unweighted_automorphism(graph: WeightedGraph, sigma) -> bool:

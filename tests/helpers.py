@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from evoaut import EvolutionAlgebra, autgroup, monomial
@@ -108,6 +107,20 @@ def build_corpus(seed=CORPUS_SEED, f5_count=300, f7_count=200):
     return corpus
 
 
+def square_relations_hold(algebra, sigma, scales) -> bool:
+    """Reference lift check, dense: e_i -> x_i e_sigma(i) sends each basis
+    square e_i**2 onto (x_i e_sigma(i))**2, compared coordinate by coordinate."""
+    n = algebra.dim
+    for i in range(n):
+        image = [algebra.field.zero] * n
+        for j, w in enumerate(algebra.square_of(i)):
+            image[sigma[j]] = w * scales[j]
+        x2 = scales[i] * scales[i]
+        if image != [x2 * w for w in algebra.square_of(sigma[i])]:
+            return False
+    return True
+
+
 def count_snf_calls(monkeypatch) -> list:
     """Record the row count of every Smith normal form the solver runs."""
     calls = []
@@ -122,25 +135,25 @@ def count_snf_calls(monkeypatch) -> list:
 
 
 def drop_lift(monkeypatch, dropped):
-    """Make the twisted system of one sigma report infeasible."""
+    """Make the canonical solution of one sigma's twisted right-hand sides
+    report infeasible."""
     marked = []
-    real_twisted = autgroup.twisted_system
-    real_solve = monomial.ExponentDecomposition.solve
+    real_rhs = autgroup._twisted_rhs
+    real_particular = monomial.ExponentDecomposition.particular
 
-    def twisted(algebra, sigma):
-        system = real_twisted(algebra, sigma)
+    def twisted_rhs(algebra, sigma):
+        rhs = real_rhs(algebra, sigma)
         if tuple(sigma) == dropped:
-            marked.append(system)
-        return system
+            marked.append(rhs)
+        return rhs
 
-    def solve(self, system):
-        coset = real_solve(self, system)
-        if any(system is m for m in marked):
-            return replace(coset, particular=None)
-        return coset
+    def particular(self, rhs):
+        if any(rhs is m for m in marked):
+            return None
+        return real_particular(self, rhs)
 
-    monkeypatch.setattr(autgroup, "twisted_system", twisted)
-    monkeypatch.setattr(monomial.ExponentDecomposition, "solve", solve)
+    monkeypatch.setattr(autgroup, "_twisted_rhs", twisted_rhs)
+    monkeypatch.setattr(monomial.ExponentDecomposition, "particular", particular)
 
 
 def run_python(args, timeout, cwd=None):

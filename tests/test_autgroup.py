@@ -2,12 +2,13 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evoaut import EvolutionAlgebra, autgroup
+from evoaut import EvolutionAlgebra, autgroup, monomial
 from evoaut.autgroup import (
     MonomialAutomorphism,
     assemble_aut,
@@ -17,6 +18,7 @@ from evoaut.autgroup import (
     coset_automorphisms,
     diag_coset,
     diag_group,
+    diag_system,
     invert,
     is_automorphism_matrix,
     twisted_limit,
@@ -29,6 +31,7 @@ from evoaut.errors import (
     NotPrimeField,
     TooLarge,
 )
+from evoaut.monomial import ExponentDecomposition, GroupDescription
 from evoaut.scalar import PrimeField, QQ
 from evoaut.wgraph import algebra_to_wgraph, tree_of
 
@@ -42,6 +45,7 @@ from helpers import (
     ear_algebra,
     random_algebra,
     run_python,
+    square_relations_hold,
     star_algebra,
     three_cycle_algebra,
     two_loop_algebra,
@@ -128,6 +132,18 @@ def test_diag_group_examples():
     assert diag_group(both_loops).describe() == "1"
 
 
+def test_trivial_diag_group_lists_the_identity():
+    zero = EvolutionAlgebra(F2, [[0, 0], [0, 0]])
+    assert diag_group(zero).concrete_order() == 1
+    assert diag_group(zero).elements() == [(F2.one, F2.one)]
+    both_loops = EvolutionAlgebra.from_squares(QQ, [[1, 2], [2, 1]])
+    assert diag_group(both_loops).elements() == [(QQ.one, QQ.one)]
+    assert diag_coset(both_loops).elements() == [(QQ.one, QQ.one)]
+    # a nontrivial group without generators is still caught by the count
+    with pytest.raises(InvariantViolation, match="expected order 4"):
+        GroupDescription(free_rank=1, field=F5, n_vars=2).elements()
+
+
 def test_diag_weights_do_not_enter():
     a = ear_algebra(F7)
     reweighted = EvolutionAlgebra.from_squares(F7, [
@@ -187,6 +203,76 @@ def test_monomial_automorphism_validation():
     ident = MonomialAutomorphism(a, (0, 1), (QQ.one, QQ.one))
     assert ident.is_identity()
     assert ident.apply(a.vector([3, -2])) == a.vector([3, -2])
+
+
+def lift_check_accepts(algebra, sigma, scales) -> bool:
+    try:
+        MonomialAutomorphism(algebra, sigma, scales)
+    except NotAnAutomorphism:
+        return False
+    return True
+
+
+# e1^2 = e2: sigma swaps e2 and e3, so it sends the non-edge 1 -> 3 onto the
+# edge 1 -> 2 (and that edge onto a non-edge)
+NON_EDGE_ONTO_EDGE = (EvolutionAlgebra.from_squares(F7, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+                      (0, 2, 1))
+
+
+def test_lift_check_rejects_a_non_edge_sent_onto_an_edge():
+    algebra, sigma = NON_EDGE_ONTO_EDGE
+    for xs in itertools.product(range(1, 7), repeat=3):
+        scales = [F7.scalar(x) for x in xs]
+        assert not square_relations_hold(algebra, sigma, scales)
+        assert not lift_check_accepts(algebra, sigma, scales)
+
+
+def test_lift_check_matches_the_dense_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    verdicts = set()
+
+    def scalars(field, nonzero):
+        if field is QQ:
+            nums = st.integers(-4, 4).filter(lambda x: x != 0) if nonzero else st.integers(-4, 4)
+            return st.builds(Fraction, nums, st.integers(1, 3))
+        return st.integers(1 if nonzero else 0, field.p - 1)
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from([F2, F3, F7, QQ]))
+        n = draw(st.integers(1, 4))
+        entry = st.one_of(st.just(0), scalars(field, nonzero=False))
+        squares = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                min_size=n, max_size=n))
+        scales = draw(st.lists(scalars(field, nonzero=True), min_size=n, max_size=n))
+        return EvolutionAlgebra.from_squares(field, squares), [field.scalar(x) for x in scales]
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((NON_EDGE_ONTO_EDGE[0], [F7.one] * 3))
+    def check(case):
+        algebra, random_scales = case
+        decomposition = ExponentDecomposition(diag_system(algebra))
+        sigmas = list(itertools.permutations(range(algebra.dim)))
+        # every sigma is tried with the random scales and with the lift of every
+        # sigma that lifts, its own included
+        candidates = [random_scales]
+        for sigma in sigmas:
+            try:
+                lift = decomposition.particular(autgroup._twisted_rhs(algebra, sigma))
+            except NotAGraphAutomorphism:
+                continue
+            if lift is not None:
+                candidates.append(list(lift))
+        for sigma in sigmas:
+            for scales in candidates:
+                verdict = square_relations_hold(algebra, sigma, scales)
+                assert lift_check_accepts(algebra, sigma, scales) == verdict
+                verdicts.add(verdict)
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_compose_invert_match_matrices():
@@ -483,6 +569,15 @@ def test_assemble_seven_spoke_star_within_gate():
     assert elapsed < 30.0
 
 
+def test_assemble_eight_spoke_star_within_gate():
+    start = time.perf_counter()
+    pres = assemble_aut(star_algebra(F7, 8))
+    elapsed = time.perf_counter() - start
+    assert len(pres.lifted) == math.factorial(8)
+    assert pres.group_order() == math.factorial(8) * 3 * 2**8
+    assert elapsed < 30.0
+
+
 def test_dense_dimension_64_diag_within_gate():
     # about 1,200 edges: the SNF's row transform is that large, and must be
     # proven unimodular without an O(m^3) determinant
@@ -505,6 +600,46 @@ def test_assemble_runs_one_snf_per_algebra(monkeypatch):
         assert coset.particular == lift.scales
     assert len(pres.monomial_elements()) == pres.group_order()
     assert calls == [4]
+
+
+def count_lift_checks(monkeypatch):
+    """Record the sigma of every lift check and every SolutionCoset built."""
+    checked, cosets = [], []
+    real_verify = MonomialAutomorphism._verify
+    real_post_init = monomial.SolutionCoset.__post_init__
+
+    def verify(self):
+        checked.append(self.sigma)
+        real_verify(self)
+
+    def post_init(self):
+        cosets.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(MonomialAutomorphism, "_verify", verify)
+    monkeypatch.setattr(monomial.SolutionCoset, "__post_init__", post_init)
+    return checked, cosets
+
+
+@pytest.mark.parametrize("algebra, lifted, not_lifted", [
+    (star_algebra(F7, 4), 24, 0),
+    (two_loop_algebra(QQ), 1, 1),
+])
+def test_assemble_checks_each_lift_once(monkeypatch, algebra, lifted, not_lifted):
+    checked, cosets = count_lift_checks(monkeypatch)
+    pres = assemble_aut(algebra)
+    assert (len(pres.lifted), len(pres.not_lifted)) == (lifted, not_lifted)
+    assert checked == [ga.sigma for ga, _ in pres.lifted]
+    assert cosets == []
+
+
+def test_monomial_elements_builds_each_element_once(monkeypatch):
+    pres = assemble_aut(star_algebra(F7, 3))
+    checked, cosets = count_lift_checks(monkeypatch)
+    elements = pres.monomial_elements()
+    assert len(checked) == len(elements) == pres.group_order() == 6 * 6 * 2**2
+    assert len(set(elements)) == len(elements)
+    assert cosets == []
 
 
 @pytest.mark.parametrize("dropped, message", [

@@ -232,6 +232,27 @@ def test_env_cap(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("diag", SAMPLES / "zero_algebra_n3.alg"),
+    ("check", SAMPLES / "zero_algebra_n3.alg"),
+    ("convert", SAMPLES / "zero_algebra_n3.alg"),
+    ("tate", "--field", "F13"),
+    ("chain", "--field", "F7", "--exp", "2,2", "--anchor", "1"),
+])
+def test_cap_is_a_usage_error_where_nothing_reads_it(capsys, argv):
+    # only aut and oracle enumerate graph symmetries
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--cap", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
+def test_oracle_reads_cap(capsys):
+    code, _, err = run(capsys, "oracle", SAMPLES / "zero_algebra_n3.alg", "--cap", "2")
+    assert code == 3
+    assert "cap" in err
+
+
 def test_structured_output_round_trips(capsys):
     code, out, _ = run(capsys, "diag", SAMPLES / "star_spokes.alg", "--structured")
     assert code == 0

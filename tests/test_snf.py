@@ -183,6 +183,33 @@ def test_transforms_unimodular_property():
     check()
 
 
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(80):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        zero_rows = {r for r in range(m) if rng.random() < 0.2}
+        zero_cols = {c for c in range(n) if rng.random() < 0.2}
+        cases.append([[0 if r in zero_rows or c in zero_cols or rng.random() < 0.4
+                       else rng.randint(-30, 30) for c in range(n)] for r in range(m)])
+    for _ in range(80):  # exponent rows 2 e_u - e_v of random graphs
+        n = rng.randint(1, 7)
+        edges = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.35] or [(0, 0)]
+        rows = []
+        for u, v in edges:
+            row = [0] * n
+            row[u] += 2
+            row[v] -= 1
+            rows.append(row)
+        cases.append(rows)
+    for mat in cases:
+        ours = sorted(abs(d) for d in smith_normal_form(mat).invariant_factors())
+        theirs = sympy_snf(sympy.Matrix(mat), domain=sympy.ZZ)
+        assert ours == sorted(abs(theirs[k, k]) for k in range(min(theirs.shape)) if theirs[k, k])
+
+
 @pytest.mark.parametrize("matrix, U, V, U_inv_t, V_inv_t", [
     # U has determinant 2: it has no integer inverse, so any claimed one fails
     ([[1]], [[2]], [[1]], [[1]], [[1]]),
