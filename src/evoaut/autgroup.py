@@ -7,9 +7,14 @@ exactly when the twisted system x_u**2 / x_v == w(u,v) / w(sigma u, sigma v)
 is solvable; the union of all lifted cosets is a group, a semidirect product
 of the diagonal subgroup by the lifted graph symmetries.  The systems are
 read off the algebra's edge list and share one exponent decomposition per
-algebra; closure is checked by generators.  Each lift is checked once, by
-the ``MonomialAutomorphism`` built from it: that check is the twisted system
-itself, so ``assemble_aut`` builds no ``SolutionCoset`` to repeat it.
+algebra; closure is checked by generators, on the permutation tuples.  Over
+F_p the per-symmetry work runs in integer coordinates: the edge weights are
+taken as discrete logs once per algebra, each sigma's right-hand sides are
+differences of logs mod p - 1, and ``ExponentDecomposition.particular``
+solves in logs, building scalars only for its answer.  Each lift is checked
+once, by the ``MonomialAutomorphism`` built from it, on residues mod p: that
+check is the twisted system itself, so ``assemble_aut`` builds no
+``SolutionCoset`` to repeat it.
 
 ``bruteforce_aut`` is the independent oracle: it finds every invertible
 algebra homomorphism over F_p from the definition alone, assigning the image
@@ -22,6 +27,7 @@ is vectorized with integer numpy arithmetic (exact; no floating point).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import EvolutionAlgebra, Vector, _rank
 from .errors import (
@@ -41,7 +47,7 @@ from .monomial import (
     solve_homogeneous,
     solve_inhomogeneous,
 )
-from .scalar import PrimeField, Scalar
+from .scalar import PrimeField, Scalar, dlog
 from .wgraph import (
     DEFAULT_VERTEX_CAP,
     GraphAutomorphism,
@@ -60,9 +66,11 @@ class MonomialAutomorphism:
 
     f(e_i)**2 == f(e_i**2) reads x_i**2 * w(sigma i -> sigma j) == w(i -> j) * x_j
     for all i, j, a missing edge weighing 0.  Construction checks this on every
-    edge, where a missing image edge fails it.  As sigma permutes the ordered
-    pairs, a map of the edges into the edges also maps non-edges to non-edges:
-    no graph symmetry is assumed, and an instance is an automorphism by fiat.
+    edge, where a missing image edge fails it; over F_p it compares the two
+    sides as integers mod p, which is equality in F_p.  As sigma permutes the
+    ordered pairs, a map of the edges into the edges also maps non-edges to
+    non-edges: no graph symmetry is assumed, and an instance is an
+    automorphism by fiat.
     """
 
     def __init__(self, algebra: EvolutionAlgebra, sigma, scales):
@@ -78,11 +86,19 @@ class MonomialAutomorphism:
         self._verify()
 
     def _verify(self):
-        sigma, x = self.sigma, self.scales
-        for i, j, w in self.algebra.edges:
-            if x[i] * x[i] * self.algebra.entry(sigma[j], sigma[i]) != w * x[j]:
-                raise NotAnAutomorphism(
-                    f"sigma={self.sigma}, scales fail the square relation on edge {i}->{j}")
+        sigma, x, matrix = self.sigma, self.scales, self.algebra.matrix
+        field = self.algebra.field
+        if isinstance(field, PrimeField):
+            p, r = field.p, [v.residue for v in x]
+            failed = [(i, j) for i, j, w in self.algebra.edges
+                      if (r[i] * r[i] * matrix[sigma[j]][sigma[i]].residue - w.residue * r[j]) % p]
+        else:
+            failed = [(i, j) for i, j, w in self.algebra.edges
+                      if x[i] * x[i] * matrix[sigma[j]][sigma[i]] != w * x[j]]
+        if failed:
+            raise NotAnAutomorphism(
+                f"sigma={self.sigma}, scales fail the square relation on edge "
+                f"{failed[0][0]}->{failed[0][1]}")
 
     def apply(self, vec) -> Vector:
         vec = self.algebra.vector(vec)
@@ -151,7 +167,7 @@ def invert(f: MonomialAutomorphism) -> MonomialAutomorphism:
 
 def diag_system(algebra: EvolutionAlgebra) -> MonomialSystem:
     """Homogeneous system x_u**2 == x_v over the edges of the graph."""
-    return twisted_system(algebra, tuple(range(algebra.dim)))
+    return _edge_system(algebra, [algebra.field.one] * len(algebra.edges))
 
 
 def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
@@ -161,8 +177,17 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
     is the weight of the image edge sigma(u) -> sigma(v); a loop contributes
     the linear relation x_u == w / w'.  Rows follow the algebra's edge list.
     """
+    field = algebra.field
+    rhs = _twisted_rhs(algebra, _edge_weights(algebra), tuple(sigma))
+    if isinstance(field, PrimeField):
+        rhs = [pow(field.generator, c, field.p) for c in rhs]
+    return _edge_system(algebra, rhs)
+
+
+def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
+    """One row x_u**2 / x_v == c per edge u -> v, in edge-list order."""
     rows = []
-    for (u, v, _), c in zip(algebra.edges, _twisted_rhs(algebra, tuple(sigma))):
+    for (u, v, _), c in zip(algebra.edges, rhs):
         exps = [0] * algebra.dim
         exps[u] += 2
         exps[v] -= 1
@@ -170,15 +195,26 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
     return MonomialSystem(algebra.field, algebra.dim, tuple(rows))
 
 
-def _twisted_rhs(algebra: EvolutionAlgebra, sigma) -> list[Scalar]:
-    """w(e) / w(sigma e) for every edge e, in edge-list order."""
-    rhs = []
-    for u, v, w in algebra.edges:
-        image_w = algebra.entry(sigma[v], sigma[u])
-        if image_w.is_zero():
+def _edge_weights(algebra: EvolutionAlgebra) -> dict:
+    """{(u, v): w(u -> v)} in edge-list order, each weight as
+    ``ExponentDecomposition.particular`` reads a right-hand side: its
+    discrete log over F_p, the scalar itself over Q."""
+    if isinstance(algebra.field, PrimeField):
+        return {(u, v): dlog(algebra.field, w) for u, v, w in algebra.edges}
+    return {(u, v): w for u, v, w in algebra.edges}
+
+
+def _twisted_rhs(algebra: EvolutionAlgebra, weights: dict, sigma) -> list:
+    """w(e) / w(sigma e) for every edge e, in edge-list order, from the
+    weights ``_edge_weights`` took once: over F_p the difference of their
+    logs mod p - 1, over Q their quotient."""
+    for u, v in weights:
+        if (sigma[u], sigma[v]) not in weights:
             raise NotAGraphAutomorphism(f"edge {u}->{v} has no image under sigma={sigma}")
-        rhs.append(w / image_w)
-    return rhs
+    if isinstance(algebra.field, PrimeField):
+        m = algebra.field.p - 1
+        return [(w - weights[sigma[u], sigma[v]]) % m for (u, v), w in weights.items()]
+    return [w / weights[sigma[u], sigma[v]] for (u, v), w in weights.items()]
 
 
 def diag_group(algebra: EvolutionAlgebra) -> GroupDescription:
@@ -233,17 +269,18 @@ class AutPresentation:
         for ga, particular in self.lifted:
             if ga.sigma != particular.sigma:
                 raise InvariantViolation("lift does not project back onto its sigma")
-        # breadth-first closure under greedily picked generators; each new generator at
-        # least doubles it, so this costs at most 2 * |lifted| * |generators| compositions
-        allowed = {ga for ga, _ in self.lifted}
-        reached = {GraphAutomorphism(tuple(range(self.algebra.dim)))}
-        generators = []
+        # breadth-first closure under greedily picked generators, on the sigma tuples;
+        # each new generator at least doubles it, so this costs at most
+        # 2 * |lifted| * |generators| compositions
+        allowed = {ga.sigma for ga, _ in self.lifted}
+        reached = {tuple(range(self.algebra.dim))}
+        generators = []   # itemgetter(*s)(x) is x after s; n >= 2 here, so it is a tuple
         for g, _ in self.lifted:
-            if g not in reached:
-                generators.append(g)
+            if g.sigma not in reached:
+                generators.append(itemgetter(*g.sigma))
                 queue = list(reached)
                 for x in queue:
-                    new = {x.compose(s) for s in generators} - reached
+                    new = {after(x) for after in generators} - reached
                     if not new <= allowed:
                         raise InvariantViolation("lifted sigmas are not closed under composition")
                     reached |= new
@@ -288,10 +325,11 @@ def assemble_aut(algebra: EvolutionAlgebra,
     graph = algebra_to_wgraph(algebra)
     autos = enumerate_graph_automorphisms(graph, cap)
     decomposition = ExponentDecomposition(diag_system(algebra))
+    weights = _edge_weights(algebra)
     lifted = []
     not_lifted = []
     for ga in autos:
-        scales = decomposition.particular(_twisted_rhs(algebra, ga.sigma))
+        scales = decomposition.particular(_twisted_rhs(algebra, weights, ga.sigma))
         if scales is not None:
             lifted.append((ga, MonomialAutomorphism(algebra, ga.sigma, scales)))
         else:

@@ -11,10 +11,18 @@ Systems that differ only in their right-hand sides share one
 ``solve`` returns a ``SolutionCoset``, which checks itself against the
 system; ``particular`` is the bare solution, for a caller that checks it.
 
-Over F_p the d-th root step is a linear congruence in discrete-log
-coordinates and generators are materialized as explicit vectors.  Over Q the
-sign and each prime exponent give integer conditions solved by the same
-decomposition; free factors stay symbolic (t_1, ..., t_r in Q^x) and only the
+Over F_p the group F_p^x is cyclic of order m = p - 1, so in discrete-log
+coordinates to the field generator g every relation is a linear congruence
+mod m: ``particular`` reads the right-hand sides as logs, transforms them by
+U as integer dot products, solves d*y == c' (mod m) and maps back through V,
+building scalars only at the end.  Generators of the homogeneous group are
+log vectors l with base g (mod m = p - 1), or with base -1 (mod m = 2) for
+the finite sign part over Q; each is checked against every row as
+sum_v a[v]*l[v] == 0 (mod m) before its scalars base**l are built.  As the
+base has order exactly m, l -> base**l is injective on Z/m, so this is the
+scalar check prod_v x_v**a[v] == 1 itself.  Over Q the sign and each prime
+exponent give integer conditions solved by the same decomposition in
+scalars; free factors stay symbolic (t_1, ..., t_r in Q^x) and only the
 finite sign part is materialized.
 """
 
@@ -23,9 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
-from .scalar import Field, PrimeField, Scalar, mu_order, nth_roots
+from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
 from .snf import SparseMatrix, identity, smith_normal_form
 
 ENUMERATION_CAP = 10**6
@@ -193,40 +202,25 @@ class SolutionCoset:
         return sorted(out, key=_vector_sort_key)
 
 
-def _materialize_generators(field: Field, v_columns, rank: int, diag, n: int):
-    """Generator vectors (with orders) for the homogeneous solution group.
+def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
+    """Log vectors (with orders) generating the homogeneous solution group.
 
-    In transformed coordinates the group is the direct product of mu_{d_k}(K)
-    for k < rank and full copies of K^x beyond; pushing unit-coordinate
-    generators through the unimodular change of basis V keeps the product
-    structure because V acts as a group automorphism of (K^x)^n.
+    In transformed coordinates the group is the direct product of mu_{d_k}
+    for k < rank and, when ``free``, full copies of the cyclic group of order
+    ``modulus`` beyond.  mu_{d_k} is generated by the log modulus / o with
+    o = gcd(d_k, modulus); V pushes it to the log vector a * V[:, k] mod
+    modulus, and keeps the product structure because it acts as a group
+    automorphism of (Z/modulus)^n.  Factors of order 1 get no generator.
     """
     generators = []
     orders = []
-
-    def push(k: int, value: Scalar):
-        return tuple(value ** v_columns[i][k] for i in range(n))
-
-    if isinstance(field, PrimeField):
-        p = field.p
-        if p == 2:
-            return (), ()
-        g = field.scalar(field.generator)
-        for k in range(rank):
-            o = math.gcd(diag[k], p - 1)
-            if o > 1:
-                generators.append(push(k, g ** ((p - 1) // o)))
-                orders.append(o)
-        for k in range(rank, n):
-            generators.append(push(k, g))
-            orders.append(p - 1)
-        return tuple(generators), tuple(orders)
-    minus_one = -field.one
-    for k in range(rank):
-        if mu_order(field, diag[k]) == 2:
-            generators.append(push(k, minus_one))
-            orders.append(2)
-    return tuple(generators), tuple(orders)
+    for k in range(n if free else rank):
+        o = math.gcd(diag[k], modulus) if k < rank else modulus
+        if o > 1:
+            a = modulus // o
+            generators.append(tuple(a * V[i][k] % modulus for i in range(n)))
+            orders.append(o)
+    return generators, orders
 
 
 class ExponentDecomposition:
@@ -234,6 +228,9 @@ class ExponentDecomposition:
     and the homogeneous solution group, whose generators are checked against
     the rows once, here.  Every system with the same rows and any right-hand
     sides (an algebra's diagonal and twisted systems) is solved against it.
+
+    ``modulus`` is the order of the cyclic group the log coordinates live in:
+    p - 1 over F_p (base: the field generator), 2 over Q (base: -1, the sign).
     """
 
     def __init__(self, system: MonomialSystem):
@@ -245,13 +242,20 @@ class ExponentDecomposition:
             self.U, self.V, self.rank, self.diagonal = snf.U, snf.V, snf.rank, tuple(snf.diagonal())
         else:
             self.U, self.V, self.rank, self.diagonal = SparseMatrix(()), identity(n), 0, ()
-        generators, orders = _materialize_generators(field, self.V, self.rank, self.diagonal, n)
-        if any(power_product(field, gen, exps) != field.one
-               for gen in generators for exps in self.exponents):
-            raise InvariantViolation("homogeneous generator fails the system")
+        finite = isinstance(field, PrimeField)
+        self.modulus = field.p - 1 if finite else 2
+        base = field.scalar(field.generator) if finite else -field.one
+        logs, orders = _generator_logs(self.modulus, self.V, self.rank, self.diagonal, n, finite)
+        if logs:
+            rows = [[(v, e) for v, e in enumerate(exps) if e] for exps in self.exponents]
+            if any(sum(e * gen[v] for v, e in row) % self.modulus for gen in logs for row in rows):
+                raise InvariantViolation("homogeneous generator fails the system")
         self.homogeneous = GroupDescription(
             free_rank=n - self.rank, torsion=tuple(d for d in self.diagonal[:self.rank] if d > 1),
-            field=field, generators=generators, generator_orders=orders, n_vars=n)
+            field=field, generators=tuple(tuple(base**x for x in gen) for gen in logs),
+            generator_orders=tuple(orders), n_vars=n)
+        self._roots: dict[tuple[int, int], int | None] = {}
+        self._powers: dict[int, Scalar] = {}
 
     def solve(self, system: MonomialSystem) -> SolutionCoset:
         """Solution coset of a system with this exponent matrix (Infeasible is a value),
@@ -259,20 +263,63 @@ class ExponentDecomposition:
         if (system.field, system.n_vars) != (self.field, self.n_vars) \
                 or tuple(exps for exps, _ in system.rows) != self.exponents:
             raise InvariantViolation("system's exponent rows differ from the decomposition's")
-        return SolutionCoset(system=system, particular=self.particular([c for _, c in system.rows]),
+        rhs = [c for _, c in system.rows]
+        if isinstance(self.field, PrimeField):
+            rhs = [dlog(self.field, c) for c in rhs]
+        return SolutionCoset(system=system, particular=self.particular(rhs),
                              homogeneous=self.homogeneous)
 
     def particular(self, rhs) -> tuple[Scalar, ...] | None:
         """The canonical solution for right-hand sides ``rhs`` (one per exponent
-        row, in row order), or None when there is none.  Unchecked: ``solve``
+        row, in row order), or None when there is none.  Over F_p ``rhs``
+        holds their discrete logs, over Q the scalars.  Unchecked: ``solve``
         certifies it, and a caller that uses it directly checks it itself.
 
-        The right-hand sides are transformed multiplicatively by U; the system
-        is solvable iff every zero row yields 1 and every diagonal equation
-        y**d == c' has a d-th root in the field.  The canonical particular
-        solution takes, per diagonal equation, the root 1 when available and
-        the canonically smallest root otherwise, then maps back through V.
+        The right-hand sides are transformed by U; the system is solvable iff
+        every zero row yields 1 and every diagonal equation y**d == c' has a
+        d-th root in the field.  The canonical particular solution takes, per
+        diagonal equation, the root 1 when available and the canonically
+        smallest root otherwise, then maps back through V.  Over F_p all of
+        this is integer arithmetic mod p - 1, and the root chosen for each
+        (d, c') is kept for the next call.
         """
+        if not isinstance(self.field, PrimeField):
+            return self._particular_rational(rhs)
+        m, roots = self.modulus, self._roots
+        xs = [0] * self.n_vars
+        for k, u_row in enumerate(self.U.rows):
+            c = 0
+            for j, e in u_row:
+                c += e * rhs[j]
+            c %= m
+            if not c:
+                continue   # the root 1, log 0, adds nothing below
+            if k >= self.rank:
+                return None
+            key = (self.diagonal[k], c)
+            if key not in roots:   # c' != 1, so the canonical root is the smallest
+                roots[key] = min(root_logs(self.field, *key), default=None,
+                                 key=lambda y: pow(self.field.generator, y, self.field.p))
+            y = roots[key]
+            if y is None:
+                return None
+            for i, e in self._v_columns[k]:
+                xs[i] += e * y
+        return tuple(self._power(x % m) for x in xs)
+
+    @cached_property
+    def _v_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzeros (i, V[i][k]) of each column k of V."""
+        return tuple(tuple((i, x) for i, x in enumerate(column) if x) for column in zip(*self.V))
+
+    def _power(self, log: int) -> Scalar:
+        """g**log over F_p, one shared immutable scalar per log."""
+        x = self._powers.get(log)
+        if x is None:
+            x = self._powers[log] = self.field.scalar(pow(self.field.generator, log, self.field.p))
+        return x
+
+    def _particular_rational(self, rhs) -> tuple[Scalar, ...] | None:
         one = self.field.one
         ys = [one] * self.n_vars
         for k, u_row in enumerate(self.U.rows):

@@ -86,7 +86,7 @@ class Field:
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, string, or same-field Scalar."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(f"scalar of {value.field} given to {self}")
             return value
         if isinstance(value, str):
@@ -401,15 +401,7 @@ def nth_roots(field: Field, n: int, a) -> list[Scalar]:
     if a.is_zero():
         raise ZeroArgument("nth_roots of 0")
     if isinstance(field, PrimeField):
-        p = field.p
-        order = p - 1
-        t = dlog(field, a)
-        d = math.gcd(n, order)
-        if t % d != 0:
-            return []
-        step = order // d
-        y0 = t // d * pow(n // d, -1, step) % step if step > 1 else 0
-        roots = [pow(field.generator, y0 + k * step, p) for k in range(d)]
+        roots = [pow(field.generator, y, field.p) for y in root_logs(field, n, dlog(field, a))]
         return [FpScalar(field, r) for r in sorted(roots)]
     assert isinstance(a, QScalar)
     num = exact_root(abs(a.fraction.numerator), n)
@@ -422,6 +414,20 @@ def nth_roots(field: Field, n: int, a) -> list[Scalar]:
     if a.sign < 0:
         return []
     return [-magnitude, magnitude]
+
+
+def root_logs(field: PrimeField, n: int, t: int) -> range:
+    """The discrete logs of the n-th roots of g**t in F_p, in increasing
+    order: the y in [0, p - 1) with n*y == t (mod p - 1).  They exist iff
+    gcd(n, p - 1) divides t, and then form one residue class mod
+    (p - 1) / gcd(n, p - 1)."""
+    order = field.p - 1
+    d = math.gcd(n, order)
+    if t % d != 0:
+        return range(0)
+    step = order // d
+    y0 = t // d * pow(n // d, -1, step) % step if step > 1 else 0
+    return range(y0, order, step)
 
 
 def mu_order(field: Field, d: int) -> int:

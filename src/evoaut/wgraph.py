@@ -4,7 +4,9 @@ A weighted graph stores at most one edge per ordered vertex pair (that is the
 single-edge condition the correspondence needs) and a nonzero weight on each
 edge.  ``algebra_to_wgraph`` and ``wgraph_to_algebra`` are mutually inverse:
 basis element i becomes a vertex, and an edge i -> j of weight w records that
-e_j appears in e_i**2 with coefficient w.
+e_j appears in e_i**2 with coefficient w.  ``enumerate_graph_automorphisms``
+lists the adjacency-preserving permutations by backtracking on a plain
+adjacency table and rechecks each one against the graph.
 """
 
 from __future__ import annotations
@@ -172,17 +174,23 @@ def enumerate_graph_automorphisms(graph: WeightedGraph,
 
     Backtracking over vertices ordered by (out-degree, in-degree, loop flag,
     label); candidates are pruned by that same invariant signature, and the
-    output is sorted lexicographically by permutation word.  ``max_results``
-    guards pathological near-symmetric graphs whose group would not fit in
-    memory anyway.
+    output is sorted lexicographically by permutation word.  The search reads
+    adjacency from a local n x n table, and every permutation it yields is
+    checked once more against the graph itself.  ``max_results`` guards
+    pathological near-symmetric graphs whose group would not fit in memory
+    anyway.
     """
     n = graph.n_vertices
     if n > cap:
         raise TooLarge(f"{n} vertices exceeds the enumeration cap of {cap}")
+    adjacent = [[(u, v) in graph.weights for v in range(n)] for u in range(n)]
+    entering = list(zip(*adjacent))
     signature = [(len(graph.out_neighbors(v)), len(graph.in_neighbors(v)),
-                  graph.has_edge(v, v)) for v in range(n)]
+                  adjacent[v][v]) for v in range(n)]
     order = sorted(range(n), key=lambda v: (signature[v], graph.vertices[v]))
-    assigned: dict[int, int] = {}
+    candidates = [[w for w in range(n) if signature[w] == signature[v]] for v in range(n)]
+    assigned: list[tuple[int, int]] = []
+    image = [0] * n
     used = [False] * n
     found: list[tuple[int, ...]] = []
 
@@ -190,24 +198,24 @@ def enumerate_graph_automorphisms(graph: WeightedGraph,
         if k == n:
             if len(found) >= max_results:
                 raise TooLarge(f"more than {max_results} graph automorphisms")
-            found.append(tuple(assigned[v] for v in range(n)))
+            found.append(tuple(image))
             return
         v = order[k]
-        for w in range(n):
-            if used[w] or signature[w] != signature[v]:
+        into_v, out_of_v = entering[v], adjacent[v]
+        for w in candidates[v]:
+            if used[w]:
                 continue
-            ok = True
-            for u, img in assigned.items():
-                if graph.has_edge(u, v) != graph.has_edge(img, w) \
-                        or graph.has_edge(v, u) != graph.has_edge(w, img):
-                    ok = False
+            into_w, out_of_w = entering[w], adjacent[w]
+            for u, img in assigned:
+                if into_v[u] != into_w[img] or out_of_v[u] != out_of_w[img]:
                     break
-            if ok:
-                assigned[v] = w
+            else:
+                assigned.append((v, w))
+                image[v] = w
                 used[w] = True
                 backtrack(k + 1)
                 used[w] = False
-                del assigned[v]
+                assigned.pop()
 
     backtrack(0)
     sigmas = sorted(found)

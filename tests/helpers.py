@@ -1,6 +1,8 @@
-"""Shared builders for the test suite: named algebras, the random corpus and
-monkeypatch probes into the solver."""
+"""Shared builders for the test suite: named algebras, the random corpus,
+scalar references for the solver's log arithmetic and monkeypatch probes
+into the solver."""
 
+import math
 import os
 import random
 import subprocess
@@ -8,7 +10,8 @@ import sys
 from pathlib import Path
 
 from evoaut import EvolutionAlgebra, autgroup, monomial
-from evoaut.scalar import PrimeField, QQ
+from evoaut.monomial import power_product
+from evoaut.scalar import PrimeField, QQ, mu_order, nth_roots
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -60,6 +63,14 @@ def star_algebra(field, spokes=3):
         col[n - 1] = 1
         squares.append(col)
     squares.append([0] * n)
+    return EvolutionAlgebra.from_squares(field, squares)
+
+
+def two_cycles_algebra(field, k):
+    """k disjoint 2-cycles u^2 = v, v^2 = u, weights 1."""
+    squares = [[0] * (2 * k) for _ in range(2 * k)]
+    for b in range(k):
+        squares[2 * b][2 * b + 1] = squares[2 * b + 1][2 * b] = 1
     return EvolutionAlgebra.from_squares(field, squares)
 
 
@@ -121,6 +132,56 @@ def square_relations_hold(algebra, sigma, scales) -> bool:
     return True
 
 
+def scalar_particular(decomposition, rhs):
+    """Reference for ``ExponentDecomposition.particular`` on scalar right-hand
+    sides, in field arithmetic: transform by U multiplicatively, take per
+    diagonal equation the root 1 when it is one and the smallest root
+    otherwise, and map back through V."""
+    field = decomposition.field
+    one = field.one
+    ys = [one] * decomposition.n_vars
+    for k, u_row in enumerate(decomposition.U.rows):
+        c = one
+        for j, e in u_row:
+            c = c * rhs[j] ** e
+        if k < decomposition.rank:
+            roots = nth_roots(field, decomposition.diagonal[k], c)
+            if not roots:
+                return None
+            ys[k] = one if one in roots else roots[0]
+        elif c != one:
+            return None
+    return tuple(power_product(field, ys, row) for row in decomposition.V)
+
+
+def scalar_generators(decomposition):
+    """Reference generators of the homogeneous group, built as scalars: a
+    generator of each factor of the transformed group, pushed through V."""
+    field, n, V = decomposition.field, decomposition.n_vars, decomposition.V
+    rank, diag = decomposition.rank, decomposition.diagonal
+
+    def push(k, value):
+        return tuple(value ** V[i][k] for i in range(n))
+
+    if isinstance(field, PrimeField):
+        if field.p == 2:
+            return ()
+        g = field.scalar(field.generator)
+        return tuple([push(k, g ** ((field.p - 1) // math.gcd(diag[k], field.p - 1)))
+                      for k in range(rank) if math.gcd(diag[k], field.p - 1) > 1]
+                     + [push(k, g) for k in range(rank, n)])
+    return tuple(push(k, -field.one) for k in range(rank) if mu_order(field, diag[k]) == 2)
+
+
+def scalar_generators_hold(decomposition) -> bool:
+    """Reference generator check: every generator, as scalars, satisfies
+    every exponent row with right-hand side 1."""
+    field = decomposition.field
+    return all(power_product(field, gen, exps) == field.one
+               for gen in decomposition.homogeneous.generators
+               for exps in decomposition.exponents)
+
+
 def count_snf_calls(monkeypatch) -> list:
     """Record the row count of every Smith normal form the solver runs."""
     calls = []
@@ -141,8 +202,8 @@ def drop_lift(monkeypatch, dropped):
     real_rhs = autgroup._twisted_rhs
     real_particular = monomial.ExponentDecomposition.particular
 
-    def twisted_rhs(algebra, sigma):
-        rhs = real_rhs(algebra, sigma)
+    def twisted_rhs(algebra, weights, sigma):
+        rhs = real_rhs(algebra, weights, sigma)
         if tuple(sigma) == dropped:
             marked.append(rhs)
         return rhs

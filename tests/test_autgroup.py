@@ -31,7 +31,7 @@ from evoaut.errors import (
     NotPrimeField,
     TooLarge,
 )
-from evoaut.monomial import ExponentDecomposition, GroupDescription
+from evoaut.monomial import ExponentDecomposition, GroupDescription, MonomialSystem
 from evoaut.scalar import PrimeField, QQ
 from evoaut.wgraph import algebra_to_wgraph, tree_of
 
@@ -45,9 +45,13 @@ from helpers import (
     ear_algebra,
     random_algebra,
     run_python,
+    scalar_generators,
+    scalar_generators_hold,
+    scalar_particular,
     square_relations_hold,
     star_algebra,
     three_cycle_algebra,
+    two_cycles_algebra,
     two_loop_algebra,
     zero_algebra,
 )
@@ -254,13 +258,14 @@ def test_lift_check_matches_the_dense_reference():
     def check(case):
         algebra, random_scales = case
         decomposition = ExponentDecomposition(diag_system(algebra))
+        weights = autgroup._edge_weights(algebra)
         sigmas = list(itertools.permutations(range(algebra.dim)))
         # every sigma is tried with the random scales and with the lift of every
         # sigma that lifts, its own included
         candidates = [random_scales]
         for sigma in sigmas:
             try:
-                lift = decomposition.particular(autgroup._twisted_rhs(algebra, sigma))
+                lift = decomposition.particular(autgroup._twisted_rhs(algebra, weights, sigma))
             except NotAGraphAutomorphism:
                 continue
             if lift is not None:
@@ -273,6 +278,67 @@ def test_lift_check_matches_the_dense_reference():
 
     check()
     assert verdicts == {True, False}
+
+
+F683 = PrimeField(683)   # p - 1 = 2 * 11 * 31
+
+
+def test_log_arithmetic_matches_the_scalar_reference():
+    """particular (through solve and through _twisted_rhs) and the homogeneous
+    generators, computed in log coordinates, against the scalar references."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    feasible = set()
+
+    def weights(field):
+        if field is QQ:
+            return st.builds(Fraction, st.integers(-4, 4).filter(lambda x: x != 0),
+                             st.integers(1, 3))
+        return st.integers(1, field.p - 1)
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from([F2, F3, F7, F683, QQ]))
+        n = draw(st.integers(1, 5))
+        edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=2 * n))
+        squares = [[0] * n for _ in range(n)]
+        for u, v in edges:
+            squares[u][v] = draw(weights(field))
+        algebra = EvolutionAlgebra.from_squares(field, squares)
+        if draw(st.booleans()):
+            symmetries = [s for s in itertools.permutations(range(n))
+                          if {(s[u], s[v]) for u, v in edges} == edges]
+            return algebra, draw(st.sampled_from(symmetries)), None
+        rhs = [field.scalar(draw(weights(field))) for _ in algebra.edges]
+        return algebra, None, rhs
+
+    # a 2-cycle over F_7 has the diagonal equation y**3 == c with three roots
+    # when c is a nontrivial cube: the canonical one is the smallest
+    two_cycle = EvolutionAlgebra.from_squares(F7, [[0, 1], [1, 0]])
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((two_cycle, None, [F7.scalar(6), F7.one]))
+    @hypothesis.example((two_cycle, None, [F7.scalar(3), F7.one]))
+    def check(case):
+        algebra, sigma, rhs = case
+        decomposition = ExponentDecomposition(diag_system(algebra))
+        assert decomposition.homogeneous.generators == scalar_generators(decomposition)
+        assert scalar_generators_hold(decomposition)
+        if sigma is not None:
+            rhs = [w / algebra.entry(sigma[v], sigma[u]) for u, v, w in algebra.edges]
+            assert [c for _, c in autgroup.twisted_system(algebra, sigma).rows] == rhs
+            twisted = autgroup._twisted_rhs(algebra, autgroup._edge_weights(algebra), sigma)
+            assert decomposition.particular(twisted) == scalar_particular(decomposition, rhs)
+        expected = scalar_particular(decomposition, rhs)
+        system = MonomialSystem(algebra.field, algebra.dim,
+                                tuple(zip(decomposition.exponents, rhs)))
+        assert decomposition.solve(system).particular == expected
+        feasible.add(expected is not None)
+
+    check()
+    assert feasible == {True, False}
 
 
 def test_compose_invert_match_matrices():
@@ -575,6 +641,16 @@ def test_assemble_eight_spoke_star_within_gate():
     elapsed = time.perf_counter() - start
     assert len(pres.lifted) == math.factorial(8)
     assert pres.group_order() == math.factorial(8) * 3 * 2**8
+    assert elapsed < 30.0
+
+
+def test_assemble_six_two_cycles_within_gate():
+    start = time.perf_counter()
+    pres = assemble_aut(two_cycles_algebra(F7, 6))
+    elapsed = time.perf_counter() - start
+    # Aut(graph) = Z_2 wr S_6; each 2-cycle contributes mu_3 to the diagonal group
+    assert len(pres.lifted) == 2**6 * math.factorial(6) == 46_080
+    assert pres.group_order() == 46_080 * 3**6
     assert elapsed < 30.0
 
 

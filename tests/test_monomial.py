@@ -277,13 +277,13 @@ def test_decomposition_rejects_other_exponent_rows():
 
 
 def test_decomposition_checks_its_generators_against_the_rows(monkeypatch):
-    real = monomial._materialize_generators
+    real = monomial._generator_logs
 
     def corrupted(*args):
         generators, orders = real(*args)
         assert generators
-        return tuple(tuple(F7.scalar(3) for _ in gen) for gen in generators), orders
+        return [tuple(1 for _ in gen) for gen in generators], orders
 
-    monkeypatch.setattr(monomial, "_materialize_generators", corrupted)
+    monkeypatch.setattr(monomial, "_generator_logs", corrupted)
     with pytest.raises(InvariantViolation):
         ExponentDecomposition(system(F7, 5, EAR_ROWS))
