@@ -23,17 +23,19 @@ from .errors import (
 from .scalar import Field, PrimeField, Scalar
 
 DEFAULT_DIMENSION_CAP = 64
+UNIQUE_BASIS_MAX_P = 5     # the unique-basis oracle lists every natural basis:
+UNIQUE_BASIS_MAX_DIM = 3   # at most 31 projective classes of F_5^3
 
 Vector = tuple[Scalar, ...]
 
 
 class EvolutionAlgebra:
-    def __init__(self, field: Field, rows, labels=None, max_dim: int = DEFAULT_DIMENSION_CAP):
+    def __init__(self, field: Field, rows, labels=None):
         n = len(rows)
         if n < 1:
             raise DimensionMismatch("an evolution algebra needs at least one basis element")
-        if n > max_dim:
-            raise TooLarge(f"dimension {n} exceeds the cap of {max_dim}")
+        if n > DEFAULT_DIMENSION_CAP:
+            raise TooLarge(f"dimension {n} exceeds the cap of {DEFAULT_DIMENSION_CAP}")
         matrix = []
         for row in rows:
             if len(row) != n:
@@ -52,14 +54,14 @@ class EvolutionAlgebra:
         self.labels = labels
 
     @classmethod
-    def from_squares(cls, field: Field, squares, labels=None, max_dim: int = DEFAULT_DIMENSION_CAP):
+    def from_squares(cls, field: Field, squares, labels=None):
         """Build from the list of basis squares: squares[i] = coords of e_i**2."""
         n = len(squares)
         cols = [[field.scalar(x) for x in col] for col in squares]
         if any(len(c) != n for c in cols):
             raise DimensionMismatch("each square must have one coordinate per basis element")
         rows = [[cols[i][j] for i in range(n)] for j in range(n)]
-        return cls(field, rows, labels=labels, max_dim=max_dim)
+        return cls(field, rows, labels=labels)
 
     @property
     def dim(self) -> int:
@@ -100,22 +102,14 @@ class EvolutionAlgebra:
     # -- structural predicates ------------------------------------------
 
     def two_li_witness(self):
-        """First pair (i, j) whose squares are linearly dependent, else None."""
+        """First pair (i, j) whose squares are linearly dependent, else None:
+        a zero square, or two squares with the same direction."""
+        directions = [_direction(self.square_of(i)) for i in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                if not self._columns_independent(i, j):
+                if directions[i] is None or directions[j] in (None, directions[i]):
                     return (i, j)
         return None
-
-    def _columns_independent(self, i: int, j: int) -> bool:
-        pivot = next((r for r in range(self.dim) if not self.matrix[r][i].is_zero()), None)
-        if pivot is None:
-            return False
-        ratio = self.matrix[pivot][j] / self.matrix[pivot][i]
-        for r in range(self.dim):
-            if self.matrix[r][j] != ratio * self.matrix[r][i]:
-                return True
-        return False
 
     def is_2li(self) -> bool:
         """Squares of any two distinct basis elements are independent."""
@@ -126,10 +120,10 @@ class EvolutionAlgebra:
         return len({i for i, _, _ in self.edges}) == self.dim
 
     def rank(self) -> int:
-        return _rank([list(row) for row in self.matrix])
+        return _eliminate(self.matrix)[0]
 
     def det(self) -> Scalar:
-        return _det(self.field, [list(row) for row in self.matrix])
+        return _eliminate(self.matrix)[1]
 
     def is_invertible(self) -> bool:
         return not self.det().is_zero()
@@ -151,44 +145,37 @@ class EvolutionAlgebra:
         return f"EvolutionAlgebra(dim={self.dim}, field={self.field})"
 
 
-def _rank(rows) -> int:
-    rank = 0
-    n_cols = len(rows[0]) if rows else 0
-    col = 0
+def _eliminate(rows) -> tuple[int, Scalar]:
+    """Forward elimination over K: the rank of a nonempty matrix and, for a
+    square one, its determinant (zero for any other shape)."""
     rows = [list(r) for r in rows]
-    for col in range(n_cols):
+    det = rows[0][0].field.one
+    rank = 0
+    for col in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _det(field: Field, rows) -> Scalar:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = field.one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
             det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inv()
-        for r in range(col + 1, n):
+        head = rows[rank]
+        det = det * head[col]
+        inv = head[col].inv()
+        for r in range(rank + 1, len(rows)):
             if not rows[r][col].is_zero():
                 factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+                rows[r] = [x - factor * y for x, y in zip(rows[r], head)]
+        rank += 1
+    return rank, det if rank == len(rows) == len(rows[0]) else det.field.zero
+
+
+def _direction(v: Vector):
+    """v scaled so that its first nonzero entry is 1; None for the zero vector."""
+    lead = next((x for x in v if not x.is_zero()), None)
+    if lead is None:
+        return None
+    inv = lead.inv()
+    return tuple(x * inv for x in v)
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -224,29 +211,35 @@ def is_natural_vector(algebra: EvolutionAlgebra, u) -> Naturality:
     if vec_is_zero(square):
         ok = all(vec_is_zero(algebra.square_of(i)) for i in support)
         return Naturality.NATURAL if ok else Naturality.NOT_NATURAL
-    span_dim = _rank([list(algebra.square_of(i)) for i in support])
+    span_dim = _eliminate([algebra.square_of(i) for i in support])[0]
     if span_dim >= 2:
         return Naturality.NOT_NATURAL
     if algebra.field.characteristic != 2:
         return Naturality.NATURAL
     if isinstance(algebra.field, PrimeField) and algebra.field.p == 2 and algebra.dim <= 4:
-        return Naturality.NATURAL if _f2_basis_search(algebra, u) else Naturality.NOT_NATURAL
+        found = any(u in basis for basis in _natural_bases(algebra))
+        return Naturality.NATURAL if found else Naturality.NOT_NATURAL
     return Naturality.INDETERMINATE
 
 
-def _f2_basis_search(algebra: EvolutionAlgebra, u: Vector) -> bool:
-    """Exhaustively look for a natural basis of an F_2 algebra containing u."""
+def _natural_bases(algebra: EvolutionAlgebra):
+    """Every natural basis of a small F_p algebra, one per projective class:
+    each vector leads with 1, and the vectors come in residue order.  Scaling
+    keeps both products zero and independence, so this loses nothing."""
     n = algebra.dim
-    vectors = [algebra.vector(bits)
-               for bits in itertools.product((0, 1), repeat=n)]
-    vectors = [v for v in vectors if not vec_is_zero(v) and v != u]
-    for rest in itertools.combinations(vectors, n - 1):
-        candidate = (u,) + rest
-        if all(vec_is_zero(algebra.multiply(a, b))
-               for a, b in itertools.combinations(candidate, 2)) \
-                and _rank([list(v) for v in candidate]) == n:
-            return True
-    return False
+    reps = [v for v in map(algebra.vector, itertools.product(range(algebra.field.p), repeat=n))
+            if _direction(v) == v]
+
+    def extend(basis, rest):   # rest: the later representatives orthogonal to all of basis
+        if len(basis) == n:
+            if _eliminate(basis)[0] == n:
+                yield basis
+            return
+        for k, v in enumerate(rest):
+            yield from extend(basis + (v,), [w for w in rest[k + 1:]
+                                             if vec_is_zero(algebra.multiply(v, w))])
+
+    yield from extend((), reps)
 
 
 @dataclass(frozen=True)
@@ -277,7 +270,7 @@ def check_natural_basis(algebra: EvolutionAlgebra, basis):
         if not vec_is_zero(algebra.multiply(a, b)):
             raise NotANaturalBasis("two basis vectors have nonzero product",
                                    witness=(a, b))
-    if _rank([list(v) for v in basis]) != algebra.dim:
+    if _eliminate(basis)[0] != algebra.dim:
         raise NotANaturalBasis("vectors are linearly dependent", witness="dependent")
     return basis
 
@@ -312,49 +305,24 @@ def same_orbit(algebra: EvolutionAlgebra, basis1, basis2):
 
 def _scalar_multiple(w: Vector, b: Vector):
     """The scalar k with w == k * b, or None."""
-    pivot = next((i for i, x in enumerate(b) if not x.is_zero()), None)
-    if pivot is None:
+    direction = _direction(b)
+    if direction is None or _direction(w) != direction:
         return None
-    k = w[pivot] / b[pivot]
-    if k.is_zero():
-        return None
-    for x, y in zip(w, b):
-        if x != k * y:
-            return None
-    return k
+    pivot = next(i for i, x in enumerate(b) if not x.is_zero())
+    return w[pivot] / b[pivot]
 
 
-def verify_unique_basis_up_to_scaling(algebra: EvolutionAlgebra,
-                                      p_cap: int = 5, dim_cap: int = 3) -> bool:
+def verify_unique_basis_up_to_scaling(algebra: EvolutionAlgebra) -> bool:
     """Oracle: every natural basis is a permuted scaling of the given one.
 
-    Enumerates all natural bases over F_p (one representative per projective
-    class, which loses nothing since scaling preserves both the pairwise-zero
-    and independence conditions) and checks each consists of multiples of
-    distinguished basis vectors.  Deliberately brute force.
+    Lists the natural bases over F_p one projective representative per vector
+    and checks that each consists of distinguished basis vectors.
+    Deliberately brute force.
     """
     field = algebra.field
-    if not isinstance(field, PrimeField) or field.p > p_cap or algebra.dim > dim_cap:
-        raise TooLarge(f"oracle limited to F_p with p <= {p_cap} and dim <= {dim_cap}")
-    p, n = field.p, algebra.dim
-    m = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
-
-    reps = []
-    for coords in itertools.product(range(p), repeat=n):
-        lead = next((c for c in coords if c), None)
-        if lead == 1:  # one representative per projective class
-            reps.append(coords)
-
-    def product_is_zero(a, b):
-        had = [x * y % p for x, y in zip(a, b)]
-        return all(sum(m[j][i] * had[i] for i in range(n)) % p == 0 for j in range(n))
-
-    unit_reps = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
-    for combo in itertools.combinations(reps, n):
-        if not all(product_is_zero(a, b) for a, b in itertools.combinations(combo, 2)):
-            continue
-        if _rank([[field.scalar(x) for x in v] for v in combo]) != n:
-            continue
-        if any(vec not in unit_reps for vec in combo):
-            return False
-    return True
+    if not isinstance(field, PrimeField) or field.p > UNIQUE_BASIS_MAX_P \
+            or algebra.dim > UNIQUE_BASIS_MAX_DIM:
+        raise TooLarge(f"oracle limited to F_p with p <= {UNIQUE_BASIS_MAX_P} "
+                       f"and dim <= {UNIQUE_BASIS_MAX_DIM}")
+    units = {algebra.basis_vector(i) for i in range(algebra.dim)}
+    return all(set(basis) <= units for basis in _natural_bases(algebra))

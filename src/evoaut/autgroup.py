@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .algebra import EvolutionAlgebra, Vector, _rank
+from .algebra import EvolutionAlgebra, Vector, _eliminate
 from .errors import (
     AlgebraMismatch,
     InvariantViolation,
@@ -39,7 +39,6 @@ from .errors import (
     TooLarge,
 )
 from .monomial import (
-    ENUMERATION_CAP,
     ExponentDecomposition,
     GroupDescription,
     MonomialSystem,
@@ -238,12 +237,12 @@ def twisted_limit(algebra: EvolutionAlgebra, sigma) -> SolutionCoset:
     return solve_inhomogeneous(twisted_system(algebra, sigma))
 
 
-def coset_automorphisms(algebra: EvolutionAlgebra, sigma, coset: SolutionCoset,
-                        cap: int = ENUMERATION_CAP) -> list[MonomialAutomorphism]:
+def coset_automorphisms(algebra: EvolutionAlgebra, sigma,
+                        coset: SolutionCoset) -> list[MonomialAutomorphism]:
     """Materialize every automorphism in a feasible twisted coset (finite case)."""
     if isinstance(sigma, GraphAutomorphism):
         sigma = sigma.sigma
-    return [MonomialAutomorphism(algebra, sigma, xs) for xs in coset.elements(cap)]
+    return [MonomialAutomorphism(algebra, sigma, xs) for xs in coset.elements()]
 
 
 @dataclass(frozen=True)
@@ -306,12 +305,12 @@ class AutPresentation:
         d = self.diag.concrete_order()
         return None if d is None else d * len(self.lifted)
 
-    def monomial_elements(self, cap: int = ENUMERATION_CAP) -> list[MonomialAutomorphism]:
+    def monomial_elements(self) -> list[MonomialAutomorphism]:
         """All of U, element by element; requires a finite diagonal part.
         d . lift maps e_i to lift.scales[i] * d[sigma(i)] e_sigma(i)."""
         if self.diag.concrete_order() is None:
             raise TooLarge("diagonal subgroup is infinite; U cannot be enumerated")
-        diag_vectors = self.diag.elements(cap)
+        diag_vectors = self.diag.elements()
         out = [MonomialAutomorphism(self.algebra, lift.sigma,
                                     [x * d[s] for x, s in zip(lift.scales, lift.sigma)])
                for _, lift in self.lifted for d in diag_vectors]
@@ -341,7 +340,7 @@ def assemble_aut(algebra: EvolutionAlgebra,
 
 # -- brute-force oracle over F_p ----------------------------------------
 
-def _oracle_search(algebra: EvolutionAlgebra, cap: int):
+def _oracle_search(algebra: EvolutionAlgebra):
     """Yield, chunk by chunk, every invertible homomorphism e_i -> t_i as the
     base-p number whose digits are its matrix entries row by row, so that
     numeric order is the order of the residue matrices as tuples.  The
@@ -360,8 +359,8 @@ def _oracle_search(algebra: EvolutionAlgebra, cap: int):
         raise NotPrimeField("the brute-force oracle needs a finite field")
     p = algebra.field.p
     n = algebra.dim
-    if p ** (n * n) > cap:
-        raise TooLarge(f"p^(n^2) = {p ** (n * n)} exceeds the cap {cap}")
+    if p ** (n * n) > BRUTEFORCE_MATRIX_CAP:
+        raise TooLarge(f"p^(n^2) = {p ** (n * n)} exceeds the cap {BRUTEFORCE_MATRIX_CAP}")
     M = np.array([[algebra.matrix[j][i].residue for i in range(n)]
                   for j in range(n)], dtype=np.int64)
     size = p ** n
@@ -426,20 +425,19 @@ def _oracle_search(algebra: EvolutionAlgebra, cap: int):
     yield from extend(np.zeros((1, 0), dtype=np.int64))
 
 
-def bruteforce_aut(algebra: EvolutionAlgebra,
-                   cap: int = BRUTEFORCE_MATRIX_CAP) -> list[tuple[tuple[int, ...], ...]]:
+def bruteforce_aut(algebra: EvolutionAlgebra) -> list[tuple[tuple[int, ...], ...]]:
     """Oracle: every invertible matrix acting as an algebra homomorphism.
 
     Searches the images of the basis column by column, keeping the partial
     assignments that satisfy the homomorphism relations among their columns;
     returns residue matrices in sorted order.  Deliberately ignorant of the
-    monomial structure theory it validates.  ``cap`` bounds p^(n^2), and
+    monomial structure theory it validates.  ``BRUTEFORCE_MATRIX_CAP`` bounds p^(n^2), and
     past ``BRUTEFORCE_OUTPUT_CAP`` matrices the search stops with TooLarge
     before any is built; ``bruteforce_aut_count`` counts without that cap.
     """
     import numpy as np
     chunks, total = [np.zeros(0, dtype=np.int64)], 0
-    for codes in _oracle_search(algebra, cap):
+    for codes in _oracle_search(algebra):
         total += len(codes)
         if total > BRUTEFORCE_OUTPUT_CAP:
             raise TooLarge(f"more than {BRUTEFORCE_OUTPUT_CAP} automorphisms to list; "
@@ -456,10 +454,9 @@ def bruteforce_aut(algebra: EvolutionAlgebra,
     return list(zip(*(map(row_of, rows[:, r].tolist()) for r in range(n))))
 
 
-def bruteforce_aut_count(algebra: EvolutionAlgebra,
-                         cap: int = BRUTEFORCE_MATRIX_CAP) -> int:
+def bruteforce_aut_count(algebra: EvolutionAlgebra) -> int:
     """The number of matrices ``bruteforce_aut`` returns, without building them."""
-    return sum(len(codes) for codes in _oracle_search(algebra, cap))
+    return sum(len(codes) for codes in _oracle_search(algebra))
 
 
 def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:
@@ -481,4 +478,4 @@ def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:
                 rhs = [0] * n
             if lhs != rhs:
                 return False
-    return _rank([[field.scalar(x) for x in row] for row in T]) == n
+    return _eliminate([[field.scalar(x) for x in row] for row in T])[0] == n

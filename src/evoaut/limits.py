@@ -91,7 +91,7 @@ class TruncatedLimit:
         return self.spec.depth
 
 
-def truncated_chain(spec: ChainSpec, budget: int = CHAIN_BUDGET) -> TruncatedLimit:
+def truncated_chain(spec: ChainSpec) -> TruncatedLimit:
     """Enumerate all compatible depth-N tuples over a prime field.
 
     The deepest coordinate is free a priori; everything below it is derived
@@ -101,8 +101,8 @@ def truncated_chain(spec: ChainSpec, budget: int = CHAIN_BUDGET) -> TruncatedLim
     if not isinstance(field, PrimeField):
         raise NotPrimeField("chain enumeration requires a prime field")
     n = spec.depth
-    if (field.p - 1) * n > budget:
-        raise TooLarge(f"(p-1)*depth = {(field.p - 1) * n} exceeds the budget {budget}")
+    if (field.p - 1) * n > CHAIN_BUDGET:
+        raise TooLarge(f"(p-1)*depth = {(field.p - 1) * n} exceeds the budget {CHAIN_BUDGET}")
     exps = spec.exponents
     chains = []
     for deep in field.nonzero_elements():
@@ -151,29 +151,21 @@ def verify_stationary_collapse(field: PrimeField, depth: int) -> bool:
     """Oracle for the triviality of the 2-power inverse limit over F_p.
 
     Enumerates every depth-N tuple (x_1, ..., x_N) with x_i in mu_{2^i} and
-    x_{i+1}**2 == x_i, then checks that all coordinates with stationary
-    headroom above them (indices <= N - s, s the stationary index) equal 1.
-    The depth-N solution set itself retains 2^s free tail coordinates, so the
-    collapse is exactly the survival statement under projection.
+    x_{i+1}**2 == x_i: the squaring chain anchored by x_1**2 == 1, since
+    x_{i+1}**(2^(i+1)) == x_i**(2^i).  It then checks that all coordinates
+    with stationary headroom above them (indices <= N - s, s the stationary
+    index) equal 1.  The depth-N solution set itself retains 2^s free tail
+    coordinates, so the collapse is exactly the survival statement under
+    projection.
     """
     if not isinstance(field, PrimeField):
         raise NotPrimeField("stationarity oracle requires a prime field")
     s = tate_stationary_index(field)
     if depth <= s + 1:
         raise DepthTooSmall(f"depth must exceed stationary index {s} + 1")
-    p = field.p
-    one = field.one
-    chains = []
-    for deep in field.nonzero_elements():
-        chain = [deep] * depth
-        for i in range(depth - 2, -1, -1):
-            chain[i] = chain[i + 1] ** 2
-        if all(chain[i] ** (2 ** (i + 1)) == one for i in range(depth)):
-            chains.append(chain)
-    if not chains:
-        return False
-    window = depth - s
-    return all(all(x == one for x in chain[:window]) for chain in chains)
+    chains = truncated_chain(ChainSpec(field, (2,) * depth, anchor=1)).tuples
+    # the all-ones chain is always there: an empty census proves nothing
+    return bool(chains) and all(x == field.one for chain in chains for x in chain[:depth - s])
 
 
 def loop_chain_algebra(field: Field, n: int) -> EvolutionAlgebra:

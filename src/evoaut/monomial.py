@@ -137,13 +137,13 @@ class GroupDescription:
             order *= mu_order(self.field, d)
         return order
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[Scalar, ...]]:
+    def elements(self) -> list[tuple[Scalar, ...]]:
         """The concrete solution group, sorted; requires a finite materialization."""
         order = self.concrete_order()
         if order is None:
             raise TooLarge("group is infinite or symbolic; cannot enumerate")
-        if order > cap:
-            raise TooLarge(f"group order {order} exceeds the enumeration cap {cap}")
+        if order > ENUMERATION_CAP:
+            raise TooLarge(f"group order {order} exceeds the enumeration cap {ENUMERATION_CAP}")
         one = self.field.one
         out = set()
         for powers in itertools.product(*(range(o) for o in self.generator_orders)):
@@ -194,11 +194,11 @@ class SolutionCoset:
             return 0
         return self.homogeneous.concrete_order()
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[tuple[Scalar, ...]]:
+    def elements(self) -> list[tuple[Scalar, ...]]:
         if not self.is_feasible:
             return []
         out = [tuple(p * h for p, h in zip(self.particular, vec))
-               for vec in self.homogeneous.elements(cap)]
+               for vec in self.homogeneous.elements()]
         return sorted(out, key=_vector_sort_key)
 
 
@@ -351,8 +351,7 @@ def solve_inhomogeneous(system: MonomialSystem) -> SolutionCoset:
     return ExponentDecomposition(system).solve(system)
 
 
-def enumerate_solutions_bruteforce(system: MonomialSystem,
-                                   cap: int = BRUTEFORCE_CAP) -> list[tuple[Scalar, ...]]:
+def enumerate_solutions_bruteforce(system: MonomialSystem) -> list[tuple[Scalar, ...]]:
     """Oracle: exhaustive scan of (F_p^x)^n for solutions, sorted.
 
     Kept deliberately independent of the Smith-normal-form path.
@@ -362,8 +361,8 @@ def enumerate_solutions_bruteforce(system: MonomialSystem,
         raise NotPrimeField("brute-force enumeration needs a finite field")
     p = field.p
     n = system.n_vars
-    if (p - 1) ** n > cap:
-        raise TooLarge(f"(p-1)^n = {(p - 1) ** n} exceeds the cap {cap}")
+    if (p - 1) ** n > BRUTEFORCE_CAP:
+        raise TooLarge(f"(p-1)^n = {(p - 1) ** n} exceeds the cap {BRUTEFORCE_CAP}")
     rows = [(exps, rhs.residue) for exps, rhs in system.rows]
     unit_order = p - 1
     hits = []

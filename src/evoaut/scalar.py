@@ -118,9 +118,10 @@ class PrimeField(Field):
     """F_p for a prime p, with a fixed generator of the cyclic group F_p^x.
 
     The generator is the smallest g whose order is p - 1 (checked against
-    every maximal proper divisor), so construction is deterministic.  The
-    discrete-log table is built lazily on first use; instances are immutable
-    apart from that idempotent cache, so sharing across threads is safe.
+    every maximal proper divisor), so construction is deterministic.  Discrete
+    logs come from baby-step giant-step: the baby steps are built on first
+    use, and each log is kept per residue.  Instances are immutable apart from
+    those idempotent caches, so sharing across threads is safe.
     """
 
     def __init__(self, p: int):
@@ -133,7 +134,8 @@ class PrimeField(Field):
         self.characteristic = p
         self._unit_factors = factorize(p - 1) if p > 2 else {}
         self.generator = self._find_generator()
-        self._dlog: list[int] | None = None
+        self._baby: dict[int, int] | None = None
+        self._logs: dict[int, int] = {}
 
     def _find_generator(self) -> int:
         if self.p == 2:
@@ -155,16 +157,28 @@ class PrimeField(Field):
             return FpScalar(self, num * pow(den, -1, self.p) % self.p)
         raise EvoautError(f"cannot coerce {value!r} into F_{self.p}")
 
-    def dlog_table(self) -> list[int]:
-        """table[x] = log_g(x) for every x in F_p^x; table[0] is unused."""
-        if self._dlog is None:
-            table = [0] * self.p
-            acc = 1
-            for k in range(self.p - 1):
-                table[acc] = k
+    def _log(self, x: int) -> int:
+        """log_g(x) for a residue x in F_p^x, by baby-step giant-step.  With
+        m = ceil(sqrt(p - 1)) baby steps g**j (j < m), the log is i*m + j for
+        the first giant step x * g**(-m*i) that is a baby step g**j."""
+        log = self._logs.get(x)
+        if log is not None:
+            return log
+        if self._baby is None:
+            baby, acc = {}, 1
+            for j in range(math.isqrt(self.p - 2) + 1):
+                baby[acc] = j
                 acc = acc * self.generator % self.p
-            self._dlog = table
-        return self._dlog
+            self._baby = baby
+        m = len(self._baby)
+        giant = pow(self.generator, -m, self.p)
+        y = x
+        for i in range(m):
+            if y in self._baby:
+                log = self._logs[x] = i * m + self._baby[y]
+                return log
+            y = y * giant % self.p
+        raise InvariantViolation(f"{x} is not a power of the generator of F_{self.p}")
 
     def nonzero_elements(self):
         """All of F_p^x in residue order."""
@@ -384,7 +398,7 @@ def dlog(field: Field, x: Scalar) -> int:
     x = field.scalar(x)
     if x.is_zero():
         raise ZeroArgument("dlog of 0")
-    return field.dlog_table()[x.residue]
+    return field._log(x.residue)
 
 
 def nth_roots(field: Field, n: int, a) -> list[Scalar]:

@@ -54,9 +54,6 @@ class WeightedGraph:
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self.weights)
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        return (src, dst) in self.weights
-
     def weight(self, src: int, dst: int) -> Scalar:
         return self.weights[(src, dst)]
 
@@ -168,17 +165,16 @@ def is_unweighted_automorphism(graph: WeightedGraph, sigma) -> bool:
 
 
 def enumerate_graph_automorphisms(graph: WeightedGraph,
-                                  cap: int = DEFAULT_VERTEX_CAP,
-                                  max_results: int = MAX_AUTOMORPHISMS) -> list[GraphAutomorphism]:
+                                  cap: int = DEFAULT_VERTEX_CAP) -> list[GraphAutomorphism]:
     """All adjacency-preserving permutations, identity first.
 
     Backtracking over vertices ordered by (out-degree, in-degree, loop flag,
     label); candidates are pruned by that same invariant signature, and the
     output is sorted lexicographically by permutation word.  The search reads
     adjacency from a local n x n table, and every permutation it yields is
-    checked once more against the graph itself.  ``max_results`` guards
-    pathological near-symmetric graphs whose group would not fit in memory
-    anyway.
+    checked once more against the graph itself.  ``MAX_AUTOMORPHISMS``
+    guards pathological near-symmetric graphs whose group would not fit in
+    memory anyway.
     """
     n = graph.n_vertices
     if n > cap:
@@ -196,8 +192,8 @@ def enumerate_graph_automorphisms(graph: WeightedGraph,
 
     def backtrack(k: int):
         if k == n:
-            if len(found) >= max_results:
-                raise TooLarge(f"more than {max_results} graph automorphisms")
+            if len(found) >= MAX_AUTOMORPHISMS:
+                raise TooLarge(f"more than {MAX_AUTOMORPHISMS} graph automorphisms")
             found.append(tuple(image))
             return
         v = order[k]

@@ -1,7 +1,9 @@
 """Shared builders for the test suite: named algebras, the random corpus,
-scalar references for the solver's log arithmetic and monkeypatch probes
-into the solver."""
+scalar references for the solver's log arithmetic, references for the
+structural predicates and the natural-basis and 2-power-tower oracles, and
+monkeypatch probes into the solver."""
 
+import itertools
 import math
 import os
 import random
@@ -12,6 +14,7 @@ from pathlib import Path
 from evoaut import EvolutionAlgebra, autgroup, monomial
 from evoaut.monomial import power_product
 from evoaut.scalar import PrimeField, QQ, mu_order, nth_roots
+from evoaut.limits import tate_stationary_index
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -180,6 +183,126 @@ def scalar_generators_hold(decomposition) -> bool:
     return all(power_product(field, gen, exps) == field.one
                for gen in decomposition.homogeneous.generators
                for exps in decomposition.exponents)
+
+
+def reference_rank(rows) -> int:
+    """Rank by Gauss-Jordan elimination, each pivot row normalized to 1."""
+    rank = 0
+    rows = [list(r) for r in rows]
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inv()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][col].is_zero():
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_det(field, rows):
+    """Determinant of a square matrix by forward elimination, stopping at the
+    first column without a pivot."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    det = field.one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            return field.zero
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = rows[col][col].inv()
+        for r in range(col + 1, n):
+            if not rows[r][col].is_zero():
+                factor = rows[r][col] * inv
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def reference_two_li_witness(algebra):
+    """First pair (i, j) of dependent squares: column j is compared entry by
+    entry with its ratio to column i at column i's first nonzero entry."""
+    matrix = algebra.matrix
+
+    def independent(i, j):
+        pivot = next((r for r in range(algebra.dim) if not matrix[r][i].is_zero()), None)
+        if pivot is None:
+            return False
+        ratio = matrix[pivot][j] / matrix[pivot][i]
+        return any(matrix[r][j] != ratio * matrix[r][i] for r in range(algebra.dim))
+
+    return next(((i, j) for i in range(algebra.dim) for j in range(i + 1, algebra.dim)
+                 if not independent(i, j)), None)
+
+
+def reference_scalar_multiple(w, b):
+    """The scalar k with w == k * b, or None, read at b's first nonzero entry."""
+    pivot = next((i for i, x in enumerate(b) if not x.is_zero()), None)
+    if pivot is None:
+        return None
+    k = w[pivot] / b[pivot]
+    if k.is_zero() or any(x != k * y for x, y in zip(w, b)):
+        return None
+    return k
+
+
+def _products_vanish(algebra, vectors) -> bool:
+    return all(all(x.is_zero() for x in algebra.multiply(a, b))
+               for a, b in itertools.combinations(vectors, 2))
+
+
+def reference_f2_basis_search(algebra, u) -> bool:
+    """Is u in some natural basis of an F_2 algebra?  Tries u with every set
+    of n - 1 other nonzero vectors."""
+    n = algebra.dim
+    vectors = [v for v in map(algebra.vector, itertools.product((0, 1), repeat=n))
+               if any(not x.is_zero() for x in v) and v != u]
+    return any(_products_vanish(algebra, (u,) + rest) and reference_rank((u,) + rest) == n
+               for rest in itertools.combinations(vectors, n - 1))
+
+
+def reference_unique_basis(algebra) -> bool:
+    """Every natural basis of an F_p algebra, in residue arithmetic, one
+    projective representative per vector, consists of basis vectors."""
+    p, n = algebra.field.p, algebra.dim
+    m = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
+    reps = [c for c in itertools.product(range(p), repeat=n)
+            if next((x for x in c if x), None) == 1]
+
+    def product_is_zero(a, b):
+        had = [x * y % p for x, y in zip(a, b)]
+        return all(sum(m[j][i] * had[i] for i in range(n)) % p == 0 for j in range(n))
+
+    units = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    for combo in itertools.combinations(reps, n):
+        if all(product_is_zero(a, b) for a, b in itertools.combinations(combo, 2)) \
+                and reference_rank([[algebra.field.scalar(x) for x in v] for v in combo]) == n \
+                and not set(combo) <= units:
+            return False
+    return True
+
+
+def reference_stationary_collapse(field, depth) -> bool:
+    """Every squaring chain x_{i+1}**2 == x_i with each x_i in mu_{2^i},
+    found by scanning the deepest coordinate over F_p^x, is 1 at the indices
+    i <= depth - s, s the stationary index."""
+    s = tate_stationary_index(field)
+    one = field.one
+    chains = []
+    for deep in field.nonzero_elements():
+        chain = [deep] * depth
+        for i in range(depth - 2, -1, -1):
+            chain[i] = chain[i + 1] ** 2
+        if all(chain[i] ** (2 ** (i + 1)) == one for i in range(depth)):
+            chains.append(chain)
+    return bool(chains) and all(x == one for chain in chains for x in chain[:depth - s])
 
 
 def count_snf_calls(monkeypatch) -> list:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +8,8 @@ from evoaut import EvolutionAlgebra
 from evoaut.algebra import (
     BasisChange,
     Naturality,
+    _natural_bases,
+    _scalar_multiple,
     is_natural_vector,
     same_orbit,
     vec_is_zero,
@@ -27,6 +31,12 @@ from helpers import (
     chain_2li_algebra,
     ear_algebra,
     random_algebra,
+    reference_det,
+    reference_f2_basis_search,
+    reference_rank,
+    reference_scalar_multiple,
+    reference_two_li_witness,
+    reference_unique_basis,
     three_cycle_algebra,
     two_loop_algebra,
     zero_square_algebra,
@@ -216,3 +226,65 @@ def test_labels_and_construction_errors():
         EvolutionAlgebra.from_squares(QQ, [[1, 0], [0, 1]], labels=["a", "a"])
     with pytest.raises(TooLarge):
         EvolutionAlgebra.from_squares(QQ, [[0] * 65 for _ in range(65)])
+
+
+def test_predicates_match_the_references():
+    """rank, det, the 2LI witness, perfection, invertibility, scalar multiples
+    and the natural-basis verdicts against the references, on matrices with
+    zero, repeated and proportional columns."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    unique_verdicts, f2_verdicts = set(), set()
+
+    def scalars(field):
+        if field is QQ:
+            return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+        return st.integers(0, field.p - 1)
+
+    @st.composite
+    def algebras(draw):
+        field = draw(st.sampled_from([F2, F3, F7, QQ]))
+        n = draw(st.integers(1, 5))
+        squares = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(["random", "zero", "repeat", "multiple"]
+                                        if squares else ["random", "zero"]))
+            if kind == "random":
+                squares.append([field.scalar(x) for x in
+                                draw(st.lists(scalars(field), min_size=n, max_size=n))])
+            elif kind == "zero":
+                squares.append([field.zero] * n)
+            else:
+                k = field.one if kind == "repeat" else field.scalar(draw(scalars(field)))
+                squares.append([k * x for x in draw(st.sampled_from(squares))])
+        return EvolutionAlgebra.from_squares(field, squares)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(algebras())
+    @hypothesis.example(EvolutionAlgebra.from_squares(QQ, [[0, 1], [1, 0]]))
+    @hypothesis.example(EvolutionAlgebra.from_squares(F3, [[1, 0], [0, 0]]))
+    def check(algebra):
+        field, n, rows = algebra.field, algebra.dim, algebra.matrix
+        assert algebra.rank() == reference_rank(rows)
+        assert algebra.det() == reference_det(field, rows)
+        assert algebra.two_li_witness() == reference_two_li_witness(algebra)
+        assert algebra.is_perfect() == (reference_rank(rows) == n)
+        assert algebra.is_invertible() == (not reference_det(field, rows).is_zero())
+        for i, j in itertools.product(range(n), repeat=2):
+            w, b = algebra.square_of(i), algebra.square_of(j)
+            assert _scalar_multiple(w, b) == reference_scalar_multiple(w, b)
+        if field is not QQ and field.p <= 5 and n <= 3:
+            verdict = reference_unique_basis(algebra)
+            assert verify_unique_basis_up_to_scaling(algebra) == verdict
+            unique_verdicts.add(verdict)
+        if field is F2 and n <= 3:
+            for bits in itertools.product((0, 1), repeat=n):
+                u = algebra.vector(bits)
+                if any(bits):
+                    verdict = reference_f2_basis_search(algebra, u)
+                    assert any(u in basis for basis in _natural_bases(algebra)) == verdict
+                    f2_verdicts.add(verdict)
+
+    check()
+    assert unique_verdicts == {True, False}
+    assert f2_verdicts == {True, False}

@@ -344,6 +344,26 @@ def test_huge_field_prime_is_refused_at_the_cap(tmp_path):
     assert "1000000000000000003 exceeds the 2^31 cap" in done.stderr
 
 
+@pytest.mark.parametrize("command", ["diag", "aut"])
+def test_largest_field_prime_runs_in_little_time_and_memory(tmp_path, command):
+    # 2^31 - 1 is the largest prime under the cap; a table of all p - 1
+    # discrete logs would need tens of GB
+    if not Path("/proc/self/status").exists():
+        pytest.skip("peak memory is read from /proc/self/status")
+    (tmp_path / "big.alg").write_text(
+        "field F2147483647\nbasis u v\nsq u = 3*v\nsq v = 5*u\n")
+    script = ("import sys\nfrom evoaut.cli import main\ncode = main(sys.argv[1:])\n"
+              "sys.stderr.write(next(line for line in open('/proc/self/status')\n"
+              "                      if line.startswith('VmHWM')))\nsys.exit(code)")
+    start = time.perf_counter()
+    done = run_python(["-c", script, command, "big.alg"], timeout=60, cwd=tmp_path)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert elapsed < 5
+    peak_kb = int(done.stderr.split("VmHWM:")[1].split()[0])
+    assert peak_kb < 100 * 1024
+
+
 @pytest.mark.parametrize("exponent, lifted", [(1, False), (3, True)])
 def test_aut_takes_roots_of_a_14_digit_prime_weight(tmp_path, exponent, lifted):
     # the swap lifts iff the weight is a cube; 10000000000037 is prime

@@ -18,7 +18,7 @@ from evoaut.limits import (
 from evoaut.monomial import enumerate_solutions_bruteforce
 from evoaut.scalar import PrimeField, QQ
 
-from helpers import F2, F3, F5, F7
+from helpers import F2, F3, F5, F7, reference_stationary_collapse
 
 F13 = PrimeField(13)
 F17 = PrimeField(17)
@@ -58,8 +58,7 @@ def test_truncated_chain_validation():
     with pytest.raises(EvoautError):
         ChainSpec(field=F5, exponents=(2,), anchor=F5.zero)
     with pytest.raises(TooLarge):
-        truncated_chain(ChainSpec(field=PrimeField(65537), exponents=(2,) * 64),
-                        budget=10**5)
+        truncated_chain(ChainSpec(field=PrimeField(65537), exponents=(2,) * 64))
 
 
 def test_truncation_tower_consistency():
@@ -117,6 +116,15 @@ def test_stationary_collapse_all_small_primes():
             field = PrimeField(p)
             s = tate_stationary_index(field)
             assert verify_stationary_collapse(field, s + 3)
+
+
+def test_stationary_collapse_matches_the_reference():
+    for p in (3, 5, 13, 17, 97):
+        field = PrimeField(p)
+        s = tate_stationary_index(field)
+        for depth in range(s + 2, s + 5):
+            assert verify_stationary_collapse(field, depth) == \
+                reference_stationary_collapse(field, depth)
 
 
 def test_loop_chain_diag_group_shapes():

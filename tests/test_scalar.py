@@ -98,6 +98,19 @@ def test_dlog_exhaustive_small_primes():
             assert field.scalar(field.generator) ** dlog(field, x) == x
 
 
+@pytest.mark.parametrize("p", [2, 3, 683, 65537, 2**31 - 1])
+def test_dlog_round_trip(p):
+    field = PrimeField(p)
+    g = field.scalar(field.generator)
+    rng = random.Random(p)
+    residues = {1, p - 1, field.generator, pow(field.generator, -1, p)}
+    residues |= set(range(1, p)) if p < 1000 else {rng.randrange(1, p) for _ in range(40)}
+    for x in sorted(residues):
+        log = dlog(field, field.scalar(x))
+        assert 0 <= log < max(p - 1, 1)
+        assert g ** log == x
+
+
 def test_dlog_errors():
     with pytest.raises(ZeroArgument):
         dlog(F7, F7.zero)
