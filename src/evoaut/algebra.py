@@ -5,7 +5,8 @@ M[j][i] = coefficient of e_j in e_i**2; distinct basis elements multiply to
 zero.  ``edges`` lists the nonzero entries once, as the edges (i, j, M[j][i])
 of the associated graph in (i, j) order; whatever needs only them reads that
 list.  Vectors are plain tuples of scalars in basis coordinates.  All objects
-are immutable and the predicates are pure.
+are immutable, apart from an algebra's idempotent cache of its rank and
+determinant, and the predicates are pure.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class EvolutionAlgebra:
             if len(labels) != n or len(set(labels)) != n:
                 raise DimensionMismatch("labels must be distinct and match the dimension")
         self.labels = labels
+        self._reduced: tuple[int, Scalar] | None = None
 
     @classmethod
     def from_squares(cls, field: Field, squares, labels=None):
@@ -119,11 +121,18 @@ class EvolutionAlgebra:
         """No basis element squares to zero."""
         return len({i for i, _, _ in self.edges}) == self.dim
 
+    def _elimination(self) -> tuple[int, Scalar]:
+        """Rank and determinant of the structure matrix, found once: the
+        algebra is immutable."""
+        if self._reduced is None:
+            self._reduced = _eliminate(self.matrix)
+        return self._reduced
+
     def rank(self) -> int:
-        return _eliminate(self.matrix)[0]
+        return self._elimination()[0]
 
     def det(self) -> Scalar:
-        return _eliminate(self.matrix)[1]
+        return self._elimination()[1]
 
     def is_invertible(self) -> bool:
         return not self.det().is_zero()

@@ -119,9 +119,9 @@ class PrimeField(Field):
 
     The generator is the smallest g whose order is p - 1 (checked against
     every maximal proper divisor), so construction is deterministic.  Discrete
-    logs come from baby-step giant-step: the baby steps are built on first
-    use, and each log is kept per residue.  Instances are immutable apart from
-    those idempotent caches, so sharing across threads is safe.
+    logs come from baby-step giant-step, whose baby steps are built on first
+    use.  Instances are immutable apart from that idempotent cache, so sharing
+    across threads is safe.
     """
 
     def __init__(self, p: int):
@@ -134,8 +134,7 @@ class PrimeField(Field):
         self.characteristic = p
         self._unit_factors = factorize(p - 1) if p > 2 else {}
         self.generator = self._find_generator()
-        self._baby: dict[int, int] | None = None
-        self._logs: dict[int, int] = {}
+        self._baby: tuple[dict[int, int], int] | None = None
 
     def _find_generator(self) -> int:
         if self.p == 2:
@@ -161,22 +160,19 @@ class PrimeField(Field):
         """log_g(x) for a residue x in F_p^x, by baby-step giant-step.  With
         m = ceil(sqrt(p - 1)) baby steps g**j (j < m), the log is i*m + j for
         the first giant step x * g**(-m*i) that is a baby step g**j."""
-        log = self._logs.get(x)
-        if log is not None:
-            return log
         if self._baby is None:
             baby, acc = {}, 1
             for j in range(math.isqrt(self.p - 2) + 1):
                 baby[acc] = j
                 acc = acc * self.generator % self.p
-            self._baby = baby
-        m = len(self._baby)
-        giant = pow(self.generator, -m, self.p)
+            self._baby = baby, pow(self.generator, -len(baby), self.p)
+        baby, giant = self._baby
+        m = len(baby)
         y = x
         for i in range(m):
-            if y in self._baby:
-                log = self._logs[x] = i * m + self._baby[y]
-                return log
+            j = baby.get(y)
+            if j is not None:
+                return i * m + j
             y = y * giant % self.p
         raise InvariantViolation(f"{x} is not a power of the generator of F_{self.p}")
 

@@ -95,10 +95,12 @@ def test_dlog_exhaustive_small_primes():
     for p in PRIMES_TO_100:
         field = PrimeField(p)
         for x in field.nonzero_elements():
-            assert field.scalar(field.generator) ** dlog(field, x) == x
+            log = dlog(field, x)
+            assert 0 <= log < max(p - 1, 1)
+            assert field.scalar(field.generator) ** log == x
 
 
-@pytest.mark.parametrize("p", [2, 3, 683, 65537, 2**31 - 1])
+@pytest.mark.parametrize("p", [683, 65537, 2**31 - 1])
 def test_dlog_round_trip(p):
     field = PrimeField(p)
     g = field.scalar(field.generator)
@@ -107,7 +109,7 @@ def test_dlog_round_trip(p):
     residues |= set(range(1, p)) if p < 1000 else {rng.randrange(1, p) for _ in range(40)}
     for x in sorted(residues):
         log = dlog(field, field.scalar(x))
-        assert 0 <= log < max(p - 1, 1)
+        assert 0 <= log < p - 1
         assert g ** log == x
 
 
