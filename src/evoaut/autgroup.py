@@ -20,14 +20,17 @@ check is the twisted system itself, so ``assemble_aut`` builds no
 algebra homomorphism over F_p from the definition alone, assigning the image
 of one basis vector at a time and keeping only partial assignments whose
 columns already satisfy the homomorphism relations among themselves.  The
-work follows the number of partial solutions, not the p^(n^2) matrices; it
-is vectorized with integer numpy arithmetic (exact; no floating point).
+work follows the number of partial solutions, not the p^(n^2) matrices.  The
+candidates for a column are a bitset over F_p^n (a Python int), the AND of
+masks cached per assigned column, per span and per relation, so the last
+column is counted by popcount and never listed unless asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress, product
+from operator import add, itemgetter, mul, not_
 
 from .algebra import EvolutionAlgebra, Vector, _eliminate
 from .errors import (
@@ -57,7 +60,6 @@ from .wgraph import (
 
 BRUTEFORCE_MATRIX_CAP = 10**8
 BRUTEFORCE_OUTPUT_CAP = 2 * 10**6  # matrices bruteforce_aut returns, ~150 bytes each
-ORACLE_CHUNK = 1 << 16  # candidate columns the matrix oracle examines per numpy step
 
 
 class MonomialAutomorphism:
@@ -340,89 +342,210 @@ def assemble_aut(algebra: EvolutionAlgebra,
 
 # -- brute-force oracle over F_p ----------------------------------------
 
+_BYTE_BITS = [()]  # _BYTE_BITS[x]: the positions of the set bits of the byte x
+for _bit in range(8):
+    _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
+
+
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in ascending order."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * at + b for at, byte in enumerate(data) if byte for b in _BYTE_BITS[byte]]
+
+
 def _oracle_search(algebra: EvolutionAlgebra):
-    """Yield, chunk by chunk, every invertible homomorphism e_i -> t_i as the
-    base-p number whose digits are its matrix entries row by row, so that
-    numeric order is the order of the residue matrices as tuples.  The
-    columns t_0..t_{n-1} are assigned one at a time.
+    """Yield every invertible homomorphism e_i -> t_i, in groups that share
+    all columns but one.  Each item is ``(t, last, mask)``: ``t`` holds the
+    columns as vector indices, ``t[last]`` is 0, and the set bits of ``mask``
+    are the vectors that complete t as column ``last``.  The index of a vector
+    of F_p^n is its base-p number with component r at place p^r.
 
     Only the definition of a homomorphism is used: M(t_j o t_k) = 0 for
     j != k, and M(t_i o t_i) = sum_c M[c][i] t_c, where o is the entrywise
-    product.  A vector of F_p^n travels as its base-p index.  Prefixes are
-    extended depth first, at most ``ORACLE_CHUNK`` candidates at a time, so
-    memory stays bounded while the work follows the number of partial
-    solutions.  A column must also lie outside the span of the columns
-    before it, which makes the assembled matrix invertible.
+    product.  The columns are assigned one at a time, depth first, and the
+    candidates for the next one are an AND of bitsets over F_p^n, cached per
+    assigned column, per span or per relation:
+      - for each assigned column a, the pair mask {b : M(a o b) = 0};
+      - the complement of the span of the assigned columns, which makes the
+        assembled matrix invertible;
+      - each square relation whose columns are then all assigned: the vectors
+        t with M(t o t) - M[i][i] t equal to the assigned part when the new
+        column is t_i, else the one vector the relation solves for.
+    So the work follows the number of partial solutions, not p^(n^2).
     """
-    import numpy as np
     if not isinstance(algebra.field, PrimeField):
         raise NotPrimeField("the brute-force oracle needs a finite field")
     p = algebra.field.p
     n = algebra.dim
     if p ** (n * n) > BRUTEFORCE_MATRIX_CAP:
         raise TooLarge(f"p^(n^2) = {p ** (n * n)} exceeds the cap {BRUTEFORCE_MATRIX_CAP}")
-    M = np.array([[algebra.matrix[j][i].residue for i in range(n)]
-                  for j in range(n)], dtype=np.int64)
+    M = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
     size = p ** n
-    powers = p ** np.arange(n, dtype=np.int64)
+    full = (1 << size) - 1
+    powers = [p ** r for r in range(n)]
+    # p^(n^2) <= 10^8 keeps p^n <= 10^4 for n >= 2; for n = 1 no table is
+    # built, as a vector is its own residue
+    digits = [x[::-1] for x in product(range(p), repeat=n)] if n > 1 else None
+
+    def index(vector):
+        return sum(map(mul, map(p.__rmod__, vector), powers))
+
+    def tabulate(term):
+        """The index of the vector with component j = sum over r of
+        term(j, r, t_r), for every vector t in index order (n >= 2)."""
+        columns = []
+        for j, q in enumerate(powers):
+            values = [0]
+            for r in range(n):
+                values = [u + s for s in [term(j, r, x) for x in range(p)] for u in values]
+            columns.append([u % p * q for u in values])
+        return list(map(sum, zip(*columns)))
+
     # the square of e_i is checked once t_i and its whole support are
-    # assigned, so columns are assigned in an order that completes squares early
-    needs = [{i} | {c for c in range(n) if M[c, i]} for i in range(n)]
+    # assigned, so columns are assigned in an order that completes squares
+    # early, the most of them first on a tie; with M = 0 every relation reads 0 = 0
+    needs = [{i} | {c for c in range(n) if M[c][i]} for i in range(n)]
     order = []
     while len(order) < n:
-        order += min((sorted(need - set(order)) for need in needs
-                      if not need <= set(order)), key=len)
-    ready = [max(order.index(c) for c in need) for need in needs]
-    block = min(size, ORACLE_CHUNK)
-    width = max(1, ORACLE_CHUNK // block)
-    pair_table = {}  # vector index -> packed row: M(a o b) == 0 for every b
-    # the place value of entry (r, c) sits at [k, r] for the column c = order[k]
-    place = p ** (n * n - 1 - (np.array(order)[:, None] + n * np.arange(n)))
+        done = set(order)
+        order += sorted(min((need - done for need in needs if not need <= done),
+                            key=lambda new: (len(new), -sum(need <= done | new
+                                                            for need in needs))))
 
-    def vectors(ids):
-        return ids[..., None] // powers % p
+    def key_table(d):
+        """key_d(t) = M(t o t) - d t per vector t, and the bitset of the
+        vectors of each key.  In dimension 1 the one relation has the target
+        0, so F_p is scanned once for it and no table is kept: there d != 0,
+        and key_d(x) = d (x^2 - x) is 0 exactly when x^2 = x."""
+        if n == 1:
+            return None, {0: sum(1 << x for x in range(p) if x * x % p == x)}
+        values = tabulate(lambda j, r, x: (M[j][r] * x - (d if j == r else 0)) * x)
+        groups = {}
+        for t, key in enumerate(values):
+            groups[key] = groups.get(key, 0) | 1 << t
+        return values, groups
 
-    def pair_rows(ids):
-        missing = [a for a in ids.tolist() if a not in pair_table]
-        if missing:
-            scaled = M * vectors(np.array(missing))[:, None, :]
-            image = scaled.reshape(-1, n) @ vectors(np.arange(size)).T % p
-            zero = ~image.reshape(len(missing), n, size).any(axis=1)
-            pair_table.update(zip(missing, np.packbits(zero, axis=1)))
-        packed = np.stack([pair_table[a] for a in ids.tolist()])
-        return np.unpackbits(packed, axis=1, count=size).view(bool)
+    # relation i reads key_d(t_i) = sum of M[c][i] t_c over c != i, with
+    # d = M[i][i].  At the level of its last column it becomes (i, the table
+    # of key_d, terms, inverse), where inverse = 1 / M[new][i] solves it for
+    # the new column, or is None when the new column is t_i, and terms are
+    # the columns c assigned before with their coefficients: M[c][i] in the
+    # assigned part, -M[c][i] / M[new][i] in the new column
+    rules = [[] for _ in range(n)]
+    keys = {}
+    for i, need in enumerate(needs if any(map(any, M)) else ()):
+        k = max(map(order.index, need))
+        new = order[k]
+        inverse = None if new == i else pow(M[new][i], -1, p)
+        if M[i][i] not in keys:
+            keys[M[i][i]] = key_table(M[i][i])
+        rules[k].append((i, keys[M[i][i]],
+                         [(c, M[c][i] if inverse is None else -inverse * M[c][i] % p)
+                          for c in need - {new, i}], inverse))
+    # a level's relation mask is cached by the columns its relations read
+    reads = [sorted({c for i, _, terms, inverse in level for c, _ in terms}
+                    | {i for i, _, _, inverse in level if inverse is not None})
+             for level in rules]
+    relation_masks = [{} for _ in range(n)]
 
-    def extend(prefix):
-        k = prefix.shape[1]
-        columns = vectors(prefix)
-        span = (vectors(np.arange(p ** k))[:, :k] @ columns % p) @ powers
-        assigned = []
-        for j in range(k):
-            seen, where = np.unique(prefix[:, j], return_inverse=True)
-            assigned.append((pair_rows(seen), where))
-        for lo in range(0, size, block):
-            ids = np.arange(lo, min(size, lo + block), dtype=np.int64)
-            keep = np.ones((len(prefix), len(ids)), dtype=bool)
-            for rows, where in assigned:
-                keep &= rows[where, lo:lo + len(ids)]
-            inside = (span >= lo) & (span < lo + len(ids))
-            keep[np.nonzero(inside)[0], span[inside] - lo] = False
-            at, picks = np.nonzero(keep)
-            full = np.concatenate([columns[at], vectors(ids[picks, None])], axis=1)
-            good = np.ones(len(full), dtype=bool)
-            for i in range(n):
-                if ready[i] == k:
-                    t = full[:, order.index(i)]
-                    image = t * t % p @ M.T % p
-                    good &= (image == M[order[:k + 1], i] @ full % p).all(axis=1)
-            if k + 1 == n:
-                yield full[good].reshape(-1, n * n) @ place.ravel()
+    scales = {}  # c -> the index of c v per vector v
+
+    def combine(items):
+        """The index of the sum of the vectors c v over the (v, c) in items."""
+        if len(items) != 1:
+            return index([sum(c * digits[v][r] for v, c in items) for r in range(n)])
+        (v, c), = items
+        if c not in scales:
+            scales[c] = tabulate(lambda j, r, x: c * x if j == r else 0)
+        return scales[c][v]
+
+    def relations(k):
+        mask = full
+        for i, (values, groups), terms, inverse in rules[k]:
+            assigned = [(t[c], m) for c, m in terms]
+            if inverse is None:  # key_d(t_i) = the assigned part
+                mask &= groups.get(combine(assigned), 0)
+            else:  # t_new = (key_d(t_i) - the assigned part) / M[new][i]
+                mask &= 1 << combine([(values[t[i]], inverse), *assigned])
+        return mask
+
+    kernel = []
+    # the zeros of a -> (the bitset of the vectors supported on them, the
+    # nonzero k in ker M that vanish on them)
+    supported = {}
+    pairs = {}
+
+    def pair(a):
+        if a not in pairs:
+            if not kernel:
+                images = tabulate(lambda j, r, x: M[j][r] * x)
+                kernel.extend(x for x, image in zip(digits, images) if not image)
+            if len(kernel) == size:
+                pairs[a] = full
+                return full
+            # a o b lies in ker M: b is k / a on the support of a, for a k in
+            # ker M that vanishes off it, and free elsewhere; the two parts
+            # have disjoint supports, so their indices add without carries
+            x = digits[a]
+            zeros = tuple(map(not_, x))
+            if zeros not in supported:
+                free_mask = 1
+                for r in compress(range(n), zeros):
+                    free_mask = sum(free_mask << y * powers[r] for y in range(p))
+                supported[zeros] = free_mask, [k for k in kernel if any(k) and
+                                               not any(compress(k, zeros))]
+            free_mask, inside = supported[zeros]
+            mask = pairs[a] = free_mask
+            if inside:
+                inverse = [pow(y, -1, p) if y else 0 for y in x]
+                for k in inside:
+                    mask |= free_mask << index(list(map(mul, k, inverse)))
+                # M(ca o b) = c M(a o b): every multiple of a pairs with the same b
+                for c in range(1, p):
+                    pairs[index([c * y for y in x])] = mask
+        return pairs[a]
+
+    spans = {}  # span -> {v: the span grown by v, as its list, bitset and complement}
+    t = [0] * n
+
+    def narrow(k, candidates):
+        """The candidates for column order[k] that also meet its relations."""
+        if candidates and rules[k]:
+            key = tuple(map(t.__getitem__, reads[k]))
+            if key not in relation_masks[k]:
+                relation_masks[k][key] = relations(k)
+            candidates &= relation_masks[k][key]
+        return candidates
+
+    def extend(k, span, span_mask, allowed, candidates):
+        """Every group below the columns assigned before level k < n - 1,
+        given the candidates for column order[k]."""
+        column, grows = order[k], spans.setdefault(span_mask, {})
+        for v in _members(candidates):
+            if v not in grows:
+                # every vector the span gains grows it the same way
+                multiples = [[c * y for y in digits[v]] for c in range(1, p)]
+                gained = [index(list(map(add, digits[s], m))) for m in multiples for s in span]
+                mask = span_mask | sum(1 << w for w in gained)
+                grows.update(dict.fromkeys(gained, (span + gained, mask, full ^ mask)))
+            t[column] = v
+            grown, mask, outside = grows[v]
+            # the relations often leave nothing, so v's pair mask is read last
+            if not (below := narrow(k + 1, outside & allowed)):
                 continue
-            grown = np.concatenate([prefix[at], ids[picks, None]], axis=1)[good]
-            for lo_prefix in range(0, len(grown), width):
-                yield from extend(grown[lo_prefix:lo_prefix + width])
+            paired = allowed & pair(v)
+            if not (below := below & paired):
+                continue
+            if k + 2 == n:
+                yield tuple(t), order[k + 1], below
+            else:
+                yield from extend(k + 1, grown, mask, paired, below)
 
-    yield from extend(np.zeros((1, 0), dtype=np.int64))
+    if first := narrow(0, full ^ 1):
+        if n == 1:
+            yield (0,), 0, first
+        else:
+            yield from extend(0, [0], 1, full, first)
 
 
 def bruteforce_aut(algebra: EvolutionAlgebra) -> list[tuple[tuple[int, ...], ...]]:
@@ -431,32 +554,48 @@ def bruteforce_aut(algebra: EvolutionAlgebra) -> list[tuple[tuple[int, ...], ...
     Searches the images of the basis column by column, keeping the partial
     assignments that satisfy the homomorphism relations among their columns;
     returns residue matrices in sorted order.  Deliberately ignorant of the
-    monomial structure theory it validates.  ``BRUTEFORCE_MATRIX_CAP`` bounds p^(n^2), and
-    past ``BRUTEFORCE_OUTPUT_CAP`` matrices the search stops with TooLarge
-    before any is built; ``bruteforce_aut_count`` counts without that cap.
+    monomial structure theory it validates.  ``BRUTEFORCE_MATRIX_CAP`` bounds
+    p^(n^2).  The search yields the matrices that share all columns but one
+    as one bitset, counted by popcount, so past ``BRUTEFORCE_OUTPUT_CAP``
+    matrices it stops with TooLarge before any is built;
+    ``bruteforce_aut_count`` counts without that cap.
     """
-    import numpy as np
-    chunks, total = [np.zeros(0, dtype=np.int64)], 0
-    for codes in _oracle_search(algebra):
-        total += len(codes)
+    groups, total = [], 0
+    for group in _oracle_search(algebra):
+        total += group[2].bit_count()
         if total > BRUTEFORCE_OUTPUT_CAP:
             raise TooLarge(f"more than {BRUTEFORCE_OUTPUT_CAP} automorphisms to list; "
                            "bruteforce_aut_count counts them")
-        chunks.append(codes)
-    codes = np.sort(np.concatenate(chunks))
+        groups.append(group)
     p, n = algebra.field.p, algebra.dim
+    size = p ** n
+
+    def code(c, v):
+        """The matrix with column c the vector v and 0 elsewhere, as the
+        base-p number whose digits are its entries row by row, so that
+        numeric order is the order of residue matrices as tuples."""
+        return sum(v // p ** r % p * p ** (n * (n - r) - 1 - c) for r in range(n))
+
+    codes = []
+    if groups:  # every group completes the same column, so its codes are tabulated once
+        last = groups[0][1]
+        last_codes = range(size) if n == 1 else [code(last, v) for v in range(size)]
+    for t, _, mask in groups:
+        base = sum(code(c, v) for c, v in enumerate(t))
+        codes += map(base.__add__, map(last_codes.__getitem__, _members(mask)))
+    codes.sort()
     # rows are shared tuples built once per distinct row, and zip builds each
     # matrix without an intermediate list: millions of matrices stay cheap
-    rows = codes[:, None] // p ** (n * (n - 1 - np.arange(n))) % p ** n
-    distinct = np.unique(rows)
-    entries = distinct[:, None] // p ** (n - 1 - np.arange(n)) % p
-    row_of = dict(zip(distinct.tolist(), map(tuple, entries.tolist()))).__getitem__
-    return list(zip(*(map(row_of, rows[:, r].tolist()) for r in range(n))))
+    rows = [[c // q % size for c in codes] for q in [p ** (n * (n - 1 - r)) for r in range(n)]]
+    del codes
+    row_of = {x: tuple(x // p ** (n - 1 - c) % p for c in range(n))
+              for x in set().union(*rows)}.__getitem__
+    return list(zip(*(map(row_of, column) for column in rows)))
 
 
 def bruteforce_aut_count(algebra: EvolutionAlgebra) -> int:
     """The number of matrices ``bruteforce_aut`` returns, without building them."""
-    return sum(len(codes) for codes in _oracle_search(algebra))
+    return sum(mask.bit_count() for _, _, mask in _oracle_search(algebra))
 
 
 def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:

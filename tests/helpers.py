@@ -3,6 +3,7 @@ scalar references for the solver's log arithmetic, references for the
 structural predicates and the natural-basis and 2-power-tower oracles, and
 monkeypatch probes into the solver."""
 
+import bisect
 import itertools
 import math
 import os
@@ -303,6 +304,15 @@ def reference_stationary_collapse(field, depth) -> bool:
         if all(chain[i] ** (2 ** (i + 1)) == one for i in range(depth)):
             chains.append(chain)
     return bool(chains) and all(x == one for chain in chains for x in chain[:depth - s])
+
+
+def is_sorted_subset(small, large) -> bool:
+    """set(small) <= set(large) for sorted lists, by binary search in large,
+    without building either set."""
+    def present(x):
+        at = bisect.bisect_left(large, x)
+        return at < len(large) and large[at] == x
+    return all(map(present, small))
 
 
 def count_snf_calls(monkeypatch) -> list:

@@ -466,15 +466,30 @@ def test_oracle_matches_raw_scan_on_zero_algebras(field, n, order):
     assert bruteforce_aut_count(zero_algebra(field, n)) == order
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 40])
-def test_oracle_is_independent_of_its_chunk_size(monkeypatch, chunk):
-    # small chunks split the prefixes of a level, and for n = 1 the vectors too
-    monkeypatch.setattr(autgroup, "ORACLE_CHUNK", chunk)
+def test_oracle_matches_raw_scan_on_edge_cases():
+    # dimension 1, where a vector is its residue and no table is built; the
+    # zero algebra, where every relation reads 0 = 0; and a nilpotent square
     cases = [zero_algebra(PrimeField(101), 1), EvolutionAlgebra.from_squares(F7, [[3]]),
              zero_algebra(F3, 2), three_cycle_algebra(F3),
              EvolutionAlgebra.from_squares(F5, [[0, 0], [2, 0]])]
     for algebra in cases:
         assert_oracle_matches_scan(algebra)
+
+
+def test_oracle_on_dimension_one_over_a_large_field():
+    # p - 1 automorphisms of the zero algebra; sq u = 3*u fixes u
+    field = PrimeField(1000003)
+    assert bruteforce_aut_count(zero_algebra(field, 1)) == field.p - 1
+    loop = EvolutionAlgebra.from_squares(field, [[3]])
+    assert bruteforce_aut_count(loop) == 1
+    assert bruteforce_aut(loop) == [((1,),)]
+
+
+def test_oracle_counts_gl2_of_f97_within_gate():
+    start = time.perf_counter()
+    count = bruteforce_aut_count(zero_algebra(PrimeField(97), 2))
+    assert count == (97**2 - 1) * (97**2 - 97)  # |GL_2(F_97)| = 87,607,296
+    assert time.perf_counter() - start < 30.0
 
 
 def test_oracle_matches_raw_scan_property():
