@@ -466,13 +466,19 @@ def test_oracle_matches_raw_scan_on_zero_algebras(field, n, order):
     assert bruteforce_aut_count(zero_algebra(field, n)) == order
 
 
-def test_oracle_matches_raw_scan_on_edge_cases():
-    # dimension 1, where a vector is its residue and no table is built; the
-    # zero algebra, where every relation reads 0 = 0; and a nilpotent square
-    cases = [zero_algebra(PrimeField(101), 1), EvolutionAlgebra.from_squares(F7, [[3]]),
-             zero_algebra(F3, 2), three_cycle_algebra(F3),
-             EvolutionAlgebra.from_squares(F5, [[0, 0], [2, 0]])]
-    for algebra in cases:
+@pytest.mark.parametrize("cases", [
+    # dimension 1, where a vector is its residue and no table is built
+    pytest.param(lambda: [zero_algebra(PrimeField(101), 1),
+                          EvolutionAlgebra.from_squares(F7, [[3]])], id="dimension-one"),
+    # the zero algebra, where every relation reads 0 = 0
+    pytest.param(lambda: [zero_algebra(F3, 2)], id="zero-algebra"),
+    # relations solved for another column: a 3-cycle and a nilpotent square
+    pytest.param(lambda: [three_cycle_algebra(F3),
+                          EvolutionAlgebra.from_squares(F5, [[0, 0], [2, 0]])],
+                 id="solved-relations"),
+])
+def test_oracle_matches_raw_scan_on_edge_cases(cases):
+    for algebra in cases():
         assert_oracle_matches_scan(algebra)
 
 
