@@ -1,8 +1,9 @@
 """Exact automorphism groups of finite-dimensional evolution algebras.
 
 Core objects: fields and scalars (:mod:`evoaut.scalar`), evolution algebras
-and their structural predicates (:mod:`evoaut.algebra`), the weighted-graph
-correspondence (:mod:`evoaut.wgraph`), monomial constraint systems solved by
+and their structural predicates (:mod:`evoaut.algebra`; an algebra's edge
+list is its associated weighted graph), symmetries of that graph
+(:mod:`evoaut.wgraph`), monomial constraint systems solved by
 integer Smith normal form (:mod:`evoaut.monomial`, :mod:`evoaut.snf`), the
 automorphism-group assembly with brute-force oracles (:mod:`evoaut.autgroup`),
 and truncated inverse limits (:mod:`evoaut.limits`).
@@ -51,14 +52,7 @@ from .monomial import (
 )
 from .scalar import PrimeField, QQ, RationalField, Scalar, dlog, mu_order, nth_roots
 from .snf import SmithDecomposition, smith_normal_form
-from .wgraph import (
-    GraphAutomorphism,
-    WeightedGraph,
-    algebra_to_wgraph,
-    enumerate_graph_automorphisms,
-    tree_of,
-    wgraph_to_algebra,
-)
+from .wgraph import GraphAutomorphism, enumerate_graph_automorphisms, tree_of
 
 __version__ = "1.0.0"
 
@@ -80,8 +74,6 @@ __all__ = [
     "SmithDecomposition",
     "SolutionCoset",
     "TruncatedLimit",
-    "WeightedGraph",
-    "algebra_to_wgraph",
     "assemble_aut",
     "bruteforce_aut",
     "bruteforce_aut_count",
@@ -110,5 +102,4 @@ __all__ = [
     "twisted_system",
     "verify_stationary_collapse",
     "verify_unique_basis_up_to_scaling",
-    "wgraph_to_algebra",
 ]

@@ -53,7 +53,6 @@ from .scalar import PrimeField, Scalar, dlog
 from .wgraph import (
     DEFAULT_VERTEX_CAP,
     GraphAutomorphism,
-    algebra_to_wgraph,
     enumerate_graph_automorphisms,
     is_unweighted_automorphism,
 )
@@ -233,8 +232,7 @@ def twisted_limit(algebra: EvolutionAlgebra, sigma) -> SolutionCoset:
     if isinstance(sigma, GraphAutomorphism):
         sigma = sigma.sigma
     sigma = tuple(sigma)
-    graph = algebra_to_wgraph(algebra)
-    if not is_unweighted_automorphism(graph, sigma):
+    if not is_unweighted_automorphism(algebra, sigma):
         raise NotAGraphAutomorphism(f"{sigma} does not preserve the graph")
     return solve_inhomogeneous(twisted_system(algebra, sigma))
 
@@ -323,8 +321,7 @@ class AutPresentation:
 def assemble_aut(algebra: EvolutionAlgebra,
                  cap: int = DEFAULT_VERTEX_CAP) -> AutPresentation:
     """Enumerate graph symmetries, keep the liftable ones, verify closure."""
-    graph = algebra_to_wgraph(algebra)
-    autos = enumerate_graph_automorphisms(graph, cap)
+    autos = enumerate_graph_automorphisms(algebra, cap)
     decomposition = ExponentDecomposition(diag_system(algebra))
     weights = _edge_weights(algebra)
     lifted = []

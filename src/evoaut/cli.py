@@ -42,7 +42,7 @@ from .limits import (
 )
 from .monomial import enumerate_solutions_bruteforce
 from .scalar import PrimeField
-from .wgraph import DEFAULT_VERTEX_CAP, algebra_to_wgraph, wgraph_to_algebra
+from .wgraph import DEFAULT_VERTEX_CAP
 
 ELEMENT_LISTING_CAP = 256
 
@@ -72,8 +72,7 @@ def _load_algebra(args) -> EvolutionAlgebra:
     default_field = parse_field_tag(args.field) if getattr(args, "field", None) else None
     if detect_format(text) == "algebra":
         return parse_algebra(text)
-    graph = parse_graph(text, default_field=default_field)
-    return wgraph_to_algebra(graph, graph.field)
+    return parse_graph(text, default_field=default_field)
 
 
 def _sigma_text(labels, sigma) -> str:
@@ -335,10 +334,8 @@ def cmd_convert(args) -> str:
     if args.to and args.to == kind:
         raise ParseError(f"input is already a {kind} file")
     if kind == "algebra":
-        algebra = parse_algebra(text)
-        return serialize_graph(algebra_to_wgraph(algebra))
-    graph = parse_graph(text, default_field=default_field)
-    return serialize_algebra(wgraph_to_algebra(graph, graph.field))
+        return serialize_graph(parse_algebra(text))
+    return serialize_algebra(parse_graph(text, default_field=default_field))
 
 
 # -- driver -----------------------------------------------------------------

@@ -8,10 +8,13 @@ input, and the serializers emit a unique canonical form.  An algebra file is
     sq u1 = 1*u1 + 2*u2
 
 with one ``sq`` line per basis element whose square is nonzero.  A graph file
-lists ``vertices`` and one ``edge src -> dst w=<scalar>`` line per edge; the
-leading ``field`` line is optional on input (it may instead be supplied by
-the caller) and always emitted on output.  Structured reports are
-``key = value`` lines under the version tag ``evoaut/1``.
+writes the same algebra as its associated graph: ``vertices`` lists the basis
+and each ``edge src -> dst w=<scalar>`` line says that dst appears in src**2
+with coefficient w.  Both formats parse to an ``EvolutionAlgebra``, and
+``serialize_graph`` writes one edge line per entry of its ``edges``.  The
+leading ``field`` line of a graph file is optional on input (it may instead
+be supplied by the caller) and always emitted on output.  Structured reports
+are ``key = value`` lines under the version tag ``evoaut/1``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .algebra import EvolutionAlgebra
 from .errors import EvoautError, ParseError
 from .monomial import GroupDescription
 from .scalar import Field, PrimeField, QQ, Scalar
-from .wgraph import WeightedGraph
 
 STRUCTURED_FORMAT = "evoaut/1"
 
@@ -153,7 +155,7 @@ def serialize_algebra(algebra: EvolutionAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str, default_field: Field | None = None) -> WeightedGraph:
+def parse_graph(text: str, default_field: Field | None = None) -> EvolutionAlgebra:
     field = None
     vertices = None
     edges: dict[tuple[str, str], tuple[str, int]] = {}
@@ -194,21 +196,20 @@ def parse_graph(text: str, default_field: Field | None = None) -> WeightedGraph:
     if field is None:
         field = default_field if default_field is not None else QQ
     index = {label: i for i, label in enumerate(vertices)}
-    weights = {}
+    n = len(vertices)
+    rows = [[field.zero] * n for _ in range(n)]
     for (src, dst), (literal, line_no) in edges.items():
         w = _parse_scalar(field, literal, line_no)
         if w.is_zero():
             raise ParseError("edge weights must be nonzero", line=line_no)
-        weights[(index[src], index[dst])] = w
-    return WeightedGraph(field, vertices, weights)
+        rows[index[dst]][index[src]] = w
+    return EvolutionAlgebra(field, rows, labels=vertices)
 
 
-def serialize_graph(graph: WeightedGraph) -> str:
-    lines = [f"field {field_tag(graph.field)}",
-             "vertices " + " ".join(graph.vertices)]
-    for src, dst in graph.edges():
-        lines.append(f"edge {graph.vertices[src]} -> {graph.vertices[dst]} "
-                     f"w={graph.weight(src, dst)}")
+def serialize_graph(algebra: EvolutionAlgebra) -> str:
+    labels = algebra.labels
+    lines = [f"field {field_tag(algebra.field)}", "vertices " + " ".join(labels)]
+    lines += [f"edge {labels[i]} -> {labels[j]} w={w}" for i, j, w in algebra.edges]
     return "\n".join(lines) + "\n"
 
 

@@ -1,12 +1,14 @@
-"""Weighted directed graphs and the correspondence with evolution algebras.
+"""Symmetries of the graph associated with an evolution algebra.
 
-A weighted graph stores at most one edge per ordered vertex pair (that is the
-single-edge condition the correspondence needs) and a nonzero weight on each
-edge.  ``algebra_to_wgraph`` and ``wgraph_to_algebra`` are mutually inverse:
-basis element i becomes a vertex, and an edge i -> j of weight w records that
-e_j appears in e_i**2 with coefficient w.  ``enumerate_graph_automorphisms``
-lists the adjacency-preserving permutations by backtracking on a plain
-adjacency table and rechecks each one against the graph.
+The graph of Elduque and Labra has one vertex per basis element and an edge
+i -> j of weight w whenever e_j appears in e_i**2 with coefficient w: at most
+one edge per ordered pair, each of nonzero weight.  That is exactly
+``EvolutionAlgebra.edges``, so the functions here take the algebra and read
+its edge list; a vertex is a basis index, or a label where ``tree_of`` takes
+seeds.  Only adjacency matters here, never weights.
+``enumerate_graph_automorphisms`` lists the adjacency-preserving permutations
+by backtracking on a plain adjacency table and rechecks each one against the
+edge list.
 """
 
 from __future__ import annotations
@@ -14,79 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import EvolutionAlgebra
-from .errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    InvariantViolation,
-    TooLarge,
-    UnknownVertex,
-    ZeroArgument,
-)
-from .scalar import Field, Scalar
+from .errors import DimensionMismatch, InvariantViolation, TooLarge, UnknownVertex
 
 DEFAULT_VERTEX_CAP = 12
 MAX_AUTOMORPHISMS = 100_000
-
-
-class WeightedGraph:
-    def __init__(self, field: Field, vertices, weights: dict):
-        self.field = field
-        self.vertices = tuple(vertices)
-        n = len(self.vertices)
-        if len(set(self.vertices)) != n:
-            raise DimensionMismatch("vertex labels must be distinct")
-        cleaned = {}
-        for (src, dst), w in weights.items():
-            if not (0 <= src < n and 0 <= dst < n):
-                raise UnknownVertex(f"edge ({src}, {dst}) references a missing vertex")
-            w = field.scalar(w)
-            if w.is_zero():
-                raise ZeroArgument(f"edge ({src}, {dst}) has zero weight")
-            cleaned[(src, dst)] = w
-        self.weights = cleaned
-        self._out = {i: tuple(sorted(j for (s, j) in cleaned if s == i)) for i in range(n)}
-        self._in = {i: tuple(sorted(s for (s, j) in cleaned if j == i)) for i in range(n)}
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.weights)
-
-    def weight(self, src: int, dst: int) -> Scalar:
-        return self.weights[(src, dst)]
-
-    def out_neighbors(self, v: int):
-        return self._out[v]
-
-    def in_neighbors(self, v: int):
-        return self._in[v]
-
-    def loop_vertices(self) -> list[int]:
-        return [v for v in range(self.n_vertices) if (v, v) in self.weights]
-
-    def vertex_index(self, vertex) -> int:
-        if isinstance(vertex, int):
-            if not 0 <= vertex < self.n_vertices:
-                raise UnknownVertex(f"vertex index {vertex} out of range")
-            return vertex
-        try:
-            return self.vertices.index(vertex)
-        except ValueError:
-            raise UnknownVertex(f"unknown vertex label {vertex!r}") from None
-
-    def __eq__(self, other):
-        return (isinstance(other, WeightedGraph)
-                and self.field == other.field
-                and self.vertices == other.vertices
-                and self.weights == other.weights)
-
-    def __hash__(self):
-        return hash((self.field, self.vertices, tuple(sorted(self.weights.items(), key=lambda e: e[0]))))
-
-    def __repr__(self):
-        return f"WeightedGraph({self.n_vertices} vertices, {len(self.weights)} edges)"
 
 
 @dataclass(frozen=True)
@@ -117,54 +50,50 @@ class GraphAutomorphism:
         return all(img == i for i, img in enumerate(self.sigma))
 
 
-def algebra_to_wgraph(algebra: EvolutionAlgebra) -> WeightedGraph:
-    """One vertex per basis element; edge i -> j weighted by the coefficient
-    of e_j in e_i**2, whenever that coefficient is nonzero."""
-    weights = {(i, j): w for i, j, w in algebra.edges}
-    return WeightedGraph(algebra.field, algebra.labels, weights)
+def _vertex_index(algebra: EvolutionAlgebra, vertex) -> int:
+    if isinstance(vertex, int):
+        if not 0 <= vertex < algebra.dim:
+            raise UnknownVertex(f"vertex index {vertex} out of range")
+        return vertex
+    try:
+        return algebra.labels.index(vertex)
+    except ValueError:
+        raise UnknownVertex(f"unknown vertex label {vertex!r}") from None
 
 
-def wgraph_to_algebra(graph: WeightedGraph, field: Field) -> EvolutionAlgebra:
-    """Inverse of algebra_to_wgraph; the round trip is the identity."""
-    if graph.field != field:
-        raise FieldMismatch(f"graph weights live in {graph.field}, not {field}")
-    n = graph.n_vertices
-    zero = field.zero
-    rows = [[zero] * n for _ in range(n)]
-    for (src, dst), w in graph.weights.items():
-        rows[dst][src] = w
-    return EvolutionAlgebra(field, rows, labels=graph.vertices)
-
-
-def tree_of(graph: WeightedGraph, seeds) -> frozenset[int]:
-    """All vertices reachable from the seed set by directed paths (seeds included)."""
-    frontier = [graph.vertex_index(s) for s in seeds]
+def tree_of(algebra: EvolutionAlgebra, seeds) -> frozenset[int]:
+    """All vertices reachable from the seeds (labels or indices) by directed
+    paths, seeds included."""
+    successors = [[] for _ in range(algebra.dim)]
+    for u, v, _ in algebra.edges:
+        successors[u].append(v)
+    frontier = [_vertex_index(algebra, s) for s in seeds]
     seen = set(frontier)
     while frontier:
-        v = frontier.pop()
-        for w in graph.out_neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
+        for v in successors[frontier.pop()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
     return frozenset(seen)
 
 
-def is_graph_isomorphism(graph: WeightedGraph, other: WeightedGraph, sigma) -> bool:
+def is_graph_isomorphism(algebra: EvolutionAlgebra, other: EvolutionAlgebra, sigma) -> bool:
     """Adjacency-only isomorphism test between two graphs along sigma: the
     image of the edge set under sigma is the other graph's edge set."""
     sigma = tuple(sigma)
-    n = graph.n_vertices
-    if other.n_vertices != n or sorted(sigma) != list(range(n)):
+    n = algebra.dim
+    if other.dim != n or sorted(sigma) != list(range(n)):
         return False
-    return {(sigma[u], sigma[v]) for u, v in graph.weights} == other.weights.keys()
+    return {(sigma[u], sigma[v]) for u, v, _ in algebra.edges} == \
+        {(u, v) for u, v, _ in other.edges}
 
 
-def is_unweighted_automorphism(graph: WeightedGraph, sigma) -> bool:
+def is_unweighted_automorphism(algebra: EvolutionAlgebra, sigma) -> bool:
     """Does sigma preserve adjacency of the graph (both directions)?"""
-    return is_graph_isomorphism(graph, graph, sigma)
+    return is_graph_isomorphism(algebra, algebra, sigma)
 
 
-def enumerate_graph_automorphisms(graph: WeightedGraph,
+def enumerate_graph_automorphisms(algebra: EvolutionAlgebra,
                                   cap: int = DEFAULT_VERTEX_CAP) -> list[GraphAutomorphism]:
     """All adjacency-preserving permutations, identity first.
 
@@ -172,18 +101,19 @@ def enumerate_graph_automorphisms(graph: WeightedGraph,
     label); candidates are pruned by that same invariant signature, and the
     output is sorted lexicographically by permutation word.  The search reads
     adjacency from a local n x n table, and every permutation it yields is
-    checked once more against the graph itself.  ``MAX_AUTOMORPHISMS``
+    checked once more against the edge list.  ``MAX_AUTOMORPHISMS``
     guards pathological near-symmetric graphs whose group would not fit in
     memory anyway.
     """
-    n = graph.n_vertices
+    n = algebra.dim
     if n > cap:
         raise TooLarge(f"{n} vertices exceeds the enumeration cap of {cap}")
-    adjacent = [[(u, v) in graph.weights for v in range(n)] for u in range(n)]
+    adjacent = [[False] * n for _ in range(n)]
+    for u, v, _ in algebra.edges:
+        adjacent[u][v] = True
     entering = list(zip(*adjacent))
-    signature = [(len(graph.out_neighbors(v)), len(graph.in_neighbors(v)),
-                  adjacent[v][v]) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (signature[v], graph.vertices[v]))
+    signature = [(sum(adjacent[v]), sum(entering[v]), adjacent[v][v]) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (signature[v], algebra.labels[v]))
     candidates = [[w for w in range(n) if signature[w] == signature[v]] for v in range(n)]
     assigned: list[tuple[int, int]] = []
     image = [0] * n
@@ -216,7 +146,7 @@ def enumerate_graph_automorphisms(graph: WeightedGraph,
     backtrack(0)
     sigmas = sorted(found)
     for sigma in sigmas:
-        if not is_unweighted_automorphism(graph, sigma):
+        if not is_unweighted_automorphism(algebra, sigma):
             raise InvariantViolation(f"search produced a non-automorphism {sigma}")
     result = [GraphAutomorphism(sigma) for sigma in sigmas]
     if not result or not result[0].is_identity():

@@ -33,9 +33,10 @@ from evoaut.limits import (
     tate_stationary_index,
     verify_stationary_collapse,
 )
+from evoaut.files import parse_algebra, parse_graph, serialize_algebra, serialize_graph
 from evoaut.monomial import enumerate_solutions_bruteforce, solve_inhomogeneous
 from evoaut.scalar import PrimeField, QQ
-from evoaut.wgraph import algebra_to_wgraph, enumerate_graph_automorphisms, tree_of
+from evoaut.wgraph import enumerate_graph_automorphisms, tree_of
 
 from helpers import (
     F3,
@@ -180,8 +181,7 @@ def test_criterion_07_solver_vs_oracle(corpus):
     for algebra in corpus:
         pres = assemble_aut(algebra)
         lifted_sigmas = {ga.sigma for ga, _ in pres.lifted}
-        graph = algebra_to_wgraph(algebra)
-        for ga in enumerate_graph_automorphisms(graph):
+        for ga in enumerate_graph_automorphisms(algebra):
             coset = solve_inhomogeneous(twisted_system(algebra, ga.sigma))
             brute = enumerate_solutions_bruteforce(twisted_system(algebra, ga.sigma))
             assert coset.elements() == brute
@@ -241,8 +241,6 @@ def test_criterion_08_coset_laws(corpus):
 
 
 def test_criterion_09_functor_round_trip(corpus):
-    from evoaut.wgraph import wgraph_to_algebra
-
     rng = random.Random(101)
     instances = list(corpus)
     while len(instances) < 1000:
@@ -253,13 +251,12 @@ def test_criterion_09_functor_round_trip(corpus):
             instances.append(random_algebra(rng, field, rng.randint(1, 6),
                                             density=rng.choice([0.2, 0.5, 0.8])))
     for algebra in instances:
-        graph = algebra_to_wgraph(algebra)
-        assert wgraph_to_algebra(graph, algebra.field) == algebra
-        assert algebra_to_wgraph(wgraph_to_algebra(graph, algebra.field)) == graph
-        pairs = list(graph.weights)
+        assert parse_graph(serialize_graph(algebra)) == algebra
+        assert parse_algebra(serialize_algebra(algebra)) == algebra
+        pairs = [(u, v) for u, v, _ in algebra.edges]
         assert len(pairs) == len(set(pairs))  # single-edge condition
-        assert all(not w.is_zero() for w in graph.weights.values())
-    report(9, f"algebra <-> weighted-graph round trip is the identity on "
+        assert all(not w.is_zero() for _, _, w in algebra.edges)
+    report(9, f"algebra <-> weighted-graph text round trip is the identity on "
               f"{len(instances)} instances; single-edge condition everywhere")
 
 
@@ -291,11 +288,10 @@ def test_criterion_10_unique_basis(corpus):
 def test_criterion_11_loop_trees_fixed(corpus):
     verified = 0
     for algebra in corpus:
-        graph = algebra_to_wgraph(algebra)
-        loops = graph.loop_vertices()
+        loops = [u for u, v, _ in algebra.edges if u == v]
         if not loops:
             continue
-        fixed = tree_of(graph, loops)
+        fixed = tree_of(algebra, loops)
         one = algebra.field.one
         for vec in diag_coset(algebra).elements():
             for v in fixed:

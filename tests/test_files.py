@@ -41,8 +41,8 @@ def test_sample_files_round_trip():
             algebra = parse_algebra(text)
             assert parse_algebra(serialize_algebra(algebra)) == algebra
         else:
-            graph = parse_graph(text)
-            assert parse_graph(serialize_graph(graph)) == graph
+            algebra = parse_graph(text)
+            assert parse_graph(serialize_graph(algebra)) == algebra
 
 
 def test_parse_algebra_basics():
@@ -81,8 +81,9 @@ def test_parse_algebra_errors_carry_line_numbers():
 
 
 def test_parse_graph_and_sing_condition():
-    g = parse_graph("field F5\nvertices a b\nedge a -> b w=2\n")
-    assert g.edges() == [(0, 1)]
+    a = parse_graph("field F5\nvertices a b\nedge a -> b w=2\n")
+    assert a.edges == ((0, 1, F5.scalar(2)),)
+    assert a.labels == ("a", "b")
     with pytest.raises(ParseError) as err:
         parse_graph("vertices a b\nedge a -> b w=2\nedge a -> b w=3\n")
     assert "duplicate edge" in str(err.value)
