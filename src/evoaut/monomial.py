@@ -197,9 +197,14 @@ class SolutionCoset:
     def elements(self) -> list[tuple[Scalar, ...]]:
         if not self.is_feasible:
             return []
-        out = [tuple(p * h for p, h in zip(self.particular, vec))
-               for vec in self.homogeneous.elements()]
-        return sorted(out, key=_vector_sort_key)
+        return translate(self.particular, self.homogeneous.elements())
+
+
+def translate(particular, vectors) -> list[tuple[Scalar, ...]]:
+    """particular * h for each h in ``vectors``, sorted: the elements of a
+    coset, from its particular solution and the homogeneous group's elements."""
+    out = [tuple(p * h for p, h in zip(particular, vec)) for vec in vectors]
+    return sorted(out, key=_vector_sort_key)
 
 
 def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
@@ -351,29 +356,60 @@ def solve_inhomogeneous(system: MonomialSystem) -> SolutionCoset:
     return ExponentDecomposition(system).solve(system)
 
 
-def enumerate_solutions_bruteforce(system: MonomialSystem) -> list[tuple[Scalar, ...]]:
-    """Oracle: exhaustive scan of (F_p^x)^n for solutions, sorted.
+def bruteforce_solution_sets(systems) -> list[list[tuple[Scalar, ...]]]:
+    """Oracle: the sorted solutions of each system, from one exhaustive scan
+    of (F_p^x)^n.
 
-    Kept deliberately independent of the Smith-normal-form path.
+    The systems share their exponent rows and differ only in their right-hand
+    sides, as an algebra's diagonal and twisted systems do; they may come
+    from a generator, as only their right-hand sides are kept.  Each point is
+    read once, by its vector of row values: a trie over the systems'
+    right-hand sides drops it as soon as no system matches, and otherwise
+    leads to the one list shared by every system with those right-hand sides.
+    So ``BRUTEFORCE_CAP`` bounds the whole scan, whatever the number of
+    systems.  Only the rows and residues mod p are read, never a Smith normal
+    form: the oracle stays independent of the path it checks.
     """
-    field = system.field
+    systems = iter(systems)
+    head = next(systems)
+    field, n = head.field, head.n_vars
     if not isinstance(field, PrimeField):
         raise NotPrimeField("brute-force enumeration needs a finite field")
     p = field.p
-    n = system.n_vars
     if (p - 1) ** n > BRUTEFORCE_CAP:
         raise TooLarge(f"(p-1)^n = {(p - 1) ** n} exceeds the cap {BRUTEFORCE_CAP}")
-    rows = [(exps, rhs.residue) for exps, rhs in system.rows]
-    unit_order = p - 1
-    hits = []
-    for combo in itertools.product(range(1, p), repeat=n):
-        for exps, rhs in rows:
-            acc = 1
-            for x, e in zip(combo, exps):
-                if e:
-                    acc = acc * pow(x, e % unit_order, p) % p
-            if acc != rhs:
+    exponents = [exps for exps, _ in head.rows]
+    keys = []
+    for system in itertools.chain([head], systems):
+        if (system.field, system.n_vars) != (field, n) \
+                or [exps for exps, _ in system.rows] != exponents:
+            raise InvariantViolation("brute-force systems must share their exponent rows")
+        keys.append(tuple(rhs.residue for _, rhs in system.rows))
+    # x**e depends on e mod p - 1 only, as x is a unit
+    rows = [[(v, e % (p - 1)) for v, e in enumerate(exps) if e % (p - 1)] for exps in exponents]
+    trie = {} if rows else []   # row values -> ... -> the list of points
+    hits = {}
+    for key in keys:
+        if key not in hits:
+            node = trie
+            for value in key[:-1]:
+                node = node.setdefault(value, {})
+            hits[key] = node.setdefault(key[-1], []) if key else trie
+    for point in itertools.product(range(1, p), repeat=n):
+        node = trie
+        for factors in rows:
+            value = 1
+            for v, e in factors:
+                value = value * pow(point[v], e, p) % p
+            node = node.get(value)
+            if node is None:
                 break
         else:
-            hits.append(tuple(field.scalar(x) for x in combo))
-    return hits
+            node.append(tuple(map(field.scalar, point)))
+    return [hits[key] for key in keys]
+
+
+def enumerate_solutions_bruteforce(system: MonomialSystem) -> list[tuple[Scalar, ...]]:
+    """Oracle: exhaustive scan of (F_p^x)^n for solutions, sorted; the
+    one-system case of ``bruteforce_solution_sets``."""
+    return bruteforce_solution_sets([system])[0]

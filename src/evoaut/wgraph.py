@@ -145,8 +145,9 @@ def enumerate_graph_automorphisms(algebra: EvolutionAlgebra,
 
     backtrack(0)
     sigmas = sorted(found)
+    edges = {(u, v) for u, v, _ in algebra.edges}
     for sigma in sigmas:
-        if not is_unweighted_automorphism(algebra, sigma):
+        if {(sigma[u], sigma[v]) for u, v in edges} != edges:
             raise InvariantViolation(f"search produced a non-automorphism {sigma}")
     result = [GraphAutomorphism(sigma) for sigma in sigmas]
     if not result or not result[0].is_identity():

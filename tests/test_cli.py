@@ -137,6 +137,21 @@ def test_internal_violation_exit_code(capsys, monkeypatch):
     assert "forced" in capsys.readouterr().err
 
 
+def test_oracle_on_the_six_spoke_star_within_gate(capsys, tmp_path):
+    # one scan of (F_7^x)^7 and one listing of Diag serve all 720 spoke permutations
+    spokes = [f"s{i}" for i in range(1, 7)]
+    path = tmp_path / "star6.alg"
+    path.write_text("field F7\nbasis " + " ".join(spokes) + " w\n"
+                    + "".join(f"sq {s} = 1*w\n" for s in spokes))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "oracle", path)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.startswith("diag solutions: PASS (192 = 192)\n")
+    assert out.count("twisted coset sigma=") == out.count(": PASS (192 = 192)\n") - 1 == 720
+    assert elapsed < 30.0
+
+
 def test_oracle_skips_oversized_matrix_scan(capsys):
     code, out, _ = run(capsys, "oracle", SAMPLES / "cycle_with_ear_f7.alg")
     assert code == 0
@@ -216,6 +231,25 @@ def test_bad_vector_is_a_validation_error(capsys):
     code, _, err = run(capsys, "check", SAMPLES / "char2_equal_squares.alg",
                        "--vector", "1,x,1")
     assert code == 2
+
+
+def test_zero_vector_is_a_validation_error(capsys):
+    code, out, err = run(capsys, "check", SAMPLES / "char2_equal_squares.alg",
+                         "--vector", "0,0,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad --vector '0,0,0': the zero vector is never natural\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cap_below_one_is_a_usage_error(capsys, monkeypatch, value):
+    code, out, err = run(capsys, "aut", SAMPLES / "star_spokes.alg", "--cap", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --cap must be at least 1, got {value}\n"
+    monkeypatch.setenv("EVOAUT_CAP", value)
+    code, out, err = run(capsys, "oracle", SAMPLES / "zero_algebra_n3.alg")
+    assert (code, out) == (2, "")
+    assert err == f"error: EVOAUT_CAP must be at least 1, got {value}\n"
 
 
 def test_cap_exit_code(capsys):

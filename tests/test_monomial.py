@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from evoaut.monomial import (
     ExponentDecomposition,
     GroupDescription,
     MonomialSystem,
+    bruteforce_solution_sets,
     enumerate_solutions_bruteforce,
     power_product,
     solve_homogeneous,
@@ -250,6 +252,28 @@ def test_group_description_orders():
     assert g.concrete_order() == 4 * 2 * 2
     assert GroupDescription(free_rank=1, field=QQ).concrete_order() is None
     assert GroupDescription(free_rank=0, torsion=(2, 6), field=QQ).concrete_order() == 4
+
+
+def test_shared_scan_matches_a_direct_check_of_each_system():
+    rng = random.Random(59)
+    for _ in range(60):
+        field = rng.choice([F3, F5, F7])
+        n = rng.randint(1, 3)
+        base = random_system(rng, field, n, rng.randint(0, 4))
+        systems = [base] + [system(field, n, [(e, rng.randrange(1, field.p)) for e, _ in base.rows])
+                            for _ in range(rng.randint(0, 5))]
+        systems.append(rng.choice(systems))  # equal right-hand sides share one list
+        units = [field.scalar(x) for x in range(1, field.p)]
+        expected = [[x for x in itertools.product(units, repeat=n) if s.satisfied_by(x)]
+                    for s in systems]
+        assert bruteforce_solution_sets(systems) == expected
+
+
+def test_shared_scan_rejects_other_exponent_rows():
+    with pytest.raises(InvariantViolation):
+        bruteforce_solution_sets([system(F7, 5, EAR_ROWS), system(F7, 5, EAR_ROWS[1:])])
+    with pytest.raises(InvariantViolation):
+        bruteforce_solution_sets([system(F7, 5, EAR_ROWS), system(F5, 5, EAR_ROWS)])
 
 
 def test_decomposition_solves_every_right_hand_side():
