@@ -36,7 +36,8 @@ class EvolutionAlgebra:
         if n < 1:
             raise DimensionMismatch("an evolution algebra needs at least one basis element")
         if n > DEFAULT_DIMENSION_CAP:
-            raise TooLarge(f"dimension {n} exceeds the cap of {DEFAULT_DIMENSION_CAP}")
+            raise TooLarge(f"algebra: dimension exceeds the cap {DEFAULT_DIMENSION_CAP} "
+                           f"(dimension {n})")
         matrix = []
         for row in rows:
             if len(row) != n:
@@ -331,7 +332,7 @@ def verify_unique_basis_up_to_scaling(algebra: EvolutionAlgebra) -> bool:
     field = algebra.field
     if not isinstance(field, PrimeField) or field.p > UNIQUE_BASIS_MAX_P \
             or algebra.dim > UNIQUE_BASIS_MAX_DIM:
-        raise TooLarge(f"oracle limited to F_p with p <= {UNIQUE_BASIS_MAX_P} "
-                       f"and dim <= {UNIQUE_BASIS_MAX_DIM}")
+        raise TooLarge(f"algebra: unique-basis oracle limited to p <= {UNIQUE_BASIS_MAX_P} and "
+                       f"dim <= {UNIQUE_BASIS_MAX_DIM} ({field}, dimension {algebra.dim})")
     units = {algebra.basis_vector(i) for i in range(algebra.dim)}
     return all(set(basis) <= units for basis in _natural_bases(algebra))

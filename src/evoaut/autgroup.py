@@ -158,11 +158,9 @@ def compose(f: MonomialAutomorphism, g: MonomialAutomorphism) -> MonomialAutomor
 
 
 def invert(f: MonomialAutomorphism) -> MonomialAutomorphism:
-    inv_sigma = [0] * len(f.sigma)
-    for i, img in enumerate(f.sigma):
-        inv_sigma[img] = i
+    inv_sigma = GraphAutomorphism(f.sigma).inverse().sigma
     scales = tuple(f.scales[inv_sigma[j]].inv() for j in range(len(f.sigma)))
-    return MonomialAutomorphism(f.algebra, tuple(inv_sigma), scales)
+    return MonomialAutomorphism(f.algebra, inv_sigma, scales)
 
 
 def diag_system(algebra: EvolutionAlgebra) -> MonomialSystem:
@@ -177,11 +175,21 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
     is the weight of the image edge sigma(u) -> sigma(v); a loop contributes
     the linear relation x_u == w / w'.  Rows follow the algebra's edge list.
     """
-    field = algebra.field
-    rhs = _twisted_rhs(algebra, _edge_weights(algebra), tuple(sigma))
-    if isinstance(field, PrimeField):
-        rhs = [pow(field.generator, c, field.p) for c in rhs]
-    return _edge_system(algebra, rhs)
+    return _edge_system(algebra, edge_quotients(algebra, tuple(sigma)))
+
+
+def edge_quotients(algebra: EvolutionAlgebra, sigma) -> list:
+    """w(e) / w(sigma e) for every edge e, in edge-list order: over F_p as
+    residues, read off the edge residues with no discrete log; over Q as scalars."""
+    weights = {(u, v): w for u, v, w in algebra.edges}
+    for u, v in weights:
+        if (sigma[u], sigma[v]) not in weights:
+            raise NotAGraphAutomorphism(f"edge {u}->{v} has no image under sigma={sigma}")
+    if not isinstance(algebra.field, PrimeField):
+        return [w / weights[sigma[u], sigma[v]] for (u, v), w in weights.items()]
+    p = algebra.field.p
+    return [w.residue * pow(weights[sigma[u], sigma[v]].residue, -1, p) % p
+            for (u, v), w in weights.items()]
 
 
 def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
@@ -306,16 +314,13 @@ class AutPresentation:
         return None if d is None else d * len(self.lifted)
 
     def monomial_elements(self) -> list[MonomialAutomorphism]:
-        """All of U, element by element; requires a finite diagonal part.
+        """All of U, element by element; an infinite or too large diagonal part is TooLarge.
         d . lift maps e_i to lift.scales[i] * d[sigma(i)] e_sigma(i)."""
-        if self.diag.concrete_order() is None:
-            raise TooLarge("diagonal subgroup is infinite; U cannot be enumerated")
         diag_vectors = self.diag.elements()
-        out = [MonomialAutomorphism(self.algebra, lift.sigma,
-                                    [x * d[s] for x, s in zip(lift.scales, lift.sigma)])
-               for _, lift in self.lifted for d in diag_vectors]
-        out.sort(key=lambda a: a.sort_key())
-        return out
+        return sorted((MonomialAutomorphism(self.algebra, lift.sigma,
+                                            [x * d[s] for x, s in zip(lift.scales, lift.sigma)])
+                       for _, lift in self.lifted for d in diag_vectors),
+                      key=MonomialAutomorphism.sort_key)
 
 
 def assemble_aut(algebra: EvolutionAlgebra,
@@ -375,7 +380,8 @@ def _oracle_search(algebra: EvolutionAlgebra):
     p = algebra.field.p
     n = algebra.dim
     if p ** (n * n) > BRUTEFORCE_MATRIX_CAP:
-        raise TooLarge(f"p^(n^2) = {p ** (n * n)} exceeds the cap {BRUTEFORCE_MATRIX_CAP}")
+        raise TooLarge(f"autgroup: matrix oracle exceeds the cap {BRUTEFORCE_MATRIX_CAP} "
+                       f"(p^(n^2) = {p}^{n * n} = {p ** (n * n)})")
     M = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
     size = p ** n
     full = (1 << size) - 1
@@ -561,8 +567,9 @@ def bruteforce_aut(algebra: EvolutionAlgebra) -> list[tuple[tuple[int, ...], ...
     for group in _oracle_search(algebra):
         total += group[2].bit_count()
         if total > BRUTEFORCE_OUTPUT_CAP:
-            raise TooLarge(f"more than {BRUTEFORCE_OUTPUT_CAP} automorphisms to list; "
-                           "bruteforce_aut_count counts them")
+            raise TooLarge(f"autgroup: more than {BRUTEFORCE_OUTPUT_CAP} automorphisms to list; "
+                           f"bruteforce_aut_count counts them ({algebra.field}, "
+                           f"dimension {algebra.dim})")
         groups.append(group)
     p, n = algebra.field.p, algebra.dim
     size = p ** n

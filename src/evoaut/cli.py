@@ -17,8 +17,8 @@ from .autgroup import (
     assemble_aut,
     bruteforce_aut_count,
     diag_coset,
+    edge_quotients,
     is_automorphism_matrix,
-    twisted_system,
     BRUTEFORCE_MATRIX_CAP,
 )
 from .errors import EvoautError, NotPrimeField, ParseError, TooLarge
@@ -40,7 +40,7 @@ from .limits import (
     tate_stationary_index,
     truncated_chain,
 )
-from .monomial import bruteforce_solution_sets, translate
+from .monomial import bruteforce_solution_sets
 from .scalar import PrimeField
 from .wgraph import DEFAULT_VERTEX_CAP
 
@@ -213,26 +213,26 @@ def cmd_oracle(args) -> str:
     lines = []
     failures = 0
 
-    # each sigma's coset is its lift's scales times Diag, listed once, and one
-    # scan of (F_p^x)^n finds every twisted system's solutions; the identity
-    # comes first, and its twisted system is the diagonal one: every
-    # right-hand side is w(e)/w(e) = 1
-    diag_elements = pres.diag.elements()
-    cosets = [(ga, lift.scales) for ga, lift in pres.lifted] + \
-        [(ga, None) for ga in pres.not_lifted]
-    scans = bruteforce_solution_sets(twisted_system(algebra, ga.sigma) for ga, _ in cosets)
-    for (ga, particular), brute in zip(cosets, scans):
-        structured = [] if particular is None else translate(particular, diag_elements)
+    # in ints mod p: each sigma's coset is its lift's residues times Diag, listed
+    # once, and one scan keyed by w(e) * w(sigma e)^-1 serves every sigma; the
+    # identity comes first, with the all-ones key of the diagonal system
+    p, diag = algebra.field.p, pres.diag.residues()
+    cosets = list(pres.lifted) + [(ga, None) for ga in pres.not_lifted]
+    scans = bruteforce_solution_sets(p, algebra.dim, pres.decomposition.exponents,
+                                     (edge_quotients(algebra, ga.sigma) for ga, _ in cosets))
+    for (ga, lift), brute in zip(cosets, scans):
+        shift = None if lift is None else [x.residue for x in lift.scales]
+        structured = [] if shift is None else sorted(
+            tuple(x * y % p for x, y in zip(shift, vec)) for vec in diag)
         verdict = "PASS" if structured == brute else "FAIL"
-        if verdict == "FAIL":
-            failures += 1
+        failures += verdict == "FAIL"
         if ga.is_identity() and verdict == "PASS":
             lines.append(f"diag solutions: PASS ({len(structured)} = {len(brute)})")
         elif ga.is_identity():
             diff = next(x for x in structured + brute
                         if x not in structured or x not in brute)
             lines.append(f"diag solutions: FAIL (first divergence {_vector_text(diff)})")
-        counts = (f"{len(structured)} = {len(brute)}" if particular is not None
+        counts = (f"{len(structured)} = {len(brute)}" if shift is not None
                   else f"infeasible = {len(brute)} solutions")
         lines.append(f"twisted coset sigma={_vector_text(ga.sigma)}: {verdict} ({counts})")
 
@@ -391,10 +391,7 @@ def main(argv=None) -> int:
     try:
         sys.stdout.write(args.handler(args))
         return 0
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except NotPrimeField as exc:
+    except (ParseError, NotPrimeField) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except TooLarge as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .algebra import EvolutionAlgebra
 from .autgroup import diag_group
 from .errors import DepthTooSmall, EvoautError, NotPrimeField, TooLarge
-from .monomial import GroupDescription, _vector_sort_key
+from .monomial import GroupDescription
 from .scalar import Field, PrimeField, RationalField, Scalar
 
 CHAIN_BUDGET = 10**6
@@ -102,17 +102,17 @@ def truncated_chain(spec: ChainSpec) -> TruncatedLimit:
         raise NotPrimeField("chain enumeration requires a prime field")
     n = spec.depth
     if (field.p - 1) * n > CHAIN_BUDGET:
-        raise TooLarge(f"(p-1)*depth = {(field.p - 1) * n} exceeds the budget {CHAIN_BUDGET}")
+        raise TooLarge(f"limits: chain census exceeds the budget {CHAIN_BUDGET} "
+                       f"((p-1)*depth = {field.p - 1}*{n} = {(field.p - 1) * n})")
     exps = spec.exponents
     chains = []
     for deep in field.nonzero_elements():
         chain = [deep] * n
         for i in range(n - 2, -1, -1):
             chain[i] = chain[i + 1] ** exps[i + 1]
-        if spec.anchor is not None and chain[0] ** exps[0] != spec.anchor:
-            continue
-        chains.append(tuple(chain))
-    chains.sort(key=_vector_sort_key)
+        if spec.anchor is None or chain[0] ** exps[0] == spec.anchor:
+            chains.append(tuple(chain))
+    chains.sort(key=lambda chain: [x.residue for x in chain])
 
     projections = [{chain[i] for chain in chains} for i in range(n)]
     stab = n

@@ -11,19 +11,18 @@ Systems that differ only in their right-hand sides share one
 ``solve`` returns a ``SolutionCoset``, which checks itself against the
 system; ``particular`` is the bare solution, for a caller that checks it.
 
-Over F_p the group F_p^x is cyclic of order m = p - 1, so in discrete-log
-coordinates to the field generator g every relation is a linear congruence
-mod m: ``particular`` reads the right-hand sides as logs, transforms them by
-U as integer dot products, solves d*y == c' (mod m) and maps back through V,
-building scalars only at the end.  Generators of the homogeneous group are
-log vectors l with base g (mod m = p - 1), or with base -1 (mod m = 2) for
-the finite sign part over Q; each is checked against every row as
-sum_v a[v]*l[v] == 0 (mod m) before its scalars base**l are built.  As the
-base has order exactly m, l -> base**l is injective on Z/m, so this is the
-scalar check prod_v x_v**a[v] == 1 itself.  Over Q the sign and each prime
-exponent give integer conditions solved by the same decomposition in
-scalars; free factors stay symbolic (t_1, ..., t_r in Q^x) and only the
-finite sign part is materialized.
+Over F_p everything runs in integers; scalars are built only where a public
+function returns them.  F_p^x is cyclic of order m = p - 1, so in discrete
+logs to the field generator g every relation is a linear congruence mod m:
+``particular`` transforms the right-hand sides' logs by U, solves
+d*y == c' (mod m) and maps back through V.  Homogeneous generators are log
+vectors l with base g mod p - 1 (base -1 mod 2 for the sign part over Q),
+each checked against every row as sum_v a[v]*l[v] == 0 (mod m), which is
+the scalar check itself as the base has order exactly m.  Finite groups,
+their cosets and the brute-force scan are sorted tuples of residues until
+``elements`` or ``enumerate_solutions_bruteforce`` wraps them.  Over Q the
+sign and each prime exponent give integer conditions solved in scalars;
+free factors stay symbolic, and only the finite sign part is listed.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
@@ -123,43 +123,47 @@ class GroupDescription:
 
     def concrete_order(self):
         """Group order over the attached field; None when infinite/symbolic."""
-        if self.symbol is not None or self.field is None:
+        finite = isinstance(self.field, PrimeField)
+        if self.symbol is not None or self.field is None or (self.free_rank and not finite):
             return None
-        if isinstance(self.field, PrimeField):
-            order = (self.field.p - 1) ** self.free_rank
-            for d in self.torsion:
-                order *= math.gcd(d, self.field.p - 1)
-            return order
-        if self.free_rank:
-            return None
-        order = 1
+        order = (self.field.p - 1) ** self.free_rank if finite else 1
         for d in self.torsion:
             order *= mu_order(self.field, d)
         return order
 
+    def residues(self) -> list[tuple[int, ...]]:
+        """The concrete solution group over F_p, sorted, as tuples of residues."""
+        if not isinstance(self.field, PrimeField):
+            raise NotPrimeField("residue tuples exist over F_p only")
+        return self._listing(None)
+
     def elements(self) -> list[tuple[Scalar, ...]]:
         """The concrete solution group, sorted; requires a finite materialization."""
+        return [tuple(map(self.field.scalar, vec)) for vec in self._listing(None)]
+
+    def _listing(self, shift) -> list[tuple]:
+        """shift * g for every g in the group (g itself when ``shift`` is None),
+        sorted, as tuples of residues over F_p and of Fractions over Q.  Each
+        generator adds cosets of what is listed until its powers cycle back."""
         order = self.concrete_order()
         if order is None:
-            raise TooLarge("group is infinite or symbolic; cannot enumerate")
+            raise TooLarge(f"monomial: cannot list an infinite or symbolic group ({self})")
         if order > ENUMERATION_CAP:
-            raise TooLarge(f"group order {order} exceeds the enumeration cap {ENUMERATION_CAP}")
-        one = self.field.one
-        out = set()
-        for powers in itertools.product(*(range(o) for o in self.generator_orders)):
-            vec = [one] * self.n_vars
-            for gen, a in zip(self.generators, powers):
-                if a:
-                    vec = [v * g**a for v, g in zip(vec, gen)]
-            out.add(tuple(vec))
+            raise TooLarge(f"monomial: group order exceeds the listing cap {ENUMERATION_CAP} "
+                           f"(order {order})")
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            value, times = attrgetter("residue"), lambda x, y: x * y % p
+        else:
+            value, times = attrgetter("fraction"), mul
+        out = {tuple(map(value, shift or (self.field.one,) * self.n_vars))}
+        for gen in self.generators:
+            gen, layer = tuple(map(value, gen)), out
+            while layer := {tuple(map(times, vec, gen)) for vec in layer} - out:
+                out |= layer
         if len(out) != order:
-            raise InvariantViolation(
-                f"generated {len(out)} elements, expected order {order}")
-        return sorted(out, key=_vector_sort_key)
-
-
-def _vector_sort_key(vec):
-    return tuple(x.residue if hasattr(x, "residue") else x.fraction for x in vec)
+            raise InvariantViolation(f"generated {len(out)} elements, expected order {order}")
+        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -195,16 +199,11 @@ class SolutionCoset:
         return self.homogeneous.concrete_order()
 
     def elements(self) -> list[tuple[Scalar, ...]]:
+        """The particular solution times each homogeneous element, sorted."""
         if not self.is_feasible:
             return []
-        return translate(self.particular, self.homogeneous.elements())
-
-
-def translate(particular, vectors) -> list[tuple[Scalar, ...]]:
-    """particular * h for each h in ``vectors``, sorted: the elements of a
-    coset, from its particular solution and the homogeneous group's elements."""
-    out = [tuple(p * h for p, h in zip(particular, vec)) for vec in vectors]
-    return sorted(out, key=_vector_sort_key)
+        vectors = self.homogeneous._listing(self.particular)
+        return [tuple(map(self.system.field.scalar, vec)) for vec in vectors]
 
 
 def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
@@ -356,35 +355,23 @@ def solve_inhomogeneous(system: MonomialSystem) -> SolutionCoset:
     return ExponentDecomposition(system).solve(system)
 
 
-def bruteforce_solution_sets(systems) -> list[list[tuple[Scalar, ...]]]:
-    """Oracle: the sorted solutions of each system, from one exhaustive scan
-    of (F_p^x)^n.
+def bruteforce_solution_sets(p: int, n_vars: int, exponents, rights) -> list[list[tuple]]:
+    """Oracle: the solutions in (F_p^x)^n, as sorted lists of residue tuples,
+    of the systems with the exponent rows ``exponents`` and each right-hand
+    side in ``rights`` (residues, one per row; a generator will do).
 
-    The systems share their exponent rows and differ only in their right-hand
-    sides, as an algebra's diagonal and twisted systems do; they may come
-    from a generator, as only their right-hand sides are kept.  Each point is
-    read once, by its vector of row values: a trie over the systems'
-    right-hand sides drops it as soon as no system matches, and otherwise
-    leads to the one list shared by every system with those right-hand sides.
-    So ``BRUTEFORCE_CAP`` bounds the whole scan, whatever the number of
-    systems.  Only the rows and residues mod p are read, never a Smith normal
-    form: the oracle stays independent of the path it checks.
+    One exhaustive scan serves all of them, as it does an algebra's diagonal
+    and twisted systems.  Each point is read once, by its vector of row
+    values: a trie over the right-hand sides drops it as soon as no system
+    matches, and otherwise leads to the one list shared by every system with
+    those right-hand sides.  So ``BRUTEFORCE_CAP`` bounds the whole scan.
+    Only the rows and residues mod p are read, never a Smith normal form:
+    the oracle stays independent of the path it checks.
     """
-    systems = iter(systems)
-    head = next(systems)
-    field, n = head.field, head.n_vars
-    if not isinstance(field, PrimeField):
-        raise NotPrimeField("brute-force enumeration needs a finite field")
-    p = field.p
-    if (p - 1) ** n > BRUTEFORCE_CAP:
-        raise TooLarge(f"(p-1)^n = {(p - 1) ** n} exceeds the cap {BRUTEFORCE_CAP}")
-    exponents = [exps for exps, _ in head.rows]
-    keys = []
-    for system in itertools.chain([head], systems):
-        if (system.field, system.n_vars) != (field, n) \
-                or [exps for exps, _ in system.rows] != exponents:
-            raise InvariantViolation("brute-force systems must share their exponent rows")
-        keys.append(tuple(rhs.residue for _, rhs in system.rows))
+    if (p - 1) ** n_vars > BRUTEFORCE_CAP:
+        raise TooLarge(f"monomial: brute-force scan exceeds the cap {BRUTEFORCE_CAP} "
+                       f"((p-1)^n = {p - 1}^{n_vars} = {(p - 1) ** n_vars})")
+    keys = [tuple(rhs) for rhs in rights]
     # x**e depends on e mod p - 1 only, as x is a unit
     rows = [[(v, e % (p - 1)) for v, e in enumerate(exps) if e % (p - 1)] for exps in exponents]
     trie = {} if rows else []   # row values -> ... -> the list of points
@@ -395,7 +382,7 @@ def bruteforce_solution_sets(systems) -> list[list[tuple[Scalar, ...]]]:
             for value in key[:-1]:
                 node = node.setdefault(value, {})
             hits[key] = node.setdefault(key[-1], []) if key else trie
-    for point in itertools.product(range(1, p), repeat=n):
+    for point in itertools.product(range(1, p), repeat=n_vars):
         node = trie
         for factors in rows:
             value = 1
@@ -405,11 +392,16 @@ def bruteforce_solution_sets(systems) -> list[list[tuple[Scalar, ...]]]:
             if node is None:
                 break
         else:
-            node.append(tuple(map(field.scalar, point)))
+            node.append(point)
     return [hits[key] for key in keys]
 
 
 def enumerate_solutions_bruteforce(system: MonomialSystem) -> list[tuple[Scalar, ...]]:
     """Oracle: exhaustive scan of (F_p^x)^n for solutions, sorted; the
-    one-system case of ``bruteforce_solution_sets``."""
-    return bruteforce_solution_sets([system])[0]
+    one-system case of ``bruteforce_solution_sets``, in scalars."""
+    field = system.field
+    if not isinstance(field, PrimeField):
+        raise NotPrimeField("brute-force enumeration needs a finite field")
+    exponents, rhs = [e for e, _ in system.rows], tuple(c.residue for _, c in system.rows)
+    points = bruteforce_solution_sets(field.p, system.n_vars, exponents, [rhs])[0]
+    return [tuple(map(field.scalar, point)) for point in points]

@@ -107,7 +107,7 @@ def enumerate_graph_automorphisms(algebra: EvolutionAlgebra,
     """
     n = algebra.dim
     if n > cap:
-        raise TooLarge(f"{n} vertices exceeds the enumeration cap of {cap}")
+        raise TooLarge(f"wgraph: vertex count exceeds the enumeration cap {cap} ({n} vertices)")
     adjacent = [[False] * n for _ in range(n)]
     for u, v, _ in algebra.edges:
         adjacent[u][v] = True
@@ -123,7 +123,8 @@ def enumerate_graph_automorphisms(algebra: EvolutionAlgebra,
     def backtrack(k: int):
         if k == n:
             if len(found) >= MAX_AUTOMORPHISMS:
-                raise TooLarge(f"more than {MAX_AUTOMORPHISMS} graph automorphisms")
+                raise TooLarge(f"wgraph: more than {MAX_AUTOMORPHISMS} graph automorphisms "
+                               f"({n} vertices)")
             found.append(tuple(image))
             return
         v = order[k]

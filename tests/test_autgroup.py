@@ -198,6 +198,21 @@ def test_twisted_limit_rejects_non_automorphism():
         twisted_limit(a, (1, 0))
 
 
+def test_edge_quotients_read_the_weights():
+    # the swap of two_loop_algebra, edge by edge: w(e) / w(sigma e), as a
+    # residue over F_7 (2^-1 = 4) and as a rational over Q
+    assert autgroup.edge_quotients(two_loop_algebra(F7), (1, 0)) == [1, 4, 2, 1]
+    assert autgroup.edge_quotients(two_loop_algebra(QQ), (1, 0)) == [1, Fraction(1, 2), 2, 1]
+    assert [c for _, c in autgroup.twisted_system(two_loop_algebra(F7), (1, 0)).rows] == \
+        [F7.one, F7.scalar(4), F7.scalar(2), F7.one]
+    for field in (QQ, F7):  # the loop at e1 has no image under the swap
+        a = EvolutionAlgebra.from_squares(field, [[1, 0], [1, 0]])
+        with pytest.raises(NotAGraphAutomorphism):
+            autgroup.edge_quotients(a, (1, 0))
+        with pytest.raises(NotAGraphAutomorphism):
+            autgroup.twisted_system(a, (1, 0))
+
+
 def test_monomial_automorphism_validation():
     a = two_loop_algebra(QQ)
     with pytest.raises(NotAnAutomorphism):

@@ -137,19 +137,48 @@ def test_internal_violation_exit_code(capsys, monkeypatch):
     assert "forced" in capsys.readouterr().err
 
 
-def test_oracle_on_the_six_spoke_star_within_gate(capsys, tmp_path):
-    # one scan of (F_7^x)^7 and one listing of Diag serve all 720 spoke permutations
-    spokes = [f"s{i}" for i in range(1, 7)]
-    path = tmp_path / "star6.alg"
-    path.write_text("field F7\nbasis " + " ".join(spokes) + " w\n"
-                    + "".join(f"sq {s} = 1*w\n" for s in spokes))
+def star_file(path, p, spokes):
+    """The uniform star over F_p: every spoke squares to the one sink w."""
+    names = [f"s{i}" for i in range(1, spokes + 1)]
+    path.write_text(f"field F{p}\nbasis " + " ".join(names) + " w\n"
+                    + "".join(f"sq {s} = 1*w\n" for s in names))
+    return path
+
+
+@pytest.mark.parametrize("p, spokes, sigmas, diag", [(7, 6, 720, 192), (5, 7, 5040, 256)],
+                         ids=["F7-6-spokes", "F5-7-spokes"])
+def test_oracle_on_a_uniform_star_within_gate(capsys, tmp_path, p, spokes, sigmas, diag):
+    # one scan of (F_p^x)^(spokes + 1) and one listing of Diag serve every
+    # spoke permutation; p^(n^2) is past the matrix oracle's cap
+    path = star_file(tmp_path / "star.alg", p, spokes)
     start = time.perf_counter()
     code, out, _ = run(capsys, "oracle", path)
     elapsed = time.perf_counter() - start
     assert code == 0
-    assert out.startswith("diag solutions: PASS (192 = 192)\n")
-    assert out.count("twisted coset sigma=") == out.count(": PASS (192 = 192)\n") - 1 == 720
+    assert out.startswith(f"diag solutions: PASS ({diag} = {diag})\n")
+    assert out.count("twisted coset sigma=") == \
+        out.count(f": PASS ({diag} = {diag})\n") - 1 == sigmas
+    assert out.endswith("full group oracle: skipped "
+                        f"(p^(n^2) = {p ** ((spokes + 1) ** 2)} exceeds cap)\n")
     assert elapsed < 30.0
+
+
+def test_oracle_reports_a_divergence(capsys, monkeypatch):
+    # a scan that loses one point of the diagonal solutions must fail the
+    # identity's coset and the diagonal check, and exit 4
+    import evoaut.cli as cli_mod
+
+    real = cli_mod.bruteforce_solution_sets
+
+    def lossy(*args):
+        scans = real(*args)
+        return [scans[0][1:]] + scans[1:]
+
+    monkeypatch.setattr(cli_mod, "bruteforce_solution_sets", lossy)
+    code, out, err = run(capsys, "oracle", SAMPLES / "cycle_with_ear_f7.alg")
+    assert (code, out) == (4, "")
+    assert "diag solutions: FAIL (first divergence 1,1,1,1,1)\n" in err
+    assert "twisted coset sigma=0,1,2,3,4: FAIL (3 = 2)\n" in err
 
 
 def test_oracle_skips_oversized_matrix_scan(capsys):
@@ -256,6 +285,17 @@ def test_cap_exit_code(capsys):
     code, _, err = run(capsys, "aut", SAMPLES / "zero_algebra_n3.alg", "--cap", "2")
     assert code == 3
     assert "cap" in err
+
+
+def test_too_many_graph_automorphisms_name_the_layer_and_size(capsys, tmp_path):
+    # 9! spoke permutations pass MAX_AUTOMORPHISMS well inside the vertex cap
+    path = star_file(tmp_path / "star9.alg", 7, 9)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "aut", path)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err == "error: wgraph: more than 100000 graph automorphisms (10 vertices)\n"
+    assert elapsed < 2.0
 
 
 def test_env_cap(capsys, monkeypatch):

@@ -254,6 +254,14 @@ def test_group_description_orders():
     assert GroupDescription(free_rank=0, torsion=(2, 6), field=QQ).concrete_order() == 4
 
 
+def test_group_residues_are_the_elements_residues():
+    group = solve_homogeneous(system(F7, 5, EAR_ROWS))
+    assert group.residues() == [tuple(x.residue for x in vec) for vec in group.elements()]
+    assert group.residues() == [(1, 1, 1, 1, 1), (2, 4, 2, 4, 4), (4, 2, 4, 2, 2)]
+    with pytest.raises(NotPrimeField):
+        solve_homogeneous(system(QQ, 5, EAR_ROWS)).residues()
+
+
 def test_shared_scan_matches_a_direct_check_of_each_system():
     rng = random.Random(59)
     for _ in range(60):
@@ -263,17 +271,11 @@ def test_shared_scan_matches_a_direct_check_of_each_system():
         systems = [base] + [system(field, n, [(e, rng.randrange(1, field.p)) for e, _ in base.rows])
                             for _ in range(rng.randint(0, 5))]
         systems.append(rng.choice(systems))  # equal right-hand sides share one list
-        units = [field.scalar(x) for x in range(1, field.p)]
-        expected = [[x for x in itertools.product(units, repeat=n) if s.satisfied_by(x)]
-                    for s in systems]
-        assert bruteforce_solution_sets(systems) == expected
-
-
-def test_shared_scan_rejects_other_exponent_rows():
-    with pytest.raises(InvariantViolation):
-        bruteforce_solution_sets([system(F7, 5, EAR_ROWS), system(F7, 5, EAR_ROWS[1:])])
-    with pytest.raises(InvariantViolation):
-        bruteforce_solution_sets([system(F7, 5, EAR_ROWS), system(F5, 5, EAR_ROWS)])
+        points = list(itertools.product(range(1, field.p), repeat=n))
+        expected = [[x for x in points if s.satisfied_by(x)] for s in systems]
+        rights = (tuple(c.residue for _, c in s.rows) for s in systems)
+        exponents = [e for e, _ in base.rows]
+        assert bruteforce_solution_sets(field.p, n, exponents, rights) == expected
 
 
 def test_decomposition_solves_every_right_hand_side():
