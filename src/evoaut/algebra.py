@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -22,6 +21,7 @@ from .errors import (
     ZeroVector,
 )
 from .scalar import Field, PrimeField, Scalar
+from .value import Value
 
 DEFAULT_DIMENSION_CAP = 64
 UNIQUE_BASIS_MAX_P = 5     # the unique-basis oracle lists every natural basis:
@@ -252,18 +252,17 @@ def _natural_bases(algebra: EvolutionAlgebra):
     yield from extend((), reps)
 
 
-@dataclass(frozen=True)
-class BasisChange:
+class BasisChange(Value):
     """Permuted scaling: result_i = scales[i] * basis[perm[i]]."""
 
-    perm: tuple[int, ...]
-    scales: tuple[Scalar, ...]
+    __slots__ = ("perm", "scales")
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+    def __init__(self, perm: tuple[int, ...], scales: tuple[Scalar, ...]):
+        if sorted(perm) != list(range(len(perm))):
             raise DimensionMismatch("perm is not a permutation")
-        if any(k.is_zero() for k in self.scales):
+        if any(k.is_zero() for k in scales):
             raise ZeroVector("basis-change scales must be nonzero")
+        self.perm, self.scales = perm, scales
 
     def apply(self, basis) -> tuple[Vector, ...]:
         return tuple(vec_scale(self.scales[i], basis[self.perm[i]])

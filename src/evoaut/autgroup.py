@@ -28,7 +28,6 @@ column is counted by popcount and never listed unless asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, product
 from operator import add, itemgetter, mul, not_
 
@@ -50,6 +49,7 @@ from .monomial import (
     solve_inhomogeneous,
 )
 from .scalar import PrimeField, Scalar, dlog
+from .value import Value
 from .wgraph import (
     DEFAULT_VERTEX_CAP,
     GraphAutomorphism,
@@ -175,21 +175,35 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
     is the weight of the image edge sigma(u) -> sigma(v); a loop contributes
     the linear relation x_u == w / w'.  Rows follow the algebra's edge list.
     """
-    return _edge_system(algebra, edge_quotients(algebra, tuple(sigma)))
+    return _edge_system(algebra, edge_quotients(algebra)(tuple(sigma)))
 
 
-def edge_quotients(algebra: EvolutionAlgebra, sigma) -> list:
-    """w(e) / w(sigma e) for every edge e, in edge-list order: over F_p as
-    residues, read off the edge residues with no discrete log; over Q as scalars."""
-    weights = {(u, v): w for u, v, w in algebra.edges}
+def edge_quotients(algebra: EvolutionAlgebra):
+    """The map sigma -> [w(e) / w(sigma e) for every edge e, in edge-list
+    order]: over F_p as residues, from the edge residues and their inverses,
+    taken once here, with no discrete log; over Q as scalars."""
+    if not isinstance(algebra.field, PrimeField):
+        weights = {(u, v): w for u, v, w in algebra.edges}
+
+        def quotients(sigma) -> list:
+            _check_images(weights, sigma)
+            return [w / weights[sigma[u], sigma[v]] for (u, v), w in weights.items()]
+        return quotients
+    p = algebra.field.p
+    weights = {(u, v): w.residue for u, v, w in algebra.edges}
+    inverses = {e: pow(w, -1, p) for e, w in weights.items()}
+
+    def residues(sigma) -> list:
+        _check_images(weights, sigma)
+        return [w * inverses[sigma[u], sigma[v]] % p for (u, v), w in weights.items()]
+    return residues
+
+
+def _check_images(weights: dict, sigma):
+    """Raise NotAGraphAutomorphism unless sigma maps every edge onto an edge."""
     for u, v in weights:
         if (sigma[u], sigma[v]) not in weights:
             raise NotAGraphAutomorphism(f"edge {u}->{v} has no image under sigma={sigma}")
-    if not isinstance(algebra.field, PrimeField):
-        return [w / weights[sigma[u], sigma[v]] for (u, v), w in weights.items()]
-    p = algebra.field.p
-    return [w.residue * pow(weights[sigma[u], sigma[v]].residue, -1, p) % p
-            for (u, v), w in weights.items()]
 
 
 def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
@@ -216,9 +230,7 @@ def _twisted_rhs(algebra: EvolutionAlgebra, weights: dict, sigma) -> list:
     """w(e) / w(sigma e) for every edge e, in edge-list order, from the
     weights ``_edge_weights`` took once: over F_p the difference of their
     logs mod p - 1, over Q their quotient."""
-    for u, v in weights:
-        if (sigma[u], sigma[v]) not in weights:
-            raise NotAGraphAutomorphism(f"edge {u}->{v} has no image under sigma={sigma}")
+    _check_images(weights, sigma)
     if isinstance(algebra.field, PrimeField):
         m = algebra.field.p - 1
         return [(w - weights[sigma[u], sigma[v]]) % m for (u, v), w in weights.items()]
@@ -253,8 +265,7 @@ def coset_automorphisms(algebra: EvolutionAlgebra, sigma,
     return [MonomialAutomorphism(algebra, sigma, xs) for xs in coset.elements()]
 
 
-@dataclass(frozen=True)
-class AutPresentation:
+class AutPresentation(Value):
     """Assembled description of the basis-monomial automorphism group U.
 
     ``decomposition`` solves the diagonal and every twisted system; ``diag`` is
@@ -266,23 +277,21 @@ class AutPresentation:
     matrix is invertible, so that U is all of Aut(A); otherwise U may be proper.
     """
 
-    algebra: EvolutionAlgebra
-    decomposition: ExponentDecomposition
-    lifted: tuple[tuple[GraphAutomorphism, MonomialAutomorphism], ...]
-    not_lifted: tuple[GraphAutomorphism, ...]
-    full_automorphism_group: bool
+    __slots__ = ("algebra", "decomposition", "lifted", "not_lifted", "full_automorphism_group")
 
-    def __post_init__(self):
-        for ga, particular in self.lifted:
+    def __init__(self, algebra: EvolutionAlgebra, decomposition: ExponentDecomposition,
+                 lifted: tuple[tuple[GraphAutomorphism, MonomialAutomorphism], ...],
+                 not_lifted: tuple[GraphAutomorphism, ...], full_automorphism_group: bool):
+        for ga, particular in lifted:
             if ga.sigma != particular.sigma:
                 raise InvariantViolation("lift does not project back onto its sigma")
         # breadth-first closure under greedily picked generators, on the sigma tuples;
         # each new generator at least doubles it, so this costs at most
         # 2 * |lifted| * |generators| compositions
-        allowed = {ga.sigma for ga, _ in self.lifted}
-        reached = {tuple(range(self.algebra.dim))}
+        allowed = {ga.sigma for ga, _ in lifted}
+        reached = {tuple(range(algebra.dim))}
         generators = []   # itemgetter(*s)(x) is x after s; n >= 2 here, so it is a tuple
-        for g, _ in self.lifted:
+        for g, _ in lifted:
             if g.sigma not in reached:
                 generators.append(itemgetter(*g.sigma))
                 queue = list(reached)
@@ -294,6 +303,9 @@ class AutPresentation:
                     queue += new
         if reached != allowed:
             raise InvariantViolation("lifted sigmas do not form a group")
+        self.algebra, self.decomposition = algebra, decomposition
+        self.lifted, self.not_lifted = lifted, not_lifted
+        self.full_automorphism_group = full_automorphism_group
 
     @property
     def diag(self) -> GroupDescription:

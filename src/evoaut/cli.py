@@ -218,8 +218,9 @@ def cmd_oracle(args) -> str:
     # identity comes first, with the all-ones key of the diagonal system
     p, diag = algebra.field.p, pres.diag.residues()
     cosets = list(pres.lifted) + [(ga, None) for ga in pres.not_lifted]
+    quotients = edge_quotients(algebra)
     scans = bruteforce_solution_sets(p, algebra.dim, pres.decomposition.exponents,
-                                     (edge_quotients(algebra, ga.sigma) for ga, _ in cosets))
+                                     (quotients(ga.sigma) for ga, _ in cosets))
     for (ga, lift), brute in zip(cosets, scans):
         shift = None if lift is None else [x.residue for x in lift.scales]
         structured = [] if shift is None else sorted(

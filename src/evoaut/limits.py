@@ -15,13 +15,12 @@ cyclotomic extension of Q) are handled symbolically with the answer Z_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import EvolutionAlgebra
 from .autgroup import diag_group
 from .errors import DepthTooSmall, EvoautError, NotPrimeField, TooLarge
 from .monomial import GroupDescription
 from .scalar import Field, PrimeField, RationalField, Scalar
+from .value import Value
 
 CHAIN_BUDGET = 10**6
 
@@ -39,31 +38,27 @@ def two_adic_valuation(m: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Value):
     """Exponent sequence of a truncated power-map chain, with optional anchor."""
 
-    field: Field
-    exponents: tuple[int, ...]
-    anchor: Scalar | None = None
+    __slots__ = ("field", "exponents", "anchor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if not self.exponents or any(e < 1 for e in self.exponents):
+    def __init__(self, field: Field, exponents: tuple[int, ...], anchor: Scalar | None = None):
+        exponents = tuple(int(e) for e in exponents)
+        if not exponents or any(e < 1 for e in exponents):
             raise ValueError("exponents must be a nonempty sequence of positive integers")
-        if self.anchor is not None:
-            anchor = self.field.scalar(self.anchor)
+        if anchor is not None:
+            anchor = field.scalar(anchor)
             if anchor.is_zero():
                 raise EvoautError("anchor must be a unit")
-            object.__setattr__(self, "anchor", anchor)
+        self.field, self.exponents, self.anchor = field, exponents, anchor
 
     @property
     def depth(self) -> int:
         return len(self.exponents)
 
 
-@dataclass(frozen=True)
-class TruncatedLimit:
+class TruncatedLimit(Value):
     """All compatible tuples at a fixed depth, plus the stabilization depth.
 
     ``stabilization_depth`` is the smallest 1-based index s such that the
@@ -71,20 +66,20 @@ class TruncatedLimit:
     window; depth itself when the sets never settle earlier.
     """
 
-    spec: ChainSpec
-    tuples: tuple[tuple[Scalar, ...], ...]
-    stabilization_depth: int
+    __slots__ = ("spec", "tuples", "stabilization_depth")
 
-    def __post_init__(self):
-        exps = self.spec.exponents
-        for chain in self.tuples:
-            if len(chain) != self.spec.depth:
+    def __init__(self, spec: ChainSpec, tuples: tuple[tuple[Scalar, ...], ...],
+                 stabilization_depth: int):
+        exps = spec.exponents
+        for chain in tuples:
+            if len(chain) != spec.depth:
                 raise EvoautError("tuple depth mismatch")
             for i in range(len(chain) - 1):
                 if chain[i + 1] ** exps[i + 1] != chain[i]:
                     raise EvoautError(f"chain {chain} breaks compatibility at index {i}")
-            if self.spec.anchor is not None and chain[0] ** exps[0] != self.spec.anchor:
+            if spec.anchor is not None and chain[0] ** exps[0] != spec.anchor:
                 raise EvoautError(f"chain {chain} violates the anchor condition")
+        self.spec, self.tuples, self.stabilization_depth = spec, tuples, stabilization_depth
 
     @property
     def depth(self) -> int:

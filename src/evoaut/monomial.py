@@ -29,39 +29,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
 from .snf import SparseMatrix, identity, smith_normal_form
+from .value import Value
 
 ENUMERATION_CAP = 10**6
 BRUTEFORCE_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class MonomialSystem:
+class MonomialSystem(Value):
     """Rows (a, c) encode the relations prod_v x_v**a[v] == c, c in K^x."""
 
-    field: Field
-    n_vars: int
-    rows: tuple[tuple[tuple[int, ...], Scalar], ...]
+    __slots__ = ("field", "n_vars", "rows")
 
-    def __post_init__(self):
-        if self.n_vars < 0:
+    def __init__(self, field: Field, n_vars: int,
+                 rows: tuple[tuple[tuple[int, ...], Scalar], ...]):
+        if n_vars < 0:
             raise ValueError("variable count must be nonnegative")
         frozen = []
-        for exps, rhs in self.rows:
+        for exps, rhs in rows:
             exps = tuple(int(e) for e in exps)
-            if len(exps) != self.n_vars:
-                raise ValueError(f"exponent row {exps} does not have {self.n_vars} entries")
-            rhs = self.field.scalar(rhs)
+            if len(exps) != n_vars:
+                raise ValueError(f"exponent row {exps} does not have {n_vars} entries")
+            rhs = field.scalar(rhs)
             if rhs.is_zero():
                 raise ZeroArgument("monomial relations cannot have zero right-hand side")
             frozen.append((exps, rhs))
-        object.__setattr__(self, "rows", tuple(frozen))
+        self.field, self.n_vars, self.rows = field, n_vars, tuple(frozen)
 
     def satisfied_by(self, xs) -> bool:
         xs = [self.field.scalar(x) for x in xs]
@@ -77,8 +75,7 @@ def power_product(field: Field, xs, exps) -> Scalar:
     return acc
 
 
-@dataclass(frozen=True)
-class GroupDescription:
+class GroupDescription(Value):
     """Abstract shape (K^x)^r x prod mu_{d_i}(K), optionally materialized.
 
     ``torsion`` holds the nontrivial invariant factors in divisibility order.
@@ -89,24 +86,24 @@ class GroupDescription:
     such as Z_2.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-    field: Field | None = None
-    generators: tuple[tuple[Scalar, ...], ...] = ()
-    generator_orders: tuple[int, ...] = ()
-    symbol: str | None = None
-    n_vars: int = 0
+    __slots__ = ("free_rank", "torsion", "field", "generators", "generator_orders", "symbol",
+                 "n_vars")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = (), field: Field | None = None,
+                 generators: tuple[tuple[Scalar, ...], ...] = (),
+                 generator_orders: tuple[int, ...] = (), symbol: str | None = None,
+                 n_vars: int = 0):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for k in range(len(self.torsion)):
-            if self.torsion[k] < 2:
-                raise InvariantViolation(f"torsion entry {self.torsion[k]} < 2")
-            if k and self.torsion[k] % self.torsion[k - 1]:
-                raise InvariantViolation(f"torsion {self.torsion} breaks the divisibility chain")
-        if len(self.generators) != len(self.generator_orders):
+        for k in range(len(torsion)):
+            if torsion[k] < 2:
+                raise InvariantViolation(f"torsion entry {torsion[k]} < 2")
+            if k and torsion[k] % torsion[k - 1]:
+                raise InvariantViolation(f"torsion {torsion} breaks the divisibility chain")
+        if len(generators) != len(generator_orders):
             raise InvariantViolation("generators and orders must be parallel")
+        self.free_rank, self.torsion, self.field, self.n_vars = free_rank, torsion, field, n_vars
+        self.generators, self.generator_orders, self.symbol = generators, generator_orders, symbol
 
     def describe(self) -> str:
         if self.symbol is not None:
@@ -166,27 +163,26 @@ class GroupDescription:
         return sorted(out)
 
 
-@dataclass(frozen=True)
-class SolutionCoset:
+class SolutionCoset(Value):
     """Solutions of an inhomogeneous system: particular * homogeneous group.
 
     ``particular`` is None exactly when the system is infeasible; the
-    homogeneous description is meaningful either way.  Construction checks
+    homogeneous description is meaningful either way.  ``__init__`` checks
     ``particular`` against every relation, so each ``solve`` is certified.
     """
 
-    system: MonomialSystem
-    particular: tuple[Scalar, ...] | None
-    homogeneous: GroupDescription
+    __slots__ = ("system", "particular", "homogeneous")
 
-    def __post_init__(self):
-        if self.particular is not None:
-            if len(self.particular) != self.system.n_vars:
+    def __init__(self, system: MonomialSystem, particular: tuple[Scalar, ...] | None,
+                 homogeneous: GroupDescription):
+        if particular is not None:
+            if len(particular) != system.n_vars:
                 raise InvariantViolation("particular solution has the wrong length")
-            if any(x.is_zero() for x in self.particular):
+            if any(x.is_zero() for x in particular):
                 raise InvariantViolation("particular solution must lie in (K^x)^n")
-            if not self.system.satisfied_by(self.particular):
+            if not system.satisfied_by(particular):
                 raise InvariantViolation("particular solution fails the system")
+        self.system, self.particular, self.homogeneous = system, particular, homogeneous
 
     @property
     def is_feasible(self) -> bool:

@@ -18,9 +18,9 @@ unknowns and stays dense.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
 
 from .errors import InvariantViolation
+from .value import Value
 
 Matrix = list[list[int]]
 
@@ -86,29 +86,24 @@ def is_inverse(t: SparseMatrix, t_inv_t: SparseMatrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Value):
     """U @ matrix @ V == D with U, V unimodular and D = diag(d_1 | d_2 | ...).
 
     ``U`` is a ``SparseMatrix`` (dense rows given to the constructor are
     converted); ``V`` and ``D`` are dense.  ``U_inv_t`` and ``V_inv_t`` are
     the transposed integer inverses of the transforms, dense or as sparse
-    rows: the certificate that U and V are unimodular.  Construction checks
+    rows: the certificate that U and V are unimodular.  ``__init__`` checks
     them with the other invariants and does not keep them.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
-    U: SparseMatrix
-    D: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-    U_inv_t: InitVar[Matrix]
-    V_inv_t: InitVar[Matrix]
-    rank: int = field(init=False)
+    __slots__ = ("matrix", "U", "D", "V", "rank")
 
-    def __post_init__(self, U_inv_t, V_inv_t):
-        if not isinstance(self.U, SparseMatrix):
-            object.__setattr__(self, "U", SparseMatrix(self.U))
-        object.__setattr__(self, "rank", sum(1 for d in self.diagonal() if d != 0))
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], U: SparseMatrix,
+                 D: tuple[tuple[int, ...], ...], V: tuple[tuple[int, ...], ...],
+                 U_inv_t: Matrix, V_inv_t: Matrix):
+        self.matrix, self.D, self.V = matrix, D, V
+        self.U = U if isinstance(U, SparseMatrix) else SparseMatrix(U)
+        self.rank = sum(1 for d in self.diagonal() if d != 0)
         self._verify(U_inv_t, V_inv_t)
 
     def diagonal(self) -> list[int]:

@@ -13,24 +13,23 @@ edge list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import EvolutionAlgebra
 from .errors import DimensionMismatch, InvariantViolation, TooLarge, UnknownVertex
+from .value import Value
 
 DEFAULT_VERTEX_CAP = 12
 MAX_AUTOMORPHISMS = 100_000
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
+class GraphAutomorphism(Value):
     """Adjacency-preserving vertex permutation; weights are not consulted."""
 
-    sigma: tuple[int, ...]
+    __slots__ = ("sigma",)
 
-    def __post_init__(self):
-        if sorted(self.sigma) != list(range(len(self.sigma))):
+    def __init__(self, sigma: tuple[int, ...]):
+        if sorted(sigma) != list(range(len(sigma))):
             raise DimensionMismatch("sigma is not a permutation")
+        self.sigma = sigma
 
     def __call__(self, v: int) -> int:
         return self.sigma[v]

@@ -396,6 +396,22 @@ def test_cli_runs_without_numpy():
         assert done.stdout == golden[f"{command} samples/zero_algebra_n3.alg"]["stdout"]
 
 
+@pytest.mark.parametrize("code", [
+    "import evoaut.cli",
+    "runpy.run_module('evoaut.cli', run_name='__main__', alter_sys=True)",  # python -m evoaut.cli
+], ids=["import", "run-module"])
+def test_cli_loads_neither_dataclasses_nor_inspect(code):
+    # the interpreter writes the names in sys.modules to stderr as it exits
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: sys.stderr.write(' '.join(sys.modules)))\n" + code)
+    done = run_python(["-c", script, "diag", "samples/star_spokes.alg"], timeout=30,
+                      cwd=SAMPLES.parent)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stderr.split())
+    assert "evoaut.autgroup" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+
 LARGE_PRIME_Q = ("field Q\nbasis u1 u2\n"
                  "sq u1 = 1*u1 + 1000000000000000003*u2\nsq u2 = 1*u2\n")
 
