@@ -7,14 +7,14 @@ exactly when the twisted system x_u**2 / x_v == w(u,v) / w(sigma u, sigma v)
 is solvable; the union of all lifted cosets is a group, a semidirect product
 of the diagonal subgroup by the lifted graph symmetries.  The systems are
 read off the algebra's edge list and share one exponent decomposition per
-algebra; closure is checked by generators, on the permutation tuples.  Over
-F_p the per-symmetry work runs in integer coordinates: the edge weights are
-taken as discrete logs once per algebra, each sigma's right-hand sides are
-differences of logs mod p - 1, and ``ExponentDecomposition.particular``
-solves in logs, building scalars only for its answer.  Each lift is checked
-once, by the ``MonomialAutomorphism`` built from it, on residues mod p: that
-check is the twisted system itself, so ``assemble_aut`` builds no
-``SolutionCoset`` to repeat it.
+algebra; closure is checked by generators, on the permutation tuples.  Every
+sigma's right-hand sides come from ``edge_quotients``, over F_p as residues
+w(e) * w(sigma e)**-1 mod p; ``ExponentDecomposition.particular`` takes
+their discrete logs, each once per algebra, solves in logs and builds scalars
+only for its answer.  Each lift is checked once, by the
+``MonomialAutomorphism`` built from it, on residues mod p: that check is the
+twisted system itself, so ``assemble_aut`` builds no ``SolutionCoset`` to
+repeat it.
 
 ``bruteforce_aut`` is the independent oracle: it finds every invertible
 algebra homomorphism over F_p from the definition alone, assigning the image
@@ -41,6 +41,7 @@ from .errors import (
     TooLarge,
 )
 from .monomial import (
+    ENUMERATION_CAP,
     ExponentDecomposition,
     GroupDescription,
     MonomialSystem,
@@ -48,7 +49,7 @@ from .monomial import (
     solve_homogeneous,
     solve_inhomogeneous,
 )
-from .scalar import PrimeField, Scalar, dlog
+from .scalar import PrimeField, Scalar
 from .value import Value
 from .wgraph import (
     DEFAULT_VERTEX_CAP,
@@ -58,7 +59,6 @@ from .wgraph import (
 )
 
 BRUTEFORCE_MATRIX_CAP = 10**8
-BRUTEFORCE_OUTPUT_CAP = 2 * 10**6  # matrices bruteforce_aut returns, ~150 bytes each
 
 
 class MonomialAutomorphism:
@@ -180,30 +180,35 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
 
 def edge_quotients(algebra: EvolutionAlgebra):
     """The map sigma -> [w(e) / w(sigma e) for every edge e, in edge-list
-    order]: over F_p as residues, from the edge residues and their inverses,
-    taken once here, with no discrete log; over Q as scalars."""
+    order], the right-hand sides of sigma's twisted system for the solver,
+    ``twisted_system`` and the oracle alike: over F_p as residues, from the
+    edge residues and their inverses, taken once here, with no discrete log;
+    over Q as scalars."""
     if not isinstance(algebra.field, PrimeField):
         weights = {(u, v): w for u, v, w in algebra.edges}
 
         def quotients(sigma) -> list:
-            _check_images(weights, sigma)
-            return [w / weights[sigma[u], sigma[v]] for (u, v), w in weights.items()]
+            try:
+                return [w / weights[sigma[u], sigma[v]] for (u, v), w in weights.items()]
+            except KeyError:   # an edge has no image
+                raise _no_image(weights, sigma) from None
         return quotients
     p = algebra.field.p
     weights = {(u, v): w.residue for u, v, w in algebra.edges}
     inverses = {e: pow(w, -1, p) for e, w in weights.items()}
 
     def residues(sigma) -> list:
-        _check_images(weights, sigma)
-        return [w * inverses[sigma[u], sigma[v]] % p for (u, v), w in weights.items()]
+        try:
+            return [w * inverses[sigma[u], sigma[v]] % p for (u, v), w in weights.items()]
+        except KeyError:   # an edge has no image
+            raise _no_image(weights, sigma) from None
     return residues
 
 
-def _check_images(weights: dict, sigma):
-    """Raise NotAGraphAutomorphism unless sigma maps every edge onto an edge."""
-    for u, v in weights:
-        if (sigma[u], sigma[v]) not in weights:
-            raise NotAGraphAutomorphism(f"edge {u}->{v} has no image under sigma={sigma}")
+def _no_image(weights: dict, sigma) -> NotAGraphAutomorphism:
+    """The error for a sigma that maps an edge onto a non-edge, naming the first."""
+    u, v = next((u, v) for u, v in weights if (sigma[u], sigma[v]) not in weights)
+    return NotAGraphAutomorphism(f"edge {u}->{v} has no image under sigma={sigma}")
 
 
 def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
@@ -215,26 +220,6 @@ def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
         exps[v] -= 1
         rows.append((tuple(exps), c))
     return MonomialSystem(algebra.field, algebra.dim, tuple(rows))
-
-
-def _edge_weights(algebra: EvolutionAlgebra) -> dict:
-    """{(u, v): w(u -> v)} in edge-list order, each weight as
-    ``ExponentDecomposition.particular`` reads a right-hand side: its
-    discrete log over F_p, the scalar itself over Q."""
-    if isinstance(algebra.field, PrimeField):
-        return {(u, v): dlog(algebra.field, w) for u, v, w in algebra.edges}
-    return {(u, v): w for u, v, w in algebra.edges}
-
-
-def _twisted_rhs(algebra: EvolutionAlgebra, weights: dict, sigma) -> list:
-    """w(e) / w(sigma e) for every edge e, in edge-list order, from the
-    weights ``_edge_weights`` took once: over F_p the difference of their
-    logs mod p - 1, over Q their quotient."""
-    _check_images(weights, sigma)
-    if isinstance(algebra.field, PrimeField):
-        m = algebra.field.p - 1
-        return [(w - weights[sigma[u], sigma[v]]) % m for (u, v), w in weights.items()]
-    return [w / weights[sigma[u], sigma[v]] for (u, v), w in weights.items()]
 
 
 def diag_group(algebra: EvolutionAlgebra) -> GroupDescription:
@@ -340,11 +325,11 @@ def assemble_aut(algebra: EvolutionAlgebra,
     """Enumerate graph symmetries, keep the liftable ones, verify closure."""
     autos = enumerate_graph_automorphisms(algebra, cap)
     decomposition = ExponentDecomposition(diag_system(algebra))
-    weights = _edge_weights(algebra)
+    quotients = edge_quotients(algebra)
     lifted = []
     not_lifted = []
     for ga in autos:
-        scales = decomposition.particular(_twisted_rhs(algebra, weights, ga.sigma))
+        scales = decomposition.particular(quotients(ga.sigma))
         if scales is not None:
             lifted.append((ga, MonomialAutomorphism(algebra, ga.sigma, scales)))
         else:
@@ -571,15 +556,15 @@ def bruteforce_aut(algebra: EvolutionAlgebra) -> list[tuple[tuple[int, ...], ...
     returns residue matrices in sorted order.  Deliberately ignorant of the
     monomial structure theory it validates.  ``BRUTEFORCE_MATRIX_CAP`` bounds
     p^(n^2).  The search yields the matrices that share all columns but one
-    as one bitset, counted by popcount, so past ``BRUTEFORCE_OUTPUT_CAP``
-    matrices it stops with TooLarge before any is built;
-    ``bruteforce_aut_count`` counts without that cap.
+    as one bitset, counted by popcount, so past ``ENUMERATION_CAP``
+    matrices, the listing cap of every group, it stops with TooLarge before
+    any is built; ``bruteforce_aut_count`` counts without that cap.
     """
     groups, total = [], 0
     for group in _oracle_search(algebra):
         total += group[2].bit_count()
-        if total > BRUTEFORCE_OUTPUT_CAP:
-            raise TooLarge(f"autgroup: more than {BRUTEFORCE_OUTPUT_CAP} automorphisms to list; "
+        if total > ENUMERATION_CAP:
+            raise TooLarge(f"autgroup: more than {ENUMERATION_CAP} automorphisms to list; "
                            f"bruteforce_aut_count counts them ({algebra.field}, "
                            f"dimension {algebra.dim})")
         groups.append(group)

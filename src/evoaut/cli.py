@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Subcommands: diag, aut, check, oracle, tate, chain, convert.  Reports are
-byte-deterministic for a fixed input and flag set; ``--structured`` switches
-to the ``evoaut/1`` key-value format.  Exit codes: 0 success, 2 parse or
-validation failure, 3 resource cap exceeded, 4 internal invariant violation.
+byte-deterministic for a fixed input and flag set; on diag, aut, check, tate
+and chain ``--structured`` switches to the ``evoaut/1`` key-value format.
+Exit codes: 0 success, 2 parse or validation failure, 3 resource cap
+exceeded, 4 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .algebra import EvolutionAlgebra, Naturality, is_natural_vector
@@ -40,7 +40,7 @@ from .limits import (
     tate_stationary_index,
     truncated_chain,
 )
-from .monomial import bruteforce_solution_sets
+from .monomial import bruteforce_solution_sets, check_scan_cap
 from .scalar import PrimeField
 from .wgraph import DEFAULT_VERTEX_CAP
 
@@ -48,19 +48,11 @@ ELEMENT_LISTING_CAP = 256
 
 
 def _resource_cap(args) -> int:
-    if args.cap is not None:
-        cap, source = args.cap, "--cap"
-    else:
-        env = os.environ.get("EVOAUT_CAP")
-        if env is None:
-            return DEFAULT_VERTEX_CAP
-        try:
-            cap, source = int(env), "EVOAUT_CAP"
-        except ValueError as exc:
-            raise ParseError(f"EVOAUT_CAP must be an integer, got {env!r}") from exc
-    if cap < 1:
-        raise ParseError(f"{source} must be at least 1, got {cap}")
-    return cap
+    if args.cap is None:
+        return DEFAULT_VERTEX_CAP
+    if args.cap < 1:
+        raise ParseError(f"--cap must be at least 1, got {args.cap}")
+    return args.cap
 
 
 def _read_file(path: str) -> str:
@@ -209,7 +201,9 @@ def cmd_oracle(args) -> str:
     algebra = _load_algebra(args)
     if not isinstance(algebra.field, PrimeField):
         raise NotPrimeField("the oracle command needs a finite field (F_p input)")
-    pres = assemble_aut(algebra, cap=_resource_cap(args))
+    cap = _resource_cap(args)
+    check_scan_cap(algebra.field.p, algebra.dim)  # before the symmetries are listed
+    pres = assemble_aut(algebra, cap=cap)
     lines = []
     failures = 0
 
@@ -338,10 +332,7 @@ def cmd_chain(args) -> str:
 def cmd_convert(args) -> str:
     text = _read_file(args.file)
     default_field = parse_field_tag(args.field) if args.field else None
-    kind = detect_format(text)
-    if args.to and args.to == kind:
-        raise ParseError(f"input is already a {kind} file")
-    if kind == "algebra":
+    if detect_format(text) == "algebra":
         return serialize_graph(parse_algebra(text))
     return serialize_algebra(parse_graph(text, default_field=default_field))
 
@@ -360,12 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="algebra or graph input file")
         p.add_argument("--field", help="field tag (F<p> or Q; graph-file default "
                                        "or tate/chain field)")
-        p.add_argument("--structured", action="store_true",
-                       help=f"emit the {STRUCTURED_FORMAT} key-value format")
         p.set_defaults(handler=handler)
         return p
 
-    add("diag", cmd_diag, True, "diagonal automorphism group")
+    diag = add("diag", cmd_diag, True, "diagonal automorphism group")
     aut = add("aut", cmd_aut, True, "full monomial automorphism presentation")
     check = add("check", cmd_check, True, "structural predicate report")
     check.add_argument("--vector", action="append",
@@ -373,16 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = add("oracle", cmd_oracle, True, "brute-force cross-check report")
     for p in (aut, oracle):  # the two commands that enumerate graph symmetries
         p.add_argument("--cap", type=int, help="override the graph enumeration cap "
-                                               f"(default {DEFAULT_VERTEX_CAP}; "
-                                               "env EVOAUT_CAP)")
-    add("tate", cmd_tate, False, "2-power inverse limit of roots of unity")
+                                               f"(default {DEFAULT_VERTEX_CAP})")
+    tate = add("tate", cmd_tate, False, "2-power inverse limit of roots of unity")
     chain = add("chain", cmd_chain, False, "truncated power-map chain census")
     chain.add_argument("--exp", help="comma-separated exponent sequence")
     chain.add_argument("--depth", type=int, help="chain depth (with a single --exp)")
     chain.add_argument("--anchor", help="anchor value for x_1**n_1")
-    convert = add("convert", cmd_convert, True, "algebra <-> graph conversion")
-    convert.add_argument("--to", choices=("algebra", "graph"),
-                         help="target format (default: the other one)")
+    add("convert", cmd_convert, True, "algebra <-> graph conversion")
+    for p in (diag, aut, check, tate, chain):  # the commands with a structured report
+        p.add_argument("--structured", action="store_true",
+                       help=f"emit the {STRUCTURED_FORMAT} key-value format")
     return parser
 
 

@@ -14,15 +14,18 @@ system; ``particular`` is the bare solution, for a caller that checks it.
 Over F_p everything runs in integers; scalars are built only where a public
 function returns them.  F_p^x is cyclic of order m = p - 1, so in discrete
 logs to the field generator g every relation is a linear congruence mod m:
-``particular`` transforms the right-hand sides' logs by U, solves
-d*y == c' (mod m) and maps back through V.  Homogeneous generators are log
-vectors l with base g mod p - 1 (base -1 mod 2 for the sign part over Q),
-each checked against every row as sum_v a[v]*l[v] == 0 (mod m), which is
-the scalar check itself as the base has order exactly m.  Finite groups,
-their cosets and the brute-force scan are sorted tuples of residues until
-``elements`` or ``enumerate_solutions_bruteforce`` wraps them.  Over Q the
-sign and each prime exponent give integer conditions solved in scalars;
-free factors stay symbolic, and only the finite sign part is listed.
+``particular`` takes residue right-hand sides, looks up their logs (each
+taken once per decomposition; log 1 = 0 is known, so an all-ones system
+takes none), transforms them by U, solves d*y == c' (mod m) and maps back
+through V.  It is the one place here that takes a discrete log.
+Homogeneous generators are log vectors l with base g mod p - 1 (base -1
+mod 2 for the sign part over Q), each checked against every row as
+sum_v a[v]*l[v] == 0 (mod m), which is the scalar check itself as the base
+has order exactly m.  Finite groups, their cosets and the brute-force scan
+are sorted tuples of residues until ``elements`` or
+``enumerate_solutions_bruteforce`` wraps them.  Over Q the sign and each
+prime exponent give integer conditions solved in scalars; free factors stay
+symbolic, and only the finite sign part is listed.
 """
 
 from __future__ import annotations
@@ -256,6 +259,7 @@ class ExponentDecomposition:
             generator_orders=tuple(orders), n_vars=n)
         self._roots: dict[tuple[int, int], int | None] = {}
         self._powers: dict[int, Scalar] = {}
+        self._logs: dict[int, int] = {1: 0}   # residue -> its discrete log, over F_p
 
     def solve(self, system: MonomialSystem) -> SolutionCoset:
         """Solution coset of a system with this exponent matrix (Infeasible is a value),
@@ -263,16 +267,15 @@ class ExponentDecomposition:
         if (system.field, system.n_vars) != (self.field, self.n_vars) \
                 or tuple(exps for exps, _ in system.rows) != self.exponents:
             raise InvariantViolation("system's exponent rows differ from the decomposition's")
-        rhs = [c for _, c in system.rows]
-        if isinstance(self.field, PrimeField):
-            rhs = [dlog(self.field, c) for c in rhs]
+        finite = isinstance(self.field, PrimeField)
+        rhs = [c.residue if finite else c for _, c in system.rows]
         return SolutionCoset(system=system, particular=self.particular(rhs),
                              homogeneous=self.homogeneous)
 
     def particular(self, rhs) -> tuple[Scalar, ...] | None:
         """The canonical solution for right-hand sides ``rhs`` (one per exponent
         row, in row order), or None when there is none.  Over F_p ``rhs``
-        holds their discrete logs, over Q the scalars.  Unchecked: ``solve``
+        holds their residues, over Q the scalars.  Unchecked: ``solve``
         certifies it, and a caller that uses it directly checks it itself.
 
         The right-hand sides are transformed by U; the system is solvable iff
@@ -280,17 +283,20 @@ class ExponentDecomposition:
         d-th root in the field.  The canonical particular solution takes, per
         diagonal equation, the root 1 when available and the canonically
         smallest root otherwise, then maps back through V.  Over F_p all of
-        this is integer arithmetic mod p - 1, and the root chosen for each
+        this is integer arithmetic mod p - 1 on the residues' discrete logs,
+        each taken once per decomposition, and the root chosen for each
         (d, c') is kept for the next call.
         """
         if not isinstance(self.field, PrimeField):
             return self._particular_rational(rhs)
-        m, roots = self.modulus, self._roots
+        m, roots, logs = self.modulus, self._roots, self._logs
+        for r in set(rhs).difference(logs):
+            logs[r] = dlog(self.field, r)
         xs = [0] * self.n_vars
         for k, u_row in enumerate(self.U.rows):
             c = 0
             for j, e in u_row:
-                c += e * rhs[j]
+                c += e * logs[rhs[j]]
             c %= m
             if not c:
                 continue   # the root 1, log 0, adds nothing below
@@ -351,6 +357,13 @@ def solve_inhomogeneous(system: MonomialSystem) -> SolutionCoset:
     return ExponentDecomposition(system).solve(system)
 
 
+def check_scan_cap(p: int, n_vars: int) -> None:
+    """TooLarge when the scan of (F_p^x)^n passes ``BRUTEFORCE_CAP`` points."""
+    if (p - 1) ** n_vars > BRUTEFORCE_CAP:
+        raise TooLarge(f"monomial: brute-force scan exceeds the cap {BRUTEFORCE_CAP} "
+                       f"((p-1)^n = {p - 1}^{n_vars} = {(p - 1) ** n_vars})")
+
+
 def bruteforce_solution_sets(p: int, n_vars: int, exponents, rights) -> list[list[tuple]]:
     """Oracle: the solutions in (F_p^x)^n, as sorted lists of residue tuples,
     of the systems with the exponent rows ``exponents`` and each right-hand
@@ -364,9 +377,7 @@ def bruteforce_solution_sets(p: int, n_vars: int, exponents, rights) -> list[lis
     Only the rows and residues mod p are read, never a Smith normal form:
     the oracle stays independent of the path it checks.
     """
-    if (p - 1) ** n_vars > BRUTEFORCE_CAP:
-        raise TooLarge(f"monomial: brute-force scan exceeds the cap {BRUTEFORCE_CAP} "
-                       f"((p-1)^n = {p - 1}^{n_vars} = {(p - 1) ** n_vars})")
+    check_scan_cap(p, n_vars)
     keys = [tuple(rhs) for rhs in rights]
     # x**e depends on e mod p - 1 only, as x is a unit
     rows = [[(v, e % (p - 1)) for v, e in enumerate(exps) if e % (p - 1)] for exps in exponents]

@@ -3,7 +3,6 @@ scalar references for the solver's log arithmetic, references for the
 structural predicates and the natural-basis and 2-power-tower oracles, and
 monkeypatch probes into the solver."""
 
-import bisect
 import itertools
 import math
 import os
@@ -306,15 +305,6 @@ def reference_stationary_collapse(field, depth) -> bool:
     return bool(chains) and all(x == one for chain in chains for x in chain[:depth - s])
 
 
-def is_sorted_subset(small, large) -> bool:
-    """set(small) <= set(large) for sorted lists, by binary search in large,
-    without building either set."""
-    def present(x):
-        at = bisect.bisect_left(large, x)
-        return at < len(large) and large[at] == x
-    return all(map(present, small))
-
-
 def count_snf_calls(monkeypatch) -> list:
     """Record the row count of every Smith normal form the solver runs."""
     calls = []
@@ -332,21 +322,25 @@ def drop_lift(monkeypatch, dropped):
     """Make the canonical solution of one sigma's twisted right-hand sides
     report infeasible."""
     marked = []
-    real_rhs = autgroup._twisted_rhs
+    real_quotients = autgroup.edge_quotients
     real_particular = monomial.ExponentDecomposition.particular
 
-    def twisted_rhs(algebra, weights, sigma):
-        rhs = real_rhs(algebra, weights, sigma)
-        if tuple(sigma) == dropped:
-            marked.append(rhs)
-        return rhs
+    def edge_quotients(algebra):
+        quotients = real_quotients(algebra)
+
+        def marking(sigma):
+            rhs = quotients(sigma)
+            if tuple(sigma) == dropped:
+                marked.append(rhs)
+            return rhs
+        return marking
 
     def particular(self, rhs):
         if any(rhs is m for m in marked):
             return None
         return real_particular(self, rhs)
 
-    monkeypatch.setattr(autgroup, "_twisted_rhs", twisted_rhs)
+    monkeypatch.setattr(autgroup, "edge_quotients", edge_quotients)
     monkeypatch.setattr(monomial.ExponentDecomposition, "particular", particular)
 
 

@@ -16,6 +16,7 @@ from evoaut.autgroup import (
     BRUTEFORCE_MATRIX_CAP,
     assemble_aut,
     bruteforce_aut,
+    bruteforce_aut_count,
     compose,
     coset_automorphisms,
     diag_coset,
@@ -43,7 +44,6 @@ from helpers import (
     F5,
     F7,
     ear_algebra,
-    is_sorted_subset,
     random_algebra,
     random_rational_algebra,
     three_cycle_algebra,
@@ -188,17 +188,19 @@ def test_criterion_07_solver_vs_oracle(corpus):
             assert coset.is_feasible == (ga.sigma in lifted_sigmas)
             checked_sigmas += 1
         elements = pres.monomial_elements()
-        assert all(is_automorphism_matrix(algebra, f.residue_matrix())
-                   for f in elements)
+        assembled = {f.residue_matrix() for f in elements}
+        assert len(assembled) == len(elements)
+        assert all(is_automorphism_matrix(algebra, rows) for rows in assembled)
         total = algebra.field.p ** (algebra.dim ** 2)
         if total <= MATRIX_ORACLE_BUDGET:
+            # distinct automorphisms, at most as many as the oracle counts: as a
+            # set they lie inside its answer, and are all of it when as many
             matrix_oracle_runs += 1
-            brute_matrices = bruteforce_aut(algebra)
-            assembled = sorted(f.residue_matrix() for f in elements)
-            assert is_sorted_subset(assembled, brute_matrices)
+            count = bruteforce_aut_count(algebra)
+            assert len(assembled) <= count
             if pres.full_automorphism_group:
                 equality_runs += 1
-                assert assembled == brute_matrices
+                assert len(assembled) == count
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(7, f"{len(corpus)} random algebras, {checked_sigmas} twisted cosets "

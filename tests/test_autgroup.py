@@ -33,7 +33,7 @@ from evoaut.errors import (
 )
 from evoaut.monomial import ExponentDecomposition, GroupDescription, MonomialSystem
 from evoaut.scalar import PrimeField, QQ
-from evoaut.wgraph import tree_of
+from evoaut.wgraph import enumerate_graph_automorphisms, tree_of
 
 from helpers import (
     F2,
@@ -213,6 +213,34 @@ def test_edge_quotients_read_the_weights():
             autgroup.twisted_system(a, (1, 0))
 
 
+def test_edge_quotients_match_the_structure_matrix(corpus):
+    # for every graph symmetry, quotient k times the weight of the image of
+    # edge k is the weight of edge k, read off the structure matrix; edges
+    # come in the order (u, v) by u, then v
+    sigmas = 0
+    for algebra in corpus:
+        p, n, entry = algebra.field.p, algebra.dim, algebra.entry
+        edges = [(u, v) for u in range(n) for v in range(n) if not entry(v, u).is_zero()]
+        quotients = autgroup.edge_quotients(algebra)
+        for ga in enumerate_graph_automorphisms(algebra):
+            s, q = ga.sigma, quotients(ga.sigma)
+            assert len(q) == len(edges)
+            assert all(q[k] * entry(s[v], s[u]).residue % p == entry(v, u).residue
+                       for k, (u, v) in enumerate(edges))
+            sigmas += 1
+    assert sigmas > len(corpus)
+
+
+def test_diag_of_the_largest_field_prime_takes_no_discrete_log():
+    # the all-ones right-hand side has the known log 0, so the baby-step
+    # table of about sqrt(p) = 46,341 entries is never built
+    field = PrimeField(2147483647)
+    algebra = EvolutionAlgebra.from_squares(field, [[0, 3], [5, 0]])
+    coset = diag_coset(algebra)
+    assert coset.count() == 3
+    assert field._baby is None
+
+
 def test_monomial_automorphism_validation():
     a = two_loop_algebra(QQ)
     with pytest.raises(NotAnAutomorphism):
@@ -273,14 +301,14 @@ def test_lift_check_matches_the_dense_reference():
     def check(case):
         algebra, random_scales = case
         decomposition = ExponentDecomposition(diag_system(algebra))
-        weights = autgroup._edge_weights(algebra)
+        quotients = autgroup.edge_quotients(algebra)
         sigmas = list(itertools.permutations(range(algebra.dim)))
         # every sigma is tried with the random scales and with the lift of every
         # sigma that lifts, its own included
         candidates = [random_scales]
         for sigma in sigmas:
             try:
-                lift = decomposition.particular(autgroup._twisted_rhs(algebra, weights, sigma))
+                lift = decomposition.particular(quotients(sigma))
             except NotAGraphAutomorphism:
                 continue
             if lift is not None:
@@ -299,7 +327,7 @@ F683 = PrimeField(683)   # p - 1 = 2 * 11 * 31
 
 
 def test_log_arithmetic_matches_the_scalar_reference():
-    """particular (through solve and through _twisted_rhs) and the homogeneous
+    """particular (through solve and through edge_quotients) and the homogeneous
     generators, computed in log coordinates, against the scalar references."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -344,7 +372,7 @@ def test_log_arithmetic_matches_the_scalar_reference():
         if sigma is not None:
             rhs = [w / algebra.entry(sigma[v], sigma[u]) for u, v, w in algebra.edges]
             assert [c for _, c in autgroup.twisted_system(algebra, sigma).rows] == rhs
-            twisted = autgroup._twisted_rhs(algebra, autgroup._edge_weights(algebra), sigma)
+            twisted = autgroup.edge_quotients(algebra)(sigma)
             assert decomposition.particular(twisted) == scalar_particular(decomposition, rhs)
         expected = scalar_particular(decomposition, rhs)
         system = MonomialSystem(algebra.field, algebra.dim,
@@ -449,16 +477,15 @@ def test_bruteforce_aut_examples():
         bruteforce_aut(two_loop_algebra(QQ))
 
 
-def test_bruteforce_aut_stops_past_its_output_cap(monkeypatch):
+def test_bruteforce_aut_stops_past_its_output_cap():
     # p^(n^2) = 7^9 is inside the matrix cap, but the list of all
     # |GL_3(F_7)| = 33,784,128 automorphisms would take about 5 GB
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="automorphisms to list"):
         bruteforce_aut(zero_algebra(F7, 3))
     assert time.perf_counter() - start < 20.0
-    # under a cap below |GL_3(F_5)| = 1,488,000 the F_5 zero algebra stops
-    # the same way, and counting it is not capped
-    monkeypatch.setattr(autgroup, "BRUTEFORCE_OUTPUT_CAP", 10**6)
+    # |GL_3(F_5)| = 1,488,000 is past the listing cap of 10^6, so the F_5
+    # zero algebra stops the same way, and counting it is not capped
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="automorphisms to list"):
         bruteforce_aut(zero_algebra(F5, 3))

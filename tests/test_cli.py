@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from evoaut.cli import main
-from evoaut.files import group_from_structured, parse_algebra, parse_structured
+from evoaut.files import group_from_structured, parse_algebra, parse_structured, serialize_algebra
 from evoaut.scalar import PrimeField
 
-from helpers import count_snf_calls, drop_lift, run_python
+from helpers import count_snf_calls, drop_lift, run_python, two_cycles_algebra
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -271,14 +271,10 @@ def test_zero_vector_is_a_validation_error(capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_cap_below_one_is_a_usage_error(capsys, monkeypatch, value):
+def test_cap_below_one_is_a_usage_error(capsys, value):
     code, out, err = run(capsys, "aut", SAMPLES / "star_spokes.alg", "--cap", value)
     assert (code, out) == (2, "")
     assert err == f"error: --cap must be at least 1, got {value}\n"
-    monkeypatch.setenv("EVOAUT_CAP", value)
-    code, out, err = run(capsys, "oracle", SAMPLES / "zero_algebra_n3.alg")
-    assert (code, out) == (2, "")
-    assert err == f"error: EVOAUT_CAP must be at least 1, got {value}\n"
 
 
 def test_cap_exit_code(capsys):
@@ -298,34 +294,44 @@ def test_too_many_graph_automorphisms_name_the_layer_and_size(capsys, tmp_path):
     assert elapsed < 2.0
 
 
-def test_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("EVOAUT_CAP", "2")
-    code, _, _ = run(capsys, "aut", SAMPLES / "zero_algebra_n3.alg")
-    assert code == 3
-    # the explicit flag overrides the environment
-    code, _, _ = run(capsys, "aut", SAMPLES / "zero_algebra_n3.alg", "--cap", "12")
-    assert code == 0
-
-
-@pytest.mark.parametrize("argv", [
-    ("diag", SAMPLES / "zero_algebra_n3.alg"),
-    ("check", SAMPLES / "zero_algebra_n3.alg"),
-    ("convert", SAMPLES / "zero_algebra_n3.alg"),
-    ("tate", "--field", "F13"),
-    ("chain", "--field", "F7", "--exp", "2,2", "--anchor", "1"),
+@pytest.mark.parametrize("argv", [  # (command, flag)
+    (("diag", SAMPLES / "zero_algebra_n3.alg"), ("--cap", "1")),
+    (("check", SAMPLES / "zero_algebra_n3.alg"), ("--cap", "1")),
+    (("convert", SAMPLES / "zero_algebra_n3.alg"), ("--cap", "1")),
+    (("tate", "--field", "F13"), ("--cap", "1")),
+    (("chain", "--field", "F7", "--exp", "2,2", "--anchor", "1"), ("--cap", "1")),
+    (("oracle", SAMPLES / "zero_algebra_n3.alg"), ("--structured",)),
+    (("convert", SAMPLES / "zero_algebra_n3.alg"), ("--structured",)),
 ])
 def test_cap_is_a_usage_error_where_nothing_reads_it(capsys, argv):
-    # only aut and oracle enumerate graph symmetries
+    # only aut and oracle enumerate graph symmetries, and only diag, aut,
+    # check, tate and chain have a structured report
+    command, flag = argv
     with pytest.raises(SystemExit) as exc:
-        main([str(a) for a in argv] + ["--cap", "1"])
+        main([str(a) for a in command + flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_oracle_reads_cap(capsys):
     code, _, err = run(capsys, "oracle", SAMPLES / "zero_algebra_n3.alg", "--cap", "2")
     assert code == 3
     assert "cap" in err
+
+
+def test_oracle_refuses_an_oversized_scan_before_it_assembles(capsys, tmp_path):
+    # Aut(graph) of six disjoint 2-cycles has 46,080 symmetries, all inside
+    # the vertex cap; (p-1)^n = 6^12 is past the scan cap, so oracle refuses
+    # before it lists them
+    path = tmp_path / "cycles.alg"
+    path.write_text(serialize_algebra(two_cycles_algebra(PrimeField(7), 6)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", path)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err == ("error: monomial: brute-force scan exceeds the cap 10000000 "
+                   "((p-1)^n = 6^12 = 2176782336)\n")
+    assert elapsed < 0.5
 
 
 def test_structured_output_round_trips(capsys):

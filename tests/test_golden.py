@@ -1,9 +1,11 @@
 """CLI output pinned byte for byte against a checked-in fixture.
 
 ``golden/cli_outputs.json`` holds the stdout and the exit code of ``diag``,
-``aut``, ``check``, ``oracle`` and ``convert``, plain and ``--structured``,
-for every file in ``samples/``.  Internal rewrites must leave every entry
-unchanged; a deliberate change of output regenerates the fixture with
+``aut``, ``check``, ``oracle`` and ``convert`` for every file in
+``samples/``, and of the first three with ``--structured`` as well.
+``oracle`` and ``convert`` have no structured report, so the flag is a usage
+error there (exit 2, nothing on stdout).  Internal rewrites must leave every
+entry unchanged; a deliberate change of output regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -22,19 +24,31 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
 FIXTURE = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 COMMANDS = ("diag", "aut", "check", "oracle", "convert")
+STRUCTURED = ("diag", "aut", "check")
+USAGE_ERROR = {"exit": 2, "stdout": ""}
 
 
 def golden_cases() -> list[tuple[str, ...]]:
     return [(command, f"samples/{path.name}") + flags
             for path in sorted(SAMPLES.iterdir())
             for command in COMMANDS
-            for flags in ((), ("--structured",))]
+            for flags in ((), ("--structured",))
+            if not flags or command in STRUCTURED]
+
+
+def refused_cases() -> list[tuple[str, ...]]:
+    return [(command, f"samples/{path.name}", "--structured")
+            for path in sorted(SAMPLES.iterdir())
+            for command in COMMANDS if command not in STRUCTURED]
 
 
 def run_case(argv) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([str(ROOT / a) if a.startswith("samples/") else a for a in argv])
+        try:
+            code = main([str(ROOT / a) if a.startswith("samples/") else a for a in argv])
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
     return {"exit": code, "stdout": out.getvalue()}
 
 
@@ -46,9 +60,10 @@ def test_fixture_covers_every_case():
     assert sorted(load_fixture()) == sorted(" ".join(c) for c in golden_cases())
 
 
-@pytest.mark.parametrize("argv", golden_cases(), ids=" ".join)
+@pytest.mark.parametrize("argv", golden_cases() + refused_cases(), ids=" ".join)
 def test_cli_output_matches_golden(argv):
-    assert run_case(argv) == load_fixture()[" ".join(argv)]
+    expected = USAGE_ERROR if argv in refused_cases() else load_fixture()[" ".join(argv)]
+    assert run_case(argv) == expected
 
 
 if __name__ == "__main__":
