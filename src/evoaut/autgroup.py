@@ -52,7 +52,6 @@ from .monomial import (
 from .scalar import PrimeField, Scalar
 from .value import Value
 from .wgraph import (
-    DEFAULT_VERTEX_CAP,
     GraphAutomorphism,
     enumerate_graph_automorphisms,
     is_unweighted_automorphism,
@@ -320,10 +319,9 @@ class AutPresentation(Value):
                       key=MonomialAutomorphism.sort_key)
 
 
-def assemble_aut(algebra: EvolutionAlgebra,
-                 cap: int = DEFAULT_VERTEX_CAP) -> AutPresentation:
+def assemble_aut(algebra: EvolutionAlgebra) -> AutPresentation:
     """Enumerate graph symmetries, keep the liftable ones, verify closure."""
-    autos = enumerate_graph_automorphisms(algebra, cap)
+    autos = enumerate_graph_automorphisms(algebra)
     decomposition = ExponentDecomposition(diag_system(algebra))
     quotients = edge_quotients(algebra)
     lifted = []

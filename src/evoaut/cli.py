@@ -36,23 +36,15 @@ from .files import (
 from .limits import (
     ChainSpec,
     SYMBOLIC_TATE_FIELDS,
+    check_chain_budget,
     tate_module_2,
     tate_stationary_index,
     truncated_chain,
 )
 from .monomial import bruteforce_solution_sets, check_scan_cap
 from .scalar import PrimeField
-from .wgraph import DEFAULT_VERTEX_CAP
 
 ELEMENT_LISTING_CAP = 256
-
-
-def _resource_cap(args) -> int:
-    if args.cap is None:
-        return DEFAULT_VERTEX_CAP
-    if args.cap < 1:
-        raise ParseError(f"--cap must be at least 1, got {args.cap}")
-    return args.cap
 
 
 def _read_file(path: str) -> str:
@@ -63,12 +55,13 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_algebra(args) -> EvolutionAlgebra:
+def _load_algebra(args) -> tuple[EvolutionAlgebra, str]:
+    """The input file's algebra and its format, ``algebra`` or ``graph``."""
     text = _read_file(args.file)
-    default_field = parse_field_tag(args.field) if getattr(args, "field", None) else None
-    if detect_format(text) == "algebra":
-        return parse_algebra(text)
-    return parse_graph(text, default_field=default_field)
+    default_field = parse_field_tag(args.field) if args.field else None
+    if (fmt := detect_format(text)) == "algebra":
+        return parse_algebra(text), fmt
+    return parse_graph(text, default_field=default_field), fmt
 
 
 def _sigma_text(labels, sigma) -> str:
@@ -84,11 +77,7 @@ def _vector_text(vec) -> str:
 
 
 def _group_pairs(prefix: str, group) -> list[tuple[str, str]]:
-    pairs = [(prefix, group.describe())]
-    if group.symbol is not None:
-        pairs.append(("symbol", group.symbol))
-        return pairs
-    pairs.append((f"{prefix}_free_rank", str(group.free_rank)))
+    pairs = [(prefix, group.describe()), (f"{prefix}_free_rank", str(group.free_rank))]
     if group.torsion:
         pairs.append((f"{prefix}_torsion", ",".join(str(d) for d in group.torsion)))
     order = group.concrete_order()
@@ -99,7 +88,7 @@ def _group_pairs(prefix: str, group) -> list[tuple[str, str]]:
 # -- diag -----------------------------------------------------------------
 
 def cmd_diag(args) -> str:
-    algebra = _load_algebra(args)
+    algebra, _ = _load_algebra(args)
     coset = diag_coset(algebra)
     group = coset.homogeneous
     order = group.concrete_order()
@@ -127,8 +116,8 @@ def cmd_diag(args) -> str:
 # -- aut ------------------------------------------------------------------
 
 def cmd_aut(args) -> str:
-    algebra = _load_algebra(args)
-    pres = assemble_aut(algebra, cap=_resource_cap(args))
+    algebra, _ = _load_algebra(args)
+    pres = assemble_aut(algebra)
     diag_order = pres.diag.concrete_order()
     group_order = pres.group_order()
     labels = algebra.labels
@@ -166,7 +155,7 @@ def cmd_aut(args) -> str:
 # -- check ----------------------------------------------------------------
 
 def cmd_check(args) -> str:
-    algebra = _load_algebra(args)
+    algebra, _ = _load_algebra(args)
     witness = algebra.two_li_witness()
     verdicts = [("Sing", "true"),
                 ("2LI", "true" if witness is None else
@@ -198,12 +187,11 @@ def cmd_check(args) -> str:
 # -- oracle ---------------------------------------------------------------
 
 def cmd_oracle(args) -> str:
-    algebra = _load_algebra(args)
+    algebra, _ = _load_algebra(args)
     if not isinstance(algebra.field, PrimeField):
         raise NotPrimeField("the oracle command needs a finite field (F_p input)")
-    cap = _resource_cap(args)
     check_scan_cap(algebra.field.p, algebra.dim)  # before the symmetries are listed
-    pres = assemble_aut(algebra, cap=cap)
+    pres = assemble_aut(algebra)
     lines = []
     failures = 0
 
@@ -297,6 +285,7 @@ def cmd_chain(args) -> str:
         exps = [int(e) for e in args.exp.split(",") if e]
     except ValueError as exc:
         raise ParseError(f"bad exponent list {args.exp!r}") from exc
+    check_chain_budget(field, len(exps) if args.depth is None else args.depth)
     if args.depth is not None:
         if len(exps) == 1:
             exps = exps * args.depth
@@ -330,11 +319,8 @@ def cmd_chain(args) -> str:
 # -- convert ----------------------------------------------------------------
 
 def cmd_convert(args) -> str:
-    text = _read_file(args.file)
-    default_field = parse_field_tag(args.field) if args.field else None
-    if detect_format(text) == "algebra":
-        return serialize_graph(parse_algebra(text))
-    return serialize_algebra(parse_graph(text, default_field=default_field))
+    algebra, fmt = _load_algebra(args)
+    return serialize_graph(algebra) if fmt == "algebra" else serialize_algebra(algebra)
 
 
 # -- driver -----------------------------------------------------------------
@@ -359,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = add("check", cmd_check, True, "structural predicate report")
     check.add_argument("--vector", action="append",
                        help="comma-separated coordinates to test for naturality")
-    oracle = add("oracle", cmd_oracle, True, "brute-force cross-check report")
-    for p in (aut, oracle):  # the two commands that enumerate graph symmetries
-        p.add_argument("--cap", type=int, help="override the graph enumeration cap "
-                                               f"(default {DEFAULT_VERTEX_CAP})")
+    add("oracle", cmd_oracle, True, "brute-force cross-check report")
     tate = add("tate", cmd_tate, False, "2-power inverse limit of roots of unity")
     chain = add("chain", cmd_chain, False, "truncated power-map chain census")
     chain.add_argument("--exp", help="comma-separated exponent sequence")

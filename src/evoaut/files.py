@@ -10,11 +10,12 @@ input, and the serializers emit a unique canonical form.  An algebra file is
 with one ``sq`` line per basis element whose square is nonzero.  A graph file
 writes the same algebra as its associated graph: ``vertices`` lists the basis
 and each ``edge src -> dst w=<scalar>`` line says that dst appears in src**2
-with coefficient w.  Both formats parse to an ``EvolutionAlgebra``, and
-``serialize_graph`` writes one edge line per entry of its ``edges``.  The
-leading ``field`` line of a graph file is optional on input (it may instead
-be supplied by the caller) and always emitted on output.  Structured reports
-are ``key = value`` lines under the version tag ``evoaut/1``.
+with coefficient w.  One reader parses both formats to an ``EvolutionAlgebra``:
+only the label line (``basis`` or ``vertices``) and the entry lines differ,
+and every entry line becomes edges of ``EvolutionAlgebra.edges``.  The
+``field`` line may come anywhere; a graph file may omit it (the caller may
+supply a default, else Q), and both serializers emit it first.  Structured
+reports are ``key = value`` lines under the version tag ``evoaut/1``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 from .algebra import EvolutionAlgebra
 from .errors import EvoautError, ParseError
 from .monomial import GroupDescription
-from .scalar import Field, PrimeField, QQ, Scalar
+from .scalar import Field, PrimeField, QQ
 
 STRUCTURED_FORMAT = "evoaut/1"
 
@@ -64,86 +65,82 @@ def detect_format(text: str) -> str:
     raise ParseError("cannot tell whether this is an algebra or a graph file")
 
 
-def _parse_scalar(field: Field, literal: str, line: int) -> Scalar:
-    try:
-        return field.parse(literal)
-    except EvoautError as exc:
-        raise ParseError(f"bad scalar literal {literal!r}: {exc}", line=line) from exc
+def _read(text: str, label_head: str, entry_head: str, entry_edges,
+          default_field: Field | None) -> EvolutionAlgebra:
+    """The one line loop behind both file formats.
 
-
-def parse_algebra(text: str) -> EvolutionAlgebra:
-    field = None
-    labels = None
-    squares: dict[str, list[tuple[str, Scalar]]] = {}
+    ``label_head`` names the label line and ``entry_head`` the entry lines;
+    ``entry_edges(tokens, line_no)`` turns one entry line into (src, dst,
+    literal) edges.  Literals are read after the loop, once the field is
+    known: the ``field`` line, else ``default_field``.
+    """
+    field = labels = None
+    edges: dict[tuple[str, str], tuple[str, int]] = {}
     for line_no, line in _content_lines(text):
-        tokens = line.split()
-        head = tokens[0]
+        head, *tokens = line.split()
         if head == "field":
             if field is not None:
                 raise ParseError("duplicate field line", line=line_no)
-            if len(tokens) != 2:
+            if len(tokens) != 1:
                 raise ParseError("expected: field F<p> | field Q", line=line_no)
-            field = parse_field_tag(tokens[1])
-        elif head == "basis":
-            if field is None:
-                raise ParseError("field line must precede the basis", line=line_no)
+            try:
+                field = parse_field_tag(tokens[0])
+            except ParseError as exc:
+                raise ParseError(str(exc), line=line_no) from exc
+        elif head == label_head:
             if labels is not None:
-                raise ParseError("duplicate basis line", line=line_no)
-            labels = tokens[1:]
-            if not labels:
-                raise ParseError("basis line lists no labels", line=line_no)
-            if len(set(labels)) != len(labels):
-                raise ParseError("basis labels must be distinct", line=line_no)
-        elif head == "sq":
+                raise ParseError(f"duplicate {label_head} line", line=line_no)
+            if not tokens:
+                raise ParseError(f"{label_head} line lists no labels", line=line_no)
+            labels = {label: i for i, label in enumerate(tokens)}
+            if len(labels) != len(tokens):
+                raise ParseError("labels must be distinct", line=line_no)
+        elif head == entry_head:
             if labels is None:
-                raise ParseError("sq line before the basis line", line=line_no)
-            if len(tokens) < 4 or tokens[2] != "=":
-                raise ParseError("expected: sq <label> = <coeff>*<label> [+ ...]",
+                raise ParseError(f"{entry_head} line before the {label_head} line",
                                  line=line_no)
-            target = tokens[1]
-            if target not in labels:
-                raise ParseError(f"unknown basis label {target!r}", line=line_no)
-            if target in squares:
-                raise ParseError(f"duplicate sq line for {target!r}", line=line_no)
-            squares[target] = _parse_terms(field, labels, tokens[3:], line_no)
+            for src, dst, literal in entry_edges(tokens, line_no):
+                for label in (src, dst):
+                    if label not in labels:
+                        raise ParseError(f"unknown label {label!r}", line=line_no)
+                if (src, dst) in edges:
+                    raise ParseError(f"duplicate edge {src} -> {dst} "
+                                     "(at most one edge per ordered pair)", line=line_no)
+                edges[(src, dst)] = (literal, line_no)
         else:
             raise ParseError(f"unknown directive {head!r}", line=line_no)
-    if field is None or labels is None:
-        raise ParseError("algebra file needs field and basis lines")
-    index = {label: i for i, label in enumerate(labels)}
-    n = len(labels)
-    rows = [[field.zero] * n for _ in range(n)]
-    for target, terms in squares.items():
-        for label, coeff in terms:
-            rows[index[label]][index[target]] = coeff
-    return EvolutionAlgebra(field, rows, labels=labels)
+    if labels is None:
+        raise ParseError(f"the file has no {label_head} line")
+    field = field if field is not None else default_field
+    if field is None:
+        raise ParseError("the file has no field line")
+    rows = [[field.zero] * len(labels) for _ in labels]
+    for (src, dst), (literal, line_no) in edges.items():
+        try:
+            w = field.parse(literal)
+        except EvoautError as exc:
+            raise ParseError(f"bad scalar literal {literal!r}: {exc}", line=line_no) from exc
+        if w.is_zero():
+            raise ParseError("zero coefficients and weights must be omitted", line=line_no)
+        rows[labels[dst]][labels[src]] = w
+    return EvolutionAlgebra(field, rows, labels=list(labels))
 
 
-def _parse_terms(field: Field, labels, tokens, line_no: int):
-    terms = []
-    expect_term = True
-    for token in tokens:
-        if not expect_term:
-            if token != "+":
-                raise ParseError(f"expected '+' between terms, got {token!r}", line=line_no)
-            expect_term = True
-            continue
-        if "*" not in token:
-            raise ParseError(f"term {token!r} is not of the form <coeff>*<label>",
-                             line=line_no)
-        literal, label = token.split("*", 1)
-        if label not in labels:
-            raise ParseError(f"unknown basis label {label!r}", line=line_no)
-        if any(label == seen for seen, _ in terms):
-            raise ParseError(f"label {label!r} repeated within one square", line=line_no)
-        coeff = _parse_scalar(field, literal, line_no)
-        if coeff.is_zero():
-            raise ParseError("zero coefficients must be omitted", line=line_no)
-        terms.append((label, coeff))
-        expect_term = False
-    if expect_term:
-        raise ParseError("dangling '+' or empty square", line=line_no)
-    return terms
+def parse_algebra(text: str) -> EvolutionAlgebra:
+    squared = set()
+
+    def sq_edges(tokens, line_no):  # u = c*v + ...: edges u -> v of weight c
+        terms = tokens[2::2]
+        if len(tokens) % 2 == 0 or tokens[1:2] != ["="] or set(tokens[3::2]) - {"+"} \
+                or not all("*" in term for term in terms):
+            raise ParseError("expected: sq <label> = <coeff>*<label> [+ ...]", line=line_no)
+        if tokens[0] in squared:
+            raise ParseError(f"duplicate sq line for {tokens[0]!r}", line=line_no)
+        squared.add(tokens[0])
+        return [(tokens[0], label, literal)
+                for literal, label in (term.split("*", 1) for term in terms)]
+
+    return _read(text, "basis", "sq", sq_edges, None)
 
 
 def serialize_algebra(algebra: EvolutionAlgebra) -> str:
@@ -155,55 +152,15 @@ def serialize_algebra(algebra: EvolutionAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge_edges(tokens, line_no):  # u -> v w=c
+    if len(tokens) != 4 or tokens[1] != "->" or not tokens[3].startswith("w="):
+        raise ParseError("expected: edge <src> -> <dst> w=<scalar>", line=line_no)
+    return [(tokens[0], tokens[2], tokens[3][2:])]
+
+
 def parse_graph(text: str, default_field: Field | None = None) -> EvolutionAlgebra:
-    field = None
-    vertices = None
-    edges: dict[tuple[str, str], tuple[str, int]] = {}
-    for line_no, line in _content_lines(text):
-        tokens = line.split()
-        head = tokens[0]
-        if head == "field":
-            if field is not None:
-                raise ParseError("duplicate field line", line=line_no)
-            if len(tokens) != 2:
-                raise ParseError("expected: field F<p> | field Q", line=line_no)
-            field = parse_field_tag(tokens[1])
-        elif head == "vertices":
-            if vertices is not None:
-                raise ParseError("duplicate vertices line", line=line_no)
-            vertices = tokens[1:]
-            if not vertices:
-                raise ParseError("vertices line lists no labels", line=line_no)
-            if len(set(vertices)) != len(vertices):
-                raise ParseError("vertex labels must be distinct", line=line_no)
-        elif head == "edge":
-            if vertices is None:
-                raise ParseError("edge line before the vertices line", line=line_no)
-            if len(tokens) != 5 or tokens[2] != "->" or not tokens[4].startswith("w="):
-                raise ParseError("expected: edge <src> -> <dst> w=<scalar>", line=line_no)
-            src, dst = tokens[1], tokens[3]
-            for label in (src, dst):
-                if label not in vertices:
-                    raise ParseError(f"unknown vertex {label!r}", line=line_no)
-            if (src, dst) in edges:
-                raise ParseError(f"duplicate edge {src} -> {dst} "
-                                 "(at most one edge per ordered pair)", line=line_no)
-            edges[(src, dst)] = (tokens[4][2:], line_no)
-        else:
-            raise ParseError(f"unknown directive {head!r}", line=line_no)
-    if vertices is None:
-        raise ParseError("graph file needs a vertices line")
-    if field is None:
-        field = default_field if default_field is not None else QQ
-    index = {label: i for i, label in enumerate(vertices)}
-    n = len(vertices)
-    rows = [[field.zero] * n for _ in range(n)]
-    for (src, dst), (literal, line_no) in edges.items():
-        w = _parse_scalar(field, literal, line_no)
-        if w.is_zero():
-            raise ParseError("edge weights must be nonzero", line=line_no)
-        rows[index[dst]][index[src]] = w
-    return EvolutionAlgebra(field, rows, labels=vertices)
+    return _read(text, "vertices", "edge", _edge_edges,
+                 default_field if default_field is not None else QQ)
 
 
 def serialize_graph(algebra: EvolutionAlgebra) -> str:

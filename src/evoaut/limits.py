@@ -86,19 +86,24 @@ class TruncatedLimit(Value):
         return self.spec.depth
 
 
+def check_chain_budget(field: Field, depth: int) -> None:
+    """Refuse a census over a non-prime field or past ``CHAIN_BUDGET``, before
+    any chain is built."""
+    if not isinstance(field, PrimeField):
+        raise NotPrimeField("chain enumeration requires a prime field")
+    if (field.p - 1) * depth > CHAIN_BUDGET:
+        raise TooLarge(f"limits: chain census exceeds the budget {CHAIN_BUDGET} "
+                       f"((p-1)*depth = {field.p - 1}*{depth} = {(field.p - 1) * depth})")
+
+
 def truncated_chain(spec: ChainSpec) -> TruncatedLimit:
     """Enumerate all compatible depth-N tuples over a prime field.
 
     The deepest coordinate is free a priori; everything below it is derived
     by the power maps, then the anchor filters the candidates.
     """
-    field = spec.field
-    if not isinstance(field, PrimeField):
-        raise NotPrimeField("chain enumeration requires a prime field")
-    n = spec.depth
-    if (field.p - 1) * n > CHAIN_BUDGET:
-        raise TooLarge(f"limits: chain census exceeds the budget {CHAIN_BUDGET} "
-                       f"((p-1)*depth = {field.p - 1}*{n} = {(field.p - 1) * n})")
+    field, n = spec.field, spec.depth
+    check_chain_budget(field, n)
     exps = spec.exponents
     chains = []
     for deep in field.nonzero_elements():
@@ -158,6 +163,7 @@ def verify_stationary_collapse(field: PrimeField, depth: int) -> bool:
     s = tate_stationary_index(field)
     if depth <= s + 1:
         raise DepthTooSmall(f"depth must exceed stationary index {s} + 1")
+    check_chain_budget(field, depth)  # before the exponent tuple is built
     chains = truncated_chain(ChainSpec(field, (2,) * depth, anchor=1)).tuples
     # the all-ones chain is always there: an empty census proves nothing
     return bool(chains) and all(x == field.one for chain in chains for x in chain[:depth - s])

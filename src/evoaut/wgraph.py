@@ -92,8 +92,7 @@ def is_unweighted_automorphism(algebra: EvolutionAlgebra, sigma) -> bool:
     return is_graph_isomorphism(algebra, algebra, sigma)
 
 
-def enumerate_graph_automorphisms(algebra: EvolutionAlgebra,
-                                  cap: int = DEFAULT_VERTEX_CAP) -> list[GraphAutomorphism]:
+def enumerate_graph_automorphisms(algebra: EvolutionAlgebra) -> list[GraphAutomorphism]:
     """All adjacency-preserving permutations, identity first.
 
     Backtracking over vertices ordered by (out-degree, in-degree, loop flag,
@@ -105,8 +104,9 @@ def enumerate_graph_automorphisms(algebra: EvolutionAlgebra,
     memory anyway.
     """
     n = algebra.dim
-    if n > cap:
-        raise TooLarge(f"wgraph: vertex count exceeds the enumeration cap {cap} ({n} vertices)")
+    if n > DEFAULT_VERTEX_CAP:
+        raise TooLarge(f"wgraph: vertex count exceeds the enumeration cap "
+                       f"{DEFAULT_VERTEX_CAP} ({n} vertices)")
     adjacent = [[False] * n for _ in range(n)]
     for u, v, _ in algebra.edges:
         adjacent[u][v] = True

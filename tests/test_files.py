@@ -80,6 +80,76 @@ def test_parse_algebra_errors_carry_line_numbers():
         parse_algebra("field F7\nbasis a\nsq a = 7*a\n")  # zero coefficient mod 7
 
 
+ALG, GRAPH = parse_algebra, parse_graph
+
+# (parser, text, line of the error); each rejection in both spellings where
+# the format has that construct
+REJECTIONS = {
+    "duplicate field (algebra)": (ALG, "field F7\nbasis a\nfield F7\n", 3),
+    "duplicate field (graph)": (GRAPH, "field F7\nvertices a\nfield F5\n", 3),
+    "bad field tag (algebra)": (ALG, "field F8\nbasis a\n", 1),
+    "bad field tag (graph)": (GRAPH, "vertices a\nfield F7 F5\n", 2),
+    "second label line (algebra)": (ALG, "field F7\nbasis a\nbasis b\n", 3),
+    "second label line (graph)": (GRAPH, "vertices a\nvertices a\n", 2),
+    "empty label line (algebra)": (ALG, "field F7\nbasis\n", 2),
+    "empty label line (graph)": (GRAPH, "vertices\n", 1),
+    "repeated labels (algebra)": (ALG, "field F7\nbasis a b a\n", 2),
+    "repeated labels (graph)": (GRAPH, "vertices a b a\n", 1),
+    "entry before labels (algebra)": (ALG, "field F7\nsq a = 1*a\nbasis a\n", 2),
+    "entry before labels (graph)": (GRAPH, "edge a -> a w=1\nvertices a\n", 1),
+    "unknown source (algebra)": (ALG, "field F7\nbasis a\nsq b = 1*a\n", 3),
+    "unknown target (algebra)": (ALG, "field F7\nbasis a\nsq a = 1*zz\n", 3),
+    "unknown source (graph)": (GRAPH, "vertices a b\nedge c -> a w=1\n", 2),
+    "unknown target (graph)": (GRAPH, "vertices a b\nedge a -> c w=1\n", 2),
+    "duplicate pair (algebra)": (ALG, "field F7\nbasis a b\nsq a = 1*b + 2*b\n", 3),
+    "duplicate pair (graph)": (GRAPH, "vertices a b\nedge a -> b w=2\nedge a -> b w=3\n", 3),
+    "second sq line, same terms": (ALG, "field F7\nbasis a\nsq a = 1*a\nsq a = 1*a\n", 4),
+    "second sq line, other terms": (ALG, "field F7\nbasis a b\nsq a = 1*a\nsq a = 1*b\n", 4),
+    "no '=' (algebra)": (ALG, "field F7\nbasis a\nsq a 1*a\n", 3),
+    "bare sq (algebra)": (ALG, "field F7\nbasis a\nsq\n", 3),
+    "empty square (algebra)": (ALG, "field F7\nbasis a\nsq a =\n", 3),
+    "dangling plus (algebra)": (ALG, "field F7\nbasis a b\nsq a = 1*a +\n", 3),
+    "missing plus (algebra)": (ALG, "field F7\nbasis a b\nsq a = 1*a 2*b\n", 3),
+    "term without '*' (algebra)": (ALG, "field F7\nbasis a\nsq a = a\n", 3),
+    "no arrow (graph)": (GRAPH, "vertices a b\nedge a b w=1\n", 2),
+    "no weight (graph)": (GRAPH, "vertices a b\nedge a -> b\n", 2),
+    "weight without 'w=' (graph)": (GRAPH, "vertices a b\nedge a -> b 1\n", 2),
+    "bad literal (algebra)": (ALG, "field F7\nbasis a\nsq a = x*a\n", 3),
+    "bad literal (graph)": (GRAPH, "vertices a\nedge a -> a w=x\n", 2),
+    "vanishing denominator (algebra)": (ALG, "field F7\nbasis a\nsq a = 1/7*a\n", 3),
+    "vanishing denominator (graph)": (GRAPH, "field F7\nvertices a\nedge a -> a w=1/7\n", 3),
+    "zero coefficient (algebra)": (ALG, "field F7\nbasis a b\nsq a = 1*a + 7*b\n", 3),
+    "zero weight (graph)": (GRAPH, "vertices a\nedge a -> a w=0\n", 2),
+    "edge in an algebra file": (ALG, "field F7\nbasis a\nedge a -> a w=1\n", 3),
+    "sq in a graph file": (GRAPH, "vertices a\nsq a = 1*a\n", 2),
+    "basis in a graph file": (GRAPH, "field F7\nbasis a\n", 2),
+    "vertices in an algebra file": (ALG, "field F7\nvertices a\n", 2),
+    "no label line (algebra)": (ALG, "field F7\n", None),
+    "no label line (graph)": (GRAPH, "field F7\n", None),
+    "no field line (algebra)": (ALG, "basis a\nsq a = 1*a\n", None),
+}
+
+
+@pytest.mark.parametrize("parser, text, line", REJECTIONS.values(), ids=REJECTIONS)
+def test_parsers_reject_with_the_line_number(parser, text, line):
+    with pytest.raises(ParseError) as err:
+        parser(text)
+    assert err.value.line == line
+
+
+def test_duplicate_pair_names_the_edge():
+    for parser, text, _ in (REJECTIONS["duplicate pair (algebra)"],
+                            REJECTIONS["duplicate pair (graph)"]):
+        with pytest.raises(ParseError, match="duplicate edge"):
+            parser(text)
+
+
+def test_algebra_field_line_may_follow_the_basis():
+    first = parse_algebra("field F7\nbasis a b\nsq a = 1*a + 2*b\n")
+    assert parse_algebra("basis a b\nfield F7\nsq a = 1*a + 2*b\n") == first
+    assert parse_algebra("basis a b\nsq a = 1*a + 2*b\nfield F7\n") == first
+
+
 def test_parse_graph_and_sing_condition():
     a = parse_graph("field F5\nvertices a b\nedge a -> b w=2\n")
     assert a.edges == ((0, 1, F5.scalar(2)),)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -108,6 +109,13 @@ def test_verify_stationary_collapse_examples():
         verify_stationary_collapse(F13, 3)
     with pytest.raises(NotPrimeField):
         verify_stationary_collapse(QQ, 5)
+
+
+def test_verify_stationary_collapse_refuses_past_the_budget_before_it_builds():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"\(p-1\)\*depth = 2\*20000000"):
+        verify_stationary_collapse(F3, 20_000_000)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_stationary_collapse_all_small_primes():

@@ -136,7 +136,6 @@ def test_enumeration_matches_brute_force_and_is_a_group():
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
         enumerate_graph_automorphisms(zero_algebra(QQ, 13))
-    assert len(enumerate_graph_automorphisms(zero_algebra(QQ, 2), cap=2)) == 2
 
 
 def test_cross_graph_isomorphism():
