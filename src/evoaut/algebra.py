@@ -5,8 +5,8 @@ M[j][i] = coefficient of e_j in e_i**2; distinct basis elements multiply to
 zero.  ``edges`` lists the nonzero entries once, as the edges (i, j, M[j][i])
 of the associated graph in (i, j) order; whatever needs only them reads that
 list.  Vectors are plain tuples of scalars in basis coordinates.  All objects
-are immutable, apart from an algebra's idempotent cache of its rank and
-determinant, and the predicates are pure.
+are immutable, apart from an algebra's idempotent caches of its rank and
+determinant and of its edge quotient map, and the predicates are pure.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ class EvolutionAlgebra:
                 raise DimensionMismatch("labels must be distinct and match the dimension")
         self.labels = labels
         self._reduced: tuple[int, Scalar] | None = None
+        self._quotients = None   # autgroup.edge_quotients' map, built once
 
     @classmethod
     def from_squares(cls, field: Field, squares, labels=None):

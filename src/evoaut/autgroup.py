@@ -181,8 +181,14 @@ def edge_quotients(algebra: EvolutionAlgebra):
     """The map sigma -> [w(e) / w(sigma e) for every edge e, in edge-list
     order], the right-hand sides of sigma's twisted system for the solver,
     ``twisted_system`` and the oracle alike: over F_p as residues, from the
-    edge residues and their inverses, taken once here, with no discrete log;
-    over Q as scalars."""
+    edge residues and their inverses, with no discrete log; over Q as
+    scalars.  It is built once per algebra, which keeps it."""
+    if algebra._quotients is None:
+        algebra._quotients = _quotient_map(algebra)
+    return algebra._quotients
+
+
+def _quotient_map(algebra: EvolutionAlgebra):
     if not isinstance(algebra.field, PrimeField):
         weights = {(u, v): w for u, v, w in algebra.edges}
 

@@ -55,7 +55,7 @@ class MonomialSystem(Value):
             raise ValueError("variable count must be nonnegative")
         frozen = []
         for exps, rhs in rows:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != n_vars:
                 raise ValueError(f"exponent row {exps} does not have {n_vars} entries")
             rhs = field.scalar(rhs)
@@ -250,7 +250,9 @@ class ExponentDecomposition:
         base = field.scalar(field.generator) if finite else -field.one
         logs, orders = _generator_logs(self.modulus, self.V, self.rank, self.diagonal, n, finite)
         if logs:
-            rows = [[(v, e) for v, e in enumerate(exps) if e] for exps in self.exponents]
+            # the nonzeros of each row, found once for every generator
+            rows = [[(v, exps[v]) for v in itertools.compress(range(n), exps)]
+                    for exps in self.exponents]
             if any(sum(e * gen[v] for v, e in row) % self.modulus for gen in logs for row in rows):
                 raise InvariantViolation("homogeneous generator fails the system")
         self.homogeneous = GroupDescription(

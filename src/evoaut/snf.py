@@ -6,23 +6,31 @@ on a transform is undone on a tracked inverse, so every decomposition is
 certified by exact products: U @ A @ V == D and U @ U^-1 == I == V @ V^-1,
 which proves U and V unimodular without an O(m^3) determinant.
 
-The row transform U is m x m for an m-row matrix, but on the exponent
-matrices of monomial systems (one row 2 e_u - e_v per edge) its rows hold a
-handful of nonzeros.  U and its inverse are therefore kept as sparse rows
-(dicts {column: value} during elimination, ``SparseMatrix`` once stored): a
-row operation costs the nonzeros it touches, not m, and the certificate is
-checked over the nonzeros alone.  The column transform V is n x n for n
-unknowns and stays dense.
+The exponent matrices of monomial systems (one row 2 e_u - e_v per edge)
+hold a few nonzeros per row and keep that sparsity through elimination.  The
+working matrix is therefore held as sparse rows (dicts {column: value}) with
+an index from each column to the rows nonzero in it: clearing a column, and
+the column operation that clears a row, visit only the rows nonzero in the
+pivot column, and a column swap only the rows that hold either column.  The
+row transform U is m x m for an m-row matrix but its rows hold a handful of
+nonzeros, so U and its inverse are sparse rows too (``SparseMatrix`` once
+stored), and the certificate is checked over the nonzeros alone.  The
+column transform V (n x n for n unknowns) and its inverse are held by
+columns, as dense lists: a column operation rewrites one list and a column
+swap exchanges two.  Storage sets the cost of each operation, never its
+result: the pivot rule alone fixes the operations and their order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .errors import InvariantViolation
 from .value import Value
 
 Matrix = list[list[int]]
+_value = itemgetter(1)   # of a (column, value) pair
 
 
 def identity(n: int) -> Matrix:
@@ -40,9 +48,8 @@ class SparseMatrix(Sequence):
     def __init__(self, rows):
         """``rows``: one dense row, or one dict {column: value}, per row."""
         size = len(rows)
-        self.rows = tuple(
-            tuple(sorted((j, x) for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x))
-            for r in rows)
+        self.rows = tuple(tuple(sorted(filter(_value, r.items()))) if isinstance(r, dict)
+                          else tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
         if any(len(r) != size for r in rows if not isinstance(r, dict)) \
                 or any(r and not (r[0][0] >= 0 and r[-1][0] < size) for r in self.rows):
             raise InvariantViolation(f"a {size}-row transform is not square")
@@ -103,8 +110,8 @@ class SmithDecomposition(Value):
                  U_inv_t: Matrix, V_inv_t: Matrix):
         self.matrix, self.D, self.V = matrix, D, V
         self.U = U if isinstance(U, SparseMatrix) else SparseMatrix(U)
-        self.rank = sum(1 for d in self.diagonal() if d != 0)
         self._verify(U_inv_t, V_inv_t)
+        self.rank = sum(1 for d in self.diagonal() if d != 0)
 
     def diagonal(self) -> list[int]:
         return [self.D[k][k] for k in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
@@ -145,37 +152,42 @@ class SmithDecomposition(Value):
                 raise InvariantViolation(f"divisibility chain broken: {diag}")
 
 
-def _find_pivot(d: Matrix, t: int):
-    """Smallest-|value| nonzero entry of the trailing submatrix, row-major ties."""
+def _find_pivot(d: list[dict[int, int]], t: int):
+    """Smallest-|value| nonzero entry of the trailing submatrix, row-major ties.
+    Rows from ``t`` on are zero left of column ``t``, so all their entries count."""
     best = None
     for i in range(t, len(d)):
-        row = d[i]
-        for j in range(t, len(row)):
-            v = row[j]
-            if v != 0 and (best is None or abs(v) < best[0]):
-                best = (abs(v), i, j)
-                if best[0] == 1:
-                    return best[1], best[2]
-    return None if best is None else (best[1], best[2])
+        if d[i]:
+            x, j = min(zip(map(abs, d[i].values()), d[i]))
+            if x == 1:
+                return i, j
+            if best is None or x < best[0]:
+                best = (x, i, j)
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(matrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Accepts any rectangular list-of-lists (including zero rows/columns or an
-    empty matrix) and returns the full decomposition, re-verified.  U and its
-    inverse are built as sparse rows, so a row operation costs their nonzeros.
+    empty matrix) and returns the full decomposition, re-verified.  The
+    working matrix is held as sparse rows with an index of the rows nonzero
+    in each column, so clearing a column or a row visits only its nonzeros.
     A unit pivot divides every entry, so the search for an entry that breaks
     the divisibility chain is skipped for it.
     """
-    rows = [list(map(int, r)) for r in matrix]
+    rows = tuple(tuple(map(int, r)) for r in matrix)
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    d = [r[:] for r in rows]
+    d = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    cols = [set() for _ in range(n)]   # column -> the rows nonzero in it
+    for i, row in enumerate(d):
+        for j in row:
+            cols[j].add(i)
     # the inverses are kept transposed, so U^-1 takes row operations like U
-    # and V^-1 column operations like V
+    # and V^-1 column operations like V; V and V^-T are held by columns
     u, u_inv_t = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
     v, v_inv_t = identity(n), identity(n)
 
@@ -189,26 +201,56 @@ def smith_normal_form(matrix) -> SmithDecomposition:
                 target.pop(j, None)
 
     def swap_rows(a, b):
+        for i in (a, b):
+            for j in d[i]:
+                cols[j].remove(i)
         for mat in (d, u, u_inv_t):
             mat[a], mat[b] = mat[b], mat[a]
+        for i in (a, b):
+            for j in d[i]:
+                cols[j].add(i)
 
-    # at step t the rows above t are zero off the diagonal and the rest are
-    # zero left of column t, so operations on d touch only d[t:], from column t
     def swap_cols(a, b):
-        for row in (*d[t:], *v, *v_inv_t):
-            row[a], row[b] = row[b], row[a]
+        for i in cols[a] | cols[b]:
+            row = d[i]
+            x, y = row.pop(a, 0), row.pop(b, 0)
+            if y:
+                row[a] = y
+            if x:
+                row[b] = x
+        for mat in (cols, v, v_inv_t):
+            mat[a], mat[b] = mat[b], mat[a]
 
     def add_row(dst, src, factor):
-        d[dst][t:] = [x + factor * y for x, y in zip(d[dst][t:], d[src][t:])]
+        target = d[dst]
+        for j, y in d[src].items():
+            x = target.get(j, 0) + factor * y
+            if x:
+                target[j] = x
+                cols[j].add(dst)
+            else:
+                del target[j]
+                cols[j].remove(dst)
         combine(u, dst, src, factor)
         combine(u_inv_t, src, dst, -factor)
 
     def add_col(dst, src, factor):
-        for row in (*d[t:], *v):
-            row[dst] += factor * row[src]
-        for row in v_inv_t:
-            row[src] -= factor * row[dst]
+        index = cols[dst]
+        for i in cols[src]:
+            row = d[i]
+            x = row.get(dst, 0) + factor * row[src]
+            if x:
+                row[dst] = x
+                index.add(i)
+            else:
+                del row[dst]
+                index.remove(i)
+        v[dst] = [x + factor * y for x, y in zip(v[dst], v[src])]
+        v_inv_t[src] = [x - factor * y for x, y in zip(v_inv_t[src], v_inv_t[dst])]
 
+    # at step t the rows above t are zero off the diagonal and the rest are
+    # zero left of column t: the operations of step t touch rows and columns
+    # from t on
     t = 0
     while t < min(m, n):
         pos = _find_pivot(d, t)
@@ -221,39 +263,33 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             if pj != t:
                 swap_cols(t, pj)
             if d[t][t] < 0:
-                d[t] = [-x for x in d[t]]
-                for sparse in (u, u_inv_t):
+                for sparse in (d, u, u_inv_t):
                     sparse[t] = {j: -x for j, x in sparse[t].items()}
             pivot = d[t][t]
             # clear the pivot column and row; a nonzero remainder becomes the
             # new, strictly smaller pivot on the next pass
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    add_row(i, t, -(d[i][t] // pivot))
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    add_col(j, t, -(d[t][j] // pivot))
-            if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
+            for i in cols[t] - {t}:
+                if q := d[i][t] // pivot:
+                    add_row(i, t, -q)
+            for j, x in list(d[t].items()):
+                if j != t and (q := x // pivot):
+                    add_col(j, t, -q)
+            if len(cols[t]) > 1 or len(d[t]) > 1:
                 pos = _find_pivot(d, t)
                 continue
             if pivot == 1:
                 break
             # force the divisibility chain: drag a non-divisible entry into
             # the pivot row and keep reducing
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % pivot:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            culprit = next((i for i in range(t + 1, m)
+                            if any(x % pivot for x in d[i].values())), None)
             if culprit is None:
                 break
             add_row(t, culprit, 1)
             pos = (t, t)
         t += 1
 
-    return SmithDecomposition(matrix=tuple(map(tuple, rows)), U=SparseMatrix(u),
-                              D=tuple(map(tuple, d)), V=tuple(map(tuple, v)),
-                              U_inv_t=u_inv_t, V_inv_t=v_inv_t)
+    zero = (0,) * n
+    D = tuple(tuple(map(row.get, range(n), zero)) if row else zero for row in d)
+    return SmithDecomposition(matrix=rows, U=SparseMatrix(u), D=D, V=tuple(zip(*v)),
+                              U_inv_t=u_inv_t, V_inv_t=tuple(zip(*v_inv_t)))

@@ -213,6 +213,22 @@ def test_edge_quotients_read_the_weights():
             autgroup.twisted_system(a, (1, 0))
 
 
+def test_twisted_systems_of_one_algebra_share_one_quotient_map(monkeypatch):
+    inverted = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inverted.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(autgroup, "pow", counting_pow, raising=False)
+    algebra = two_loop_algebra(F7)
+    for k in range(100):
+        autgroup.twisted_system(algebra, ((0, 1), (1, 0))[k % 2])
+    assert len(inverted) == len(algebra.edges) == 4   # each weight inverted once
+    assert autgroup.edge_quotients(algebra) is autgroup.edge_quotients(algebra)
+
+
 def test_edge_quotients_match_the_structure_matrix(corpus):
     # for every graph symmetry, quotient k times the weight of the image of
     # edge k is the weight of edge k, read off the structure matrix; edges

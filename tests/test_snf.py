@@ -286,6 +286,31 @@ def edge_rows(rng, n, out_degree):
     return rows
 
 
+def block_union_rows(rng):
+    """Exponent rows of a randomly relabelled union of loop chains, cycles,
+    cycles with an ear and stars, the benchmark's block cases: their
+    elimination takes non-unit pivots, leaves remainders and drags
+    non-divisible entries into the pivot row."""
+    blocks = [[(0, 0)] + [(i, i - 1) for i in range(1, n)] for n in (2, 3, 4, 5)]   # loop chains
+    blocks += [[(i, (i + 1) % n) for i in range(n)] for n in (2, 3, 4)]              # cycles
+    blocks += [[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 0)]] * 2                # ears
+    blocks += [[(i, k) for i in range(k)] for k in (3, 4)]                          # stars
+    rng.shuffle(blocks)
+    edges, at = [], 0
+    for block in blocks:
+        edges += [(at + u, at + v) for u, v in block]
+        at += 1 + max(max(edge) for edge in block)
+    perm = list(range(at))
+    rng.shuffle(perm)
+    rows = []
+    for u, v in sorted((perm[u], perm[v]) for u, v in edges):
+        exps = [0] * at
+        exps[u] += 2
+        exps[v] -= 1
+        rows.append(exps)
+    return rows
+
+
 def random_matrices():
     rng = random.Random(43)
     out = []
@@ -312,6 +337,7 @@ def transforms_digest(matrices):
     (lambda: [edge_rows(random.Random(32), 32, 6)], "95d4200dce3735e44991c55f"),   # 192 x 32
     (lambda: [edge_rows(random.Random(64), 64, 5)], "865a1ce5faa62a9ec8bdfb2c"),   # 320 x 64
     (lambda: [edge_rows(random.Random(48), 48, 5)], "594dd9d21e5b235284f27610"),   # 240 x 48
+    (lambda: [block_union_rows(random.Random(s)) for s in range(8)], "f2882f5aca4b809b9c479369"),  # 42 x 42
 ])
 def test_decompositions_are_unchanged_entry_for_entry(matrices, pin):
     assert transforms_digest(matrices()) == pin
@@ -339,21 +365,27 @@ def test_certificate_reads_every_stored_entry():
     snf = smith_normal_form(rows)
     transpose = lambda mat: [list(col) for col in zip(*mat)]
     U, V = [list(r) for r in snf.U], [list(r) for r in snf.V]
-    parts = {"U": U, "V": V,
+    parts = {"U": U, "V": V, "D": [list(r) for r in snf.D],
              "U_inv_t": transpose(exact_inverse(U)), "V_inv_t": transpose(exact_inverse(V))}
 
     def build(parts):
-        return SmithDecomposition(matrix=snf.matrix, U=freeze(parts["U"]), D=snf.D,
+        return SmithDecomposition(matrix=snf.matrix, U=freeze(parts["U"]), D=freeze(parts["D"]),
                                   V=freeze(parts["V"]), U_inv_t=parts["U_inv_t"],
                                   V_inv_t=parts["V_inv_t"])
 
     assert build(parts) == snf
     zeros = 0
     for name, mat in parts.items():
-        for i, j in itertools.product(range(len(mat)), repeat=2):
+        for i, j in itertools.product(range(len(mat)), range(len(mat[0]))):
             zeros += mat[i][j] == 0
             mat[i][j] += 1
             with pytest.raises(InvariantViolation):
                 build(parts)
             mat[i][j] -= 1
     assert zeros > 3000        # most forged entries are zero in the real transforms
+    for row in (0, 9, 39):     # a D row one entry too long or too short
+        for wrong in (parts["D"][row] + [0], parts["D"][row][:-1]):
+            kept, parts["D"][row] = parts["D"][row], wrong
+            with pytest.raises(InvariantViolation):
+                build(parts)
+            parts["D"][row] = kept
