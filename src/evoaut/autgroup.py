@@ -317,11 +317,11 @@ class AutPresentation(Value):
 
     def monomial_elements(self) -> list[MonomialAutomorphism]:
         """All of U, element by element; an infinite or too large diagonal part is TooLarge.
-        d . lift maps e_i to lift.scales[i] * d[sigma(i)] e_sigma(i)."""
-        diag_vectors = self.diag.elements()
-        return sorted((MonomialAutomorphism(self.algebra, lift.sigma,
-                                            [x * d[s] for x, s in zip(lift.scales, lift.sigma)])
-                       for _, lift in self.lifted for d in diag_vectors),
+        d . lift maps e_i to lift.scales[i] * d[sigma(i)] e_sigma(i), and d -> d o sigma
+        permutes Diag, as every graph symmetry preserves it: so the scales of a lift's
+        elements are its coset lift.scales * Diag."""
+        return sorted((MonomialAutomorphism(self.algebra, lift.sigma, xs)
+                       for _, lift in self.lifted for xs in self.diag.coset(lift.scales)),
                       key=MonomialAutomorphism.sort_key)
 
 

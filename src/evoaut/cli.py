@@ -68,8 +68,14 @@ def _sigma_text(labels, sigma) -> str:
     return " ".join(f"{labels[i]}->{labels[sigma[i]]}" for i in range(len(sigma)))
 
 
-def _matrix_text(rows) -> str:
-    return "[" + "; ".join(",".join(str(x) for x in row) for row in rows) + "]"
+def _matrix_text(lift) -> str:
+    """The matrix of e_i -> x_i e_sigma(i), built from sigma and the scales: one
+    shared "0" string per zero entry, and str(x_i) at row sigma(i), column i."""
+    n = len(lift.sigma)
+    rows = [["0"] * n for _ in range(n)]
+    for i, (row, x) in enumerate(zip(lift.sigma, lift.scales)):
+        rows[row][i] = str(x)
+    return "[" + "; ".join(map(",".join, rows)) + "]"
 
 
 def _vector_text(vec) -> str:
@@ -128,7 +134,7 @@ def cmd_aut(args) -> str:
         for ga, lift in pres.lifted:
             pairs.append(("lift_sigma", _vector_text(ga.sigma)))
             pairs.append(("lift_scales", _vector_text(lift.scales)))
-            pairs.append(("lift_matrix", _matrix_text(lift.to_matrix())[1:-1]))
+            pairs.append(("lift_matrix", _matrix_text(lift)[1:-1]))
         for ga in pres.not_lifted:
             pairs.append(("not_lifted_sigma", _vector_text(ga.sigma)))
         pairs.append(("quotient_order", str(pres.quotient_order)))
@@ -143,7 +149,7 @@ def cmd_aut(args) -> str:
     for ga, lift in pres.lifted:
         lines.append(f"lift: {_sigma_text(labels, ga.sigma)}")
         lines.append(f"  scales: {_vector_text(lift.scales)}")
-        lines.append(f"  matrix: {_matrix_text(lift.to_matrix())}")
+        lines.append(f"  matrix: {_matrix_text(lift)}")
     for ga in pres.not_lifted:
         lines.append(f"not lifted: {_sigma_text(labels, ga.sigma)} (system infeasible)")
     lines.append(f"quotient order = {pres.quotient_order}")
@@ -195,19 +201,24 @@ def cmd_oracle(args) -> str:
     lines = []
     failures = 0
 
-    # in ints mod p: each sigma's coset is its lift's residues times Diag, listed
-    # once, and one scan keyed by w(e) * w(sigma e)^-1 serves every sigma; the
-    # identity comes first, with the all-ones key of the diagonal system
-    p, diag = algebra.field.p, pres.diag.residues()
+    # in ints mod p: one scan keyed by w(e) * w(sigma e)^-1 serves every sigma, the
+    # identity first with the all-ones key; sigmas with one key share their lift and
+    # scan list, so each lift's coset (its scales times Diag) is listed once.  A vector
+    # fits one key only, so the cosets are disjoint and the scan cap bounds the listing
     cosets = list(pres.lifted) + [(ga, None) for ga in pres.not_lifted]
     quotients = edge_quotients(algebra)
-    scans = bruteforce_solution_sets(p, algebra.dim, pres.decomposition.exponents,
+    scans = bruteforce_solution_sets(algebra.field.p, algebra.dim, pres.decomposition.exponents,
                                      (quotients(ga.sigma) for ga, _ in cosets))
+    listed = {None: ([], {})}   # shift -> its coset and the verdict per scan list
     for (ga, lift), brute in zip(cosets, scans):
-        shift = None if lift is None else [x.residue for x in lift.scales]
-        structured = [] if shift is None else sorted(
-            tuple(x * y % p for x, y in zip(shift, vec)) for vec in diag)
-        verdict = "PASS" if structured == brute else "FAIL"
+        shift = None if lift is None else lift.scales
+        if (entry := listed.get(shift)) is None:
+            entry = listed[shift] = (pres.diag.coset(shift), {})
+        structured, verdicts = entry
+        # keyed on the list object: a scan that misses for one sigma fails that sigma alone
+        if id(brute) not in verdicts:
+            verdicts[id(brute)] = "PASS" if structured == brute else "FAIL"
+        verdict = verdicts[id(brute)]
         failures += verdict == "FAIL"
         if ga.is_identity() and verdict == "PASS":
             lines.append(f"diag solutions: PASS ({len(structured)} = {len(brute)})")

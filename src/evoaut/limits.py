@@ -100,25 +100,29 @@ def truncated_chain(spec: ChainSpec) -> TruncatedLimit:
     """Enumerate all compatible depth-N tuples over a prime field.
 
     The deepest coordinate is free a priori; everything below it is derived
-    by the power maps, then the anchor filters the candidates.
+    by the power maps, then the anchor filters the candidates.  The census
+    runs on residues; each tuple entry is the field's one scalar for it.
     """
     field, n = spec.field, spec.depth
     check_chain_budget(field, n)
-    exps = spec.exponents
+    p, exps = field.p, spec.exponents
+    anchor = None if spec.anchor is None else spec.anchor.residue
     chains = []
-    for deep in field.nonzero_elements():
+    for deep in range(1, p):
         chain = [deep] * n
         for i in range(n - 2, -1, -1):
-            chain[i] = chain[i + 1] ** exps[i + 1]
-        if spec.anchor is None or chain[0] ** exps[0] == spec.anchor:
-            chains.append(tuple(chain))
-    chains.sort(key=lambda chain: [x.residue for x in chain])
+            chain[i] = pow(chain[i + 1], exps[i + 1], p)
+        if anchor is None or pow(chain[0], exps[0], p) == anchor:
+            chains.append(chain)
+    chains.sort()
 
-    projections = [{chain[i] for chain in chains} for i in range(n)]
-    stab = n
-    while stab > 1 and projections[stab - 2] == projections[stab - 1]:
-        stab -= 1
-    return TruncatedLimit(spec=spec, tuples=tuple(chains), stabilization_depth=stab)
+    # the projections {x_i : chains}, compared from the top two at a time
+    stab, upper = n, {chain[-1] for chain in chains}
+    while stab > 1 and (lower := {chain[stab - 2] for chain in chains}) == upper:
+        stab, upper = stab - 1, lower
+    units = field.nonzero_elements()   # one shared scalar per residue; r is units[r - 1]
+    tuples = tuple(tuple(units[r - 1] for r in chain) for chain in chains)
+    return TruncatedLimit(spec=spec, tuples=tuples, stabilization_depth=stab)
 
 
 def tate_stationary_index(field) -> int | None:

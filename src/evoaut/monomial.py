@@ -21,8 +21,9 @@ through V.  It is the one place here that takes a discrete log.
 Homogeneous generators are log vectors l with base g mod p - 1 (base -1
 mod 2 for the sign part over Q), each checked against every row as
 sum_v a[v]*l[v] == 0 (mod m), which is the scalar check itself as the base
-has order exactly m.  Finite groups, their cosets and the brute-force scan
-are sorted tuples of residues until ``elements`` or
+has order exactly m.  ``GroupDescription.coset`` lists every finite group
+and coset, here, in the oracle and in the monomial automorphisms; it and the
+brute-force scan give sorted tuples of residues until ``elements`` or
 ``enumerate_solutions_bruteforce`` wraps them.  Over Q the sign and each
 prime exponent give integer conditions solved in scalars; free factors stay
 symbolic, and only the finite sign part is listed.
@@ -131,20 +132,14 @@ class GroupDescription(Value):
             order *= mu_order(self.field, d)
         return order
 
-    def residues(self) -> list[tuple[int, ...]]:
-        """The concrete solution group over F_p, sorted, as tuples of residues."""
-        if not isinstance(self.field, PrimeField):
-            raise NotPrimeField("residue tuples exist over F_p only")
-        return self._listing(None)
-
     def elements(self) -> list[tuple[Scalar, ...]]:
         """The concrete solution group, sorted; requires a finite materialization."""
-        return [tuple(map(self.field.scalar, vec)) for vec in self._listing(None)]
+        return [tuple(map(self.field.scalar, vec)) for vec in self.coset(None)]
 
-    def _listing(self, shift) -> list[tuple]:
-        """shift * g for every g in the group (g itself when ``shift`` is None),
-        sorted, as tuples of residues over F_p and of Fractions over Q.  Each
-        generator adds cosets of what is listed until its powers cycle back."""
+    def coset(self, shift) -> list[tuple]:
+        """shift * g for every g in the group (g itself when the scalar vector
+        ``shift`` is None), sorted, as tuples of residues over F_p and of Fractions
+        over Q.  Each generator adds cosets of what is listed until its powers cycle back."""
         order = self.concrete_order()
         if order is None:
             raise TooLarge(f"monomial: cannot list an infinite or symbolic group ({self})")
@@ -201,7 +196,7 @@ class SolutionCoset(Value):
         """The particular solution times each homogeneous element, sorted."""
         if not self.is_feasible:
             return []
-        vectors = self.homogeneous._listing(self.particular)
+        vectors = self.homogeneous.coset(self.particular)
         return [tuple(map(self.system.field.scalar, vec)) for vec in vectors]
 
 

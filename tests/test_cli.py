@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -13,6 +14,12 @@ from evoaut.scalar import PrimeField
 from helpers import count_snf_calls, drop_lift, run_python, two_cycles_algebra
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+# runs the CLI on its arguments, then writes the process's peak RSS line to stderr
+REPORT_PEAK = ("import sys\nfrom evoaut.cli import main\ncode = main(sys.argv[1:])\n"
+               "sys.stderr.write(next(line for line in open('/proc/self/status')\n"
+               "                      if line.startswith('VmHWM')))\nsys.exit(code)")
+# sha256 of the stdout of `chain --field F3 --exp 1 --depth 500000`
+CHAIN_AT_BUDGET_SHA256 = "6a56663a0ab7fe91e6d4e7fcdd3cf3af440ec1c86dfa84189eb213841b6bfd22"
 
 
 def run(capsys, *argv):
@@ -145,8 +152,9 @@ def star_file(path, p, spokes):
     return path
 
 
-@pytest.mark.parametrize("p, spokes, sigmas, diag", [(7, 6, 720, 192), (5, 7, 5040, 256)],
-                         ids=["F7-6-spokes", "F5-7-spokes"])
+@pytest.mark.parametrize("p, spokes, sigmas, diag",
+                         [(7, 6, 720, 192), (5, 7, 5040, 256), (5, 8, 40320, 512)],
+                         ids=["F7-6-spokes", "F5-7-spokes", "F5-8-spokes"])
 def test_oracle_on_a_uniform_star_within_gate(capsys, tmp_path, p, spokes, sigmas, diag):
     # one scan of (F_p^x)^(spokes + 1) and one listing of Diag serve every
     # spoke permutation; p^(n^2) is past the matrix oracle's cap
@@ -161,6 +169,46 @@ def test_oracle_on_a_uniform_star_within_gate(capsys, tmp_path, p, spokes, sigma
     assert out.endswith("full group oracle: skipped "
                         f"(p^(n^2) = {p ** ((spokes + 1) ** 2)} exceeds cap)\n")
     assert elapsed < 30.0
+
+
+def test_oracle_on_a_zero_algebra_within_gate(capsys, tmp_path):
+    # every one of the 7! symmetries lifts with all-ones scales onto Diag =
+    # (F_5^x)^7: one listing of 4^7 vectors and one comparison serve them all
+    path = tmp_path / "zero7.alg"
+    path.write_text("field F5\nbasis " + " ".join(f"e{i}" for i in range(1, 8)) + "\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "oracle", path)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.startswith("diag solutions: PASS (16384 = 16384)\n")
+    assert out.count("twisted coset sigma=") == out.count(": PASS (16384 = 16384)\n") - 1 == 5040
+    assert elapsed < 30.0
+
+
+def test_oracle_keeps_each_sigmas_own_verdict(capsys, monkeypatch, tmp_path):
+    # on the uniform star every sigma shares one lift and one scan list; a scan
+    # that loses a point for one sigma only must fail that sigma and no other
+    import evoaut.cli as cli_mod
+
+    path = star_file(tmp_path / "star.alg", 7, 6)
+    code, out, _ = run(capsys, "oracle", path)
+    assert code == 0
+    victim = 5   # the sixth sigma; the identity is the first
+    line = out.splitlines()[1 + victim]
+    assert line.startswith("twisted coset sigma=") and not line.startswith(
+        "twisted coset sigma=0,1,2,3,4,5,6:")
+    real = cli_mod.bruteforce_solution_sets
+
+    def lossy(*args):
+        scans = real(*args)
+        scans[victim] = scans[victim][1:]
+        return scans
+
+    monkeypatch.setattr(cli_mod, "bruteforce_solution_sets", lossy)
+    code, out, err = run(capsys, "oracle", path)
+    assert (code, out) == (4, "")
+    assert [x for x in err.splitlines() if "FAIL" in x] == \
+        [line.replace("PASS (192 = 192)", "FAIL (192 = 191)")]
 
 
 def test_oracle_reports_a_divergence(capsys, monkeypatch):
@@ -456,16 +504,29 @@ def test_largest_field_prime_runs_in_little_time_and_memory(tmp_path, command):
         pytest.skip("peak memory is read from /proc/self/status")
     (tmp_path / "big.alg").write_text(
         "field F2147483647\nbasis u v\nsq u = 3*v\nsq v = 5*u\n")
-    script = ("import sys\nfrom evoaut.cli import main\ncode = main(sys.argv[1:])\n"
-              "sys.stderr.write(next(line for line in open('/proc/self/status')\n"
-              "                      if line.startswith('VmHWM')))\nsys.exit(code)")
     start = time.perf_counter()
-    done = run_python(["-c", script, command, "big.alg"], timeout=60, cwd=tmp_path)
+    done = run_python(["-c", REPORT_PEAK, command, "big.alg"], timeout=60, cwd=tmp_path)
     elapsed = time.perf_counter() - start
     assert done.returncode == 0, done.stderr
     assert elapsed < 5
     peak_kb = int(done.stderr.split("VmHWM:")[1].split()[0])
     assert peak_kb < 100 * 1024
+
+
+def test_chain_at_the_budget_runs_in_little_time_and_memory(tmp_path):
+    # (p-1) * depth is exactly CHAIN_BUDGET; the census runs on residues and
+    # the two chains share one scalar per residue
+    if not Path("/proc/self/status").exists():
+        pytest.skip("peak memory is read from /proc/self/status")
+    start = time.perf_counter()
+    done = run_python(["-c", REPORT_PEAK, "chain", "--field", "F3", "--exp", "1",
+                       "--depth", "500000"], timeout=60, cwd=tmp_path)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == CHAIN_AT_BUDGET_SHA256
+    assert elapsed < 10
+    peak_kb = int(done.stderr.split("VmHWM:")[1].split()[0])
+    assert peak_kb < 128 * 1024
 
 
 @pytest.mark.parametrize("exponent, lifted", [(1, False), (3, True)])

@@ -256,10 +256,10 @@ def test_group_description_orders():
 
 def test_group_residues_are_the_elements_residues():
     group = solve_homogeneous(system(F7, 5, EAR_ROWS))
-    assert group.residues() == [tuple(x.residue for x in vec) for vec in group.elements()]
-    assert group.residues() == [(1, 1, 1, 1, 1), (2, 4, 2, 4, 4), (4, 2, 4, 2, 2)]
-    with pytest.raises(NotPrimeField):
-        solve_homogeneous(system(QQ, 5, EAR_ROWS)).residues()
+    assert group.coset(None) == [tuple(x.residue for x in vec) for vec in group.elements()]
+    assert group.coset(None) == [(1, 1, 1, 1, 1), (2, 4, 2, 4, 4), (4, 2, 4, 2, 2)]
+    # a shift by a group element lists the group again
+    assert group.coset(group.elements()[1]) == group.coset(None)
 
 
 def test_shared_scan_matches_a_direct_check_of_each_system():
