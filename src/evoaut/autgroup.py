@@ -115,19 +115,24 @@ class MonomialAutomorphism:
         one = self.algebra.field.one
         return self.is_diagonal and all(x == one for x in self.scales)
 
+    def matrix_rows(self, zero, entries) -> list[list]:
+        """The rows of the matrix with column i holding the image of e_i: ``zero``
+        everywhere but the i-th of ``entries`` (one per scale) at row sigma(i)."""
+        n = len(self.sigma)
+        rows = [[zero] * n for _ in range(n)]
+        for i, (row, x) in enumerate(zip(self.sigma, entries)):
+            rows[row][i] = x
+        return rows
+
     def to_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
         """Matrix with column i holding the image of e_i."""
-        n = self.algebra.dim
-        zero = self.algebra.field.zero
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            rows[self.sigma[i]][i] = self.scales[i]
-        return tuple(tuple(r) for r in rows)
+        return tuple(map(tuple, self.matrix_rows(self.algebra.field.zero, self.scales)))
 
     def residue_matrix(self) -> tuple[tuple[int, ...], ...]:
         if not isinstance(self.algebra.field, PrimeField):
             raise NotPrimeField("residue matrices exist over F_p only")
-        return tuple(tuple(x.residue for x in row) for row in self.to_matrix())
+        rows = self.matrix_rows(0, (x.residue for x in self.scales))
+        return tuple(map(tuple, rows))
 
     def sort_key(self):
         return (self.sigma, tuple(str(x) for x in self.scales))

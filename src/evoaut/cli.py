@@ -69,12 +69,8 @@ def _sigma_text(labels, sigma) -> str:
 
 
 def _matrix_text(lift) -> str:
-    """The matrix of e_i -> x_i e_sigma(i), built from sigma and the scales: one
-    shared "0" string per zero entry, and str(x_i) at row sigma(i), column i."""
-    n = len(lift.sigma)
-    rows = [["0"] * n for _ in range(n)]
-    for i, (row, x) in enumerate(zip(lift.sigma, lift.scales)):
-        rows[row][i] = str(x)
+    """The matrix of ``lift`` from one shared "0" string and the scales' strings."""
+    rows = lift.matrix_rows("0", map(str, lift.scales))
     return "[" + "; ".join(map(",".join, rows)) + "]"
 
 
@@ -202,31 +198,28 @@ def cmd_oracle(args) -> str:
     failures = 0
 
     # in ints mod p: one scan keyed by w(e) * w(sigma e)^-1 serves every sigma, the
-    # identity first with the all-ones key; sigmas with one key share their lift and
-    # scan list, so each lift's coset (its scales times Diag) is listed once.  A vector
-    # fits one key only, so the cosets are disjoint and the scan cap bounds the listing
+    # identity first.  Sigmas with one key share their lift and scan list, so a lift's
+    # coset is listed once, on a verdict miss; a verdict is keyed on the scan list object,
+    # so a scan that misses for one sigma fails it alone.  A vector fits one key only, so
+    # the cosets are disjoint and the scan cap bounds the listing
     cosets = list(pres.lifted) + [(ga, None) for ga in pres.not_lifted]
     quotients = edge_quotients(algebra)
     scans = bruteforce_solution_sets(algebra.field.p, algebra.dim, pres.decomposition.exponents,
                                      (quotients(ga.sigma) for ga, _ in cosets))
-    listed = {None: ([], {})}   # shift -> its coset and the verdict per scan list
+    verdicts, order = {}, pres.diag.concrete_order()   # (lift scales, id(scan list)) -> verdict
     for (ga, lift), brute in zip(cosets, scans):
         shift = None if lift is None else lift.scales
-        if (entry := listed.get(shift)) is None:
-            entry = listed[shift] = (pres.diag.coset(shift), {})
-        structured, verdicts = entry
-        # keyed on the list object: a scan that misses for one sigma fails that sigma alone
-        if id(brute) not in verdicts:
-            verdicts[id(brute)] = "PASS" if structured == brute else "FAIL"
-        verdict = verdicts[id(brute)]
+        if (verdict := verdicts.get((shift, id(brute)))) is None:
+            structured = [] if shift is None else pres.diag.coset(shift)
+            verdict = verdicts[shift, id(brute)] = "PASS" if structured == brute else "FAIL"
         failures += verdict == "FAIL"
         if ga.is_identity() and verdict == "PASS":
-            lines.append(f"diag solutions: PASS ({len(structured)} = {len(brute)})")
-        elif ga.is_identity():
+            lines.append(f"diag solutions: PASS ({order} = {len(brute)})")
+        elif ga.is_identity():   # the first sigma, so its coset was just listed
             diff = next(x for x in structured + brute
                         if x not in structured or x not in brute)
             lines.append(f"diag solutions: FAIL (first divergence {_vector_text(diff)})")
-        counts = (f"{len(structured)} = {len(brute)}" if shift is not None
+        counts = (f"{order} = {len(brute)}" if shift is not None
                   else f"infeasible = {len(brute)} solutions")
         lines.append(f"twisted coset sigma={_vector_text(ga.sigma)}: {verdict} ({counts})")
 
