@@ -70,14 +70,19 @@ class TruncatedLimit(Value):
 
     def __init__(self, spec: ChainSpec, tuples: tuple[tuple[Scalar, ...], ...],
                  stabilization_depth: int):
-        exps = spec.exponents
+        if not isinstance(spec.field, PrimeField):
+            raise NotPrimeField("a chain census is over a prime field")
+        # every link and the anchor, checked on the residues with pow(x, e, p)
+        p, exps = spec.field.p, spec.exponents
+        anchor = None if spec.anchor is None else spec.anchor.residue
         for chain in tuples:
             if len(chain) != spec.depth:
                 raise EvoautError("tuple depth mismatch")
-            for i in range(len(chain) - 1):
-                if chain[i + 1] ** exps[i + 1] != chain[i]:
+            rs = [x.residue for x in chain]
+            for i, (below, x, e) in enumerate(zip(rs, rs[1:], exps[1:])):
+                if pow(x, e, p) != below:
                     raise EvoautError(f"chain {chain} breaks compatibility at index {i}")
-            if spec.anchor is not None and chain[0] ** exps[0] != spec.anchor:
+            if anchor is not None and pow(rs[0], exps[0], p) != anchor:
                 raise EvoautError(f"chain {chain} violates the anchor condition")
         self.spec, self.tuples, self.stabilization_depth = spec, tuples, stabilization_depth
 

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from operator import attrgetter, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
-from .snf import SparseMatrix, identity, smith_normal_form
+from .snf import smith_normal_form
 from .value import Value
 
 ENUMERATION_CAP = 10**6
@@ -206,8 +205,8 @@ def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
     In transformed coordinates the group is the direct product of mu_{d_k}
     for k < rank and, when ``free``, full copies of the cyclic group of order
     ``modulus`` beyond.  mu_{d_k} is generated by the log modulus / o with
-    o = gcd(d_k, modulus); V pushes it to the log vector a * V[:, k] mod
-    modulus, and keeps the product structure because it acts as a group
+    o = gcd(d_k, modulus); V pushes it to the log vector a * (column k of V)
+    mod modulus, and keeps the product structure because it acts as a group
     automorphism of (Z/modulus)^n.  Factors of order 1 get no generator.
     """
     generators = []
@@ -216,16 +215,20 @@ def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
         o = math.gcd(diag[k], modulus) if k < rank else modulus
         if o > 1:
             a = modulus // o
-            generators.append(tuple(a * V[i][k] % modulus for i in range(n)))
+            gen = [0] * n
+            for i, x in V[k]:
+                gen[i] = a * x % modulus
+            generators.append(tuple(gen))
             orders.append(o)
     return generators, orders
 
 
 class ExponentDecomposition:
-    """One Smith normal form of a system's exponent rows: U, the diagonal, V
-    and the homogeneous solution group, whose generators are checked against
-    the rows once, here.  Every system with the same rows and any right-hand
-    sides (an algebra's diagonal and twisted systems) is solved against it.
+    """One Smith normal form of a system's exponent rows: U by sparse rows,
+    the diagonal, V by sparse columns and the homogeneous solution group,
+    whose generators are checked against the SNF's sparse copy of the rows
+    once, here.  Every system with the same rows and any right-hand sides
+    (an algebra's diagonal and twisted systems) is solved against it.
 
     ``modulus`` is the order of the cyclic group the log coordinates live in:
     p - 1 over F_p (base: the field generator), 2 over Q (base: -1, the sign).
@@ -237,19 +240,17 @@ class ExponentDecomposition:
         self.exponents = tuple(exps for exps, _ in system.rows)
         if self.exponents:
             snf = smith_normal_form(self.exponents)
-            self.U, self.V, self.rank, self.diagonal = snf.U, snf.V, snf.rank, tuple(snf.diagonal())
-        else:
-            self.U, self.V, self.rank, self.diagonal = SparseMatrix(()), identity(n), 0, ()
+            rows, self.U, self.V, self.rank, self.diagonal = \
+                snf.matrix, snf.U, snf.V, snf.rank, snf.diagonal
+        else:   # no relations: V is the identity
+            rows, self.U, self.V, self.rank, self.diagonal = \
+                (), (), tuple(((k, 1),) for k in range(n)), 0, ()
         finite = isinstance(field, PrimeField)
         self.modulus = field.p - 1 if finite else 2
         base = field.scalar(field.generator) if finite else -field.one
         logs, orders = _generator_logs(self.modulus, self.V, self.rank, self.diagonal, n, finite)
-        if logs:
-            # the nonzeros of each row, found once for every generator
-            rows = [[(v, exps[v]) for v in itertools.compress(range(n), exps)]
-                    for exps in self.exponents]
-            if any(sum(e * gen[v] for v, e in row) % self.modulus for gen in logs for row in rows):
-                raise InvariantViolation("homogeneous generator fails the system")
+        if any(sum(e * gen[v] for v, e in row) % self.modulus for gen in logs for row in rows):
+            raise InvariantViolation("homogeneous generator fails the system")
         self.homogeneous = GroupDescription(
             free_rank=n - self.rank, torsion=tuple(d for d in self.diagonal[:self.rank] if d > 1),
             field=field, generators=tuple(tuple(base**x for x in gen) for gen in logs),
@@ -290,7 +291,7 @@ class ExponentDecomposition:
         for r in set(rhs).difference(logs):
             logs[r] = dlog(self.field, r)
         xs = [0] * self.n_vars
-        for k, u_row in enumerate(self.U.rows):
+        for k, u_row in enumerate(self.U):
             c = 0
             for j, e in u_row:
                 c += e * logs[rhs[j]]
@@ -306,14 +307,9 @@ class ExponentDecomposition:
             y = roots[key]
             if y is None:
                 return None
-            for i, e in self._v_columns[k]:
+            for i, e in self.V[k]:
                 xs[i] += e * y
         return tuple(self._power(x % m) for x in xs)
-
-    @cached_property
-    def _v_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzeros (i, V[i][k]) of each column k of V."""
-        return tuple(tuple((i, x) for i, x in enumerate(column) if x) for column in zip(*self.V))
 
     def _power(self, log: int) -> Scalar:
         """g**log over F_p, one shared immutable scalar per log."""
@@ -325,7 +321,7 @@ class ExponentDecomposition:
     def _particular_rational(self, rhs) -> tuple[Scalar, ...] | None:
         one = self.field.one
         ys = [one] * self.n_vars
-        for k, u_row in enumerate(self.U.rows):
+        for k, u_row in enumerate(self.U):
             c = one
             for j, e in u_row:
                 c = c * rhs[j] ** e
@@ -336,7 +332,11 @@ class ExponentDecomposition:
                 ys[k] = one if one in roots else roots[0]
             elif c != one:
                 return None
-        return tuple(power_product(self.field, ys, row) for row in self.V)
+        xs = [one] * self.n_vars
+        for y, column in zip(ys, self.V):
+            for i, e in column:
+                xs[i] = xs[i] * y**e
+        return tuple(xs)
 
 
 def solve_homogeneous(system: MonomialSystem) -> GroupDescription:

@@ -3,153 +3,114 @@
 Pure big-integer arithmetic; the pivot rule (smallest absolute value, ties
 broken row-major) makes the output deterministic.  Each elementary operation
 on a transform is undone on a tracked inverse, so every decomposition is
-certified by exact products: U @ A @ V == D and U @ U^-1 == I == V @ V^-1,
+certified by exact products: U @ A @ V == D and U @ U^-1 == I == V^-1 @ V,
 which proves U and V unimodular without an O(m^3) determinant.
 
 The exponent matrices of monomial systems (one row 2 e_u - e_v per edge)
-hold a few nonzeros per row and keep that sparsity through elimination.  The
-working matrix is therefore held as sparse rows (dicts {column: value}) with
-an index from each column to the rows nonzero in it: clearing a column, and
-the column operation that clears a row, visit only the rows nonzero in the
-pivot column, and a column swap only the rows that hold either column.  The
-row transform U is m x m for an m-row matrix but its rows hold a handful of
-nonzeros, so U and its inverse are sparse rows too (``SparseMatrix`` once
-stored), and the certificate is checked over the nonzeros alone.  The
-column transform V (n x n for n unknowns) and its inverse are held by
-columns, as dense lists: a column operation rewrites one list and a column
-swap exchanges two.  Storage sets the cost of each operation, never its
-result: the pivot rule alone fixes the operations and their order.
+hold a few nonzeros per row and keep that sparsity through elimination, so
+every matrix here is held by its nonzeros, from the input to the consumer.
+The input A is read once into dicts {column: value}, the working matrix's
+rows, with an index from each column to the rows nonzero in it: clearing a
+column, and the column operation that clears a row, visit only the rows
+nonzero in the pivot column, and a column swap only the rows that hold
+either column.  Row operations act on rows and column operations on
+columns, so U and U^-T are held by rows, V and V^-T by columns, and D by
+its diagonal.  The decomposition keeps that orientation, as (index, value)
+pairs: a row of U transforms a right-hand side, and a column of V maps a
+transformed solution back.  The certificate is checked over the nonzeros
+alone.  Storage sets the cost of each operation, never its result: the
+pivot rule alone fixes the operations and their order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from operator import itemgetter
-
 from .errors import InvariantViolation
 from .value import Value
 
-Matrix = list[list[int]]
-_value = itemgetter(1)   # of a (column, value) pair
+
+def _sparse_lines(lines, size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each line (a row or a column), dense or a dict {index: value}, as its
+    nonzero (index, value) pairs in index order.  A dense line must hold
+    ``size`` entries and a dict only indices in range(size)."""
+    out = tuple(tuple(sorted((j, x) for j, x in line.items() if x)) if isinstance(line, dict)
+                else tuple((j, x) for j, x in enumerate(line) if x) for line in lines)
+    if any(len(line) != size for line in lines if not isinstance(line, dict)) \
+            or any(line and not (line[0][0] >= 0 and line[-1][0] < size) for line in out):
+        raise InvariantViolation(f"a line does not fit {size} entries")
+    return out
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _times(row, rows) -> dict[int, int]:
+    """A sparse row times a matrix given by its sparse rows, as a dict."""
+    acc = {}
+    for k, c in row:
+        for j, y in rows[k]:
+            acc[j] = acc.get(j, 0) + c * y
+    return acc
 
 
-class SparseMatrix(Sequence):
-    """A square integer matrix held as rows of (column, value) pairs: the
-    nonzero entries in column order.  Indexing and iteration give dense row
-    tuples, as the nested tuples it stands for would; ``rows`` gives the pairs.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        """``rows``: one dense row, or one dict {column: value}, per row."""
-        size = len(rows)
-        self.rows = tuple(tuple(sorted(filter(_value, r.items()))) if isinstance(r, dict)
-                          else tuple((j, x) for j, x in enumerate(r) if x) for r in rows)
-        if any(len(r) != size for r in rows if not isinstance(r, dict)) \
-                or any(r and not (r[0][0] >= 0 and r[-1][0] < size) for r in self.rows):
-            raise InvariantViolation(f"a {size}-row transform is not square")
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        dense = [0] * len(self.rows)
-        for j, x in self.rows[i]:
-            dense[j] = x
-        return tuple(dense)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SparseMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows!r})"
-
-
-def is_inverse(t: SparseMatrix, t_inv_t: SparseMatrix) -> bool:
-    """t @ t_inv == I, given t_inv transposed; compared with the identity one
-    row at a time, over the nonzeros of both."""
-    size = len(t)
-    if len(t_inv_t) != size:
-        return False
-    inv_rows = [[] for _ in range(size)]
-    for j, column in enumerate(t_inv_t.rows):
-        for k, y in column:
-            inv_rows[k].append((j, y))
-    for i, row in enumerate(t.rows):
-        acc = {i: -1}
-        for k, c in row:
-            for j, y in inv_rows[k]:
-                acc[j] = acc.get(j, 0) + c * y
-        if any(acc.values()):
+def _is_diagonal_product(rows, columns, diagonal) -> bool:
+    """R @ C == diag(diagonal), zero past the diagonal's end, for R given by
+    its sparse rows and a square C by its sparse columns; compared one row
+    at a time, over the nonzeros of both."""
+    c_rows = [[] for _ in columns]
+    for j, column in enumerate(columns):
+        for k, x in column:
+            c_rows[k].append((j, x))
+    for i, row in enumerate(rows):
+        acc = _times(row, c_rows)
+        if acc.pop(i, 0) != (diagonal[i] if i < len(diagonal) else 0) or any(acc.values()):
             return False
     return True
+
+
+def is_inverse(rows, columns) -> bool:
+    """R @ C == I, for a square R by its sparse rows and C by its columns."""
+    return len(columns) == len(rows) and _is_diagonal_product(rows, columns, (1,) * len(rows))
 
 
 class SmithDecomposition(Value):
     """U @ matrix @ V == D with U, V unimodular and D = diag(d_1 | d_2 | ...).
 
-    ``U`` is a ``SparseMatrix`` (dense rows given to the constructor are
-    converted); ``V`` and ``D`` are dense.  ``U_inv_t`` and ``V_inv_t`` are
-    the transposed integer inverses of the transforms, dense or as sparse
-    rows: the certificate that U and V are unimodular.  ``__init__`` checks
-    them with the other invariants and does not keep them.
+    ``matrix`` and ``U`` are held by sparse rows, ``V`` by sparse columns:
+    tuples of (index, value) pairs in index order.  ``diagonal`` holds the
+    min(m, n) diagonal entries of D, which is zero elsewhere.  ``U_inv_t``
+    and ``V_inv_t`` are the transposed integer inverses of the transforms,
+    U^-T by rows and V^-T by columns (so the lines of V^-T are the rows of
+    V^-1): the certificate that U and V are unimodular.  The constructor
+    takes each matrix as lines in that orientation, dense or dicts
+    {index: value}; the width n is that of a dense row of ``matrix``, or
+    else the number of columns of ``V``.  ``__init__`` checks the inverses
+    with the other invariants and does not keep them.
     """
 
-    __slots__ = ("matrix", "U", "D", "V", "rank")
+    __slots__ = ("matrix", "U", "diagonal", "V", "rank")
 
-    def __init__(self, matrix: tuple[tuple[int, ...], ...], U: SparseMatrix,
-                 D: tuple[tuple[int, ...], ...], V: tuple[tuple[int, ...], ...],
-                 U_inv_t: Matrix, V_inv_t: Matrix):
-        self.matrix, self.D, self.V = matrix, D, V
-        self.U = U if isinstance(U, SparseMatrix) else SparseMatrix(U)
-        self._verify(U_inv_t, V_inv_t)
-        self.rank = sum(1 for d in self.diagonal() if d != 0)
-
-    def diagonal(self) -> list[int]:
-        return [self.D[k][k] for k in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
-
-    def invariant_factors(self) -> list[int]:
-        return [d for d in self.diagonal() if d != 0]
-
-    def _verify(self, u_inv_t, v_inv_t):
-        m, n = len(self.matrix), len(self.matrix[0]) if self.matrix else 0
-        if (len(self.U), len(self.V)) != (m, n):
+    def __init__(self, matrix, U, diagonal, V, U_inv_t, V_inv_t):
+        m = len(matrix)
+        n = len(V) if not m or isinstance(matrix[0], dict) else len(matrix[0])
+        if (len(U), len(V)) != (m, n):
             raise InvariantViolation(
                 f"transforms of a {m} x {n} matrix must be {m} x {m} and {n} x {n}")
-        if len(self.D) != m:
-            raise InvariantViolation("U @ A @ V != D")
+        self.matrix, self.U = _sparse_lines(matrix, n), _sparse_lines(U, m)
+        self.V, self.diagonal = _sparse_lines(V, n), tuple(diagonal)
+        self._verify(_sparse_lines(U_inv_t, m), _sparse_lines(V_inv_t, n))
+        self.rank = sum(1 for d in self.diagonal if d != 0)
+
+    def invariant_factors(self) -> list[int]:
+        return [d for d in self.diagonal if d != 0]
+
+    def _verify(self, u_inv_t, v_inv_t):
+        diag = self.diagonal
         # row i of U @ A @ V, over the nonzeros of U, A, U @ A and V
-        a_rows = [[(j, x) for j, x in enumerate(r) if x] for r in self.matrix]
-        v = SparseMatrix(self.V)
-        for row, d_row in zip(self.U.rows, self.D):
-            ua = {}
-            for k, c in row:
-                for j, x in a_rows[k]:
-                    ua[j] = ua.get(j, 0) + c * x
-            product = [0] * n
-            for k, c in ua.items():
-                if c:
-                    for j, y in v.rows[k]:
-                        product[j] += c * y
-            if list(d_row) != product:
-                raise InvariantViolation("U @ A @ V != D")
-        if not (is_inverse(self.U, SparseMatrix(u_inv_t))
-                and is_inverse(v, SparseMatrix(v_inv_t))):
+        if len(diag) != min(len(self.U), len(self.V)) or not _is_diagonal_product(
+                (_times(row, self.matrix).items() for row in self.U), self.V, diag):
+            raise InvariantViolation("U @ A @ V != D")
+        if not (is_inverse(self.U, u_inv_t) and is_inverse(v_inv_t, self.V)):
             raise InvariantViolation("transform matrices are not unimodular")
-        diag = self.diagonal()
-        if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(self.D)):
-            raise InvariantViolation("D is not diagonal")
         for k in range(len(diag) - 1):
             if diag[k + 1] and (diag[k] == 0 or diag[k + 1] % diag[k]):
-                raise InvariantViolation(f"divisibility chain broken: {diag}")
+                raise InvariantViolation(f"divisibility chain broken: {list(diag)}")
 
 
 def _find_pivot(d: list[dict[int, int]], t: int):
@@ -171,25 +132,26 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
     Accepts any rectangular list-of-lists (including zero rows/columns or an
     empty matrix) and returns the full decomposition, re-verified.  The
-    working matrix is held as sparse rows with an index of the rows nonzero
-    in each column, so clearing a column or a row visits only its nonzeros.
-    A unit pivot divides every entry, so the search for an entry that breaks
-    the divisibility chain is skipped for it.
+    input is read once, into sparse rows of its nonzeros as ints; the
+    working matrix keeps them with an index of the rows nonzero in each
+    column, so clearing a column or a row visits only its nonzeros.  A unit
+    pivot divides every entry, so the search for an entry that breaks the
+    divisibility chain is skipped for it.
     """
-    rows = tuple(tuple(map(int, r)) for r in matrix)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if any(len(r) != n for r in matrix):
         raise ValueError("ragged matrix")
-    d = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    a = [{j: y for j, x in enumerate(r) if x and (y := int(x))} for r in matrix]
+    d = [row.copy() for row in a]
     cols = [set() for _ in range(n)]   # column -> the rows nonzero in it
     for i, row in enumerate(d):
         for j in row:
             cols[j].add(i)
-    # the inverses are kept transposed, so U^-1 takes row operations like U
-    # and V^-1 column operations like V; V and V^-T are held by columns
+    # the inverses are kept transposed, so U^-T takes row operations like U
+    # and V^-T column operations like V; V and V^-T are held by columns
     u, u_inv_t = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
-    v, v_inv_t = identity(n), identity(n)
+    v, v_inv_t = [{j: 1} for j in range(n)], [{j: 1} for j in range(n)]
 
     def combine(sparse, dst, src, factor):
         target = sparse[dst]
@@ -245,8 +207,8 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             else:
                 del row[dst]
                 index.remove(i)
-        v[dst] = [x + factor * y for x, y in zip(v[dst], v[src])]
-        v_inv_t[src] = [x - factor * y for x, y in zip(v_inv_t[src], v_inv_t[dst])]
+        combine(v, dst, src, factor)
+        combine(v_inv_t, src, dst, -factor)
 
     # at step t the rows above t are zero off the diagonal and the rest are
     # zero left of column t: the operations of step t touch rows and columns
@@ -289,7 +251,5 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             pos = (t, t)
         t += 1
 
-    zero = (0,) * n
-    D = tuple(tuple(map(row.get, range(n), zero)) if row else zero for row in d)
-    return SmithDecomposition(matrix=rows, U=SparseMatrix(u), D=D, V=tuple(zip(*v)),
-                              U_inv_t=u_inv_t, V_inv_t=tuple(zip(*v_inv_t)))
+    return SmithDecomposition(matrix=a, U=u, diagonal=[d[k].get(k, 0) for k in range(min(m, n))],
+                              V=v, U_inv_t=u_inv_t, V_inv_t=v_inv_t)

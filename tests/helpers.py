@@ -143,7 +143,7 @@ def scalar_particular(decomposition, rhs):
     field = decomposition.field
     one = field.one
     ys = [one] * decomposition.n_vars
-    for k, u_row in enumerate(decomposition.U.rows):
+    for k, u_row in enumerate(decomposition.U):
         c = one
         for j, e in u_row:
             c = c * rhs[j] ** e
@@ -154,7 +154,12 @@ def scalar_particular(decomposition, rhs):
             ys[k] = one if one in roots else roots[0]
         elif c != one:
             return None
-    return tuple(power_product(field, ys, row) for row in decomposition.V)
+    n = decomposition.n_vars
+    v_rows = [[0] * n for _ in range(n)]
+    for k, column in enumerate(decomposition.V):
+        for i, e in column:
+            v_rows[i][k] = e
+    return tuple(power_product(field, ys, row) for row in v_rows)
 
 
 def scalar_generators(decomposition):
@@ -164,7 +169,8 @@ def scalar_generators(decomposition):
     rank, diag = decomposition.rank, decomposition.diagonal
 
     def push(k, value):
-        return tuple(value ** V[i][k] for i in range(n))
+        column = dict(V[k])
+        return tuple(value ** column.get(i, 0) for i in range(n))
 
     if isinstance(field, PrimeField):
         if field.p == 2:

@@ -1,7 +1,11 @@
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from evoaut.cli import main
 from evoaut.errors import ParseError
 from evoaut.files import (
     detect_format,
@@ -203,3 +207,44 @@ def test_structured_symbolic_round_trip():
 def test_structured_requires_format_tag():
     with pytest.raises(ParseError):
         parse_structured("command = diag\n")
+
+
+def test_mutated_samples_exit_with_an_answer_a_parse_error_or_a_cap(tmp_path):
+    """Sample files with random token and character edits, through every
+    command that reads a file: each exits 0, 2 or 3, never 4 or a traceback."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    texts = [path.read_text() for path in sorted(SAMPLES.iterdir())]
+    tokens = sorted({token for text in texts for token in text.split()}
+                    | {"0", "-1", "1/0", "0*v1", "F2", "F4", "F2147483647", "Q", "->", "=", "#"})
+    chars = " \n#*+-/=>.0123456789Feuvwxy"
+    edits = st.lists(st.tuples(st.sampled_from(["token", "char"]), st.integers(0, 10**4),
+                               st.sampled_from(["delete", "insert", "replace"]),
+                               st.sampled_from(tokens), st.sampled_from(chars)),
+                     min_size=1, max_size=4)
+    path = tmp_path / "mutated"
+
+    def mutate(text, edit):
+        kind, at, op, token, char = edit
+        if kind == "token":   # split keeps the whitespace at the odd positions
+            parts, step, new, sep = re.split(r"(\s+)", text), 2, token, " "
+        else:
+            parts, step, new, sep = list(text), 1, char, ""
+        if not parts:
+            return new
+        i = at % ((len(parts) + step - 1) // step) * step
+        parts[i] = {"delete": "", "insert": new + sep + parts[i], "replace": new}[op]
+        return "".join(parts)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(texts), edits)
+    def check(text, edits):
+        for edit in edits:
+            text = mutate(text, edit)
+        path.write_text(text)
+        for command in ("diag", "aut", "check", "convert"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, str(path)])
+            assert code in (0, 2, 3), (command, text)
+
+    check()

@@ -8,6 +8,7 @@ from evoaut.autgroup import diag_system
 from evoaut.errors import DepthTooSmall, EvoautError, NotPrimeField, TooLarge
 from evoaut.limits import (
     ChainSpec,
+    TruncatedLimit,
     loop_chain_algebra,
     loop_chain_diag_group,
     tate_module_2,
@@ -47,6 +48,20 @@ def test_truncated_chain_free_tail():
     limit = truncated_chain(spec)
     assert residues(limit.tuples) == [(1, 1), (1, 4), (4, 2), (4, 3)]
     assert limit.stabilization_depth == 2
+
+
+def test_truncated_limit_checks_each_link_and_the_anchor():
+    spec = ChainSpec(F7, (2, 2), anchor=4)
+    chain = (F7.scalar(2), F7.scalar(3))                     # 3**2 == 2 and 2**2 == 4
+    assert TruncatedLimit(spec, (chain,), 2).tuples == (chain,)
+    with pytest.raises(EvoautError, match="compatibility at index 0"):
+        TruncatedLimit(spec, ((F7.scalar(2), F7.scalar(2)),), 2)
+    with pytest.raises(EvoautError, match="compatibility at index 1"):
+        TruncatedLimit(ChainSpec(F7, (1, 1, 2)), ((F7.one, F7.one, F7.scalar(3)),), 3)
+    with pytest.raises(EvoautError, match="anchor"):
+        TruncatedLimit(ChainSpec(F7, (2, 2), anchor=2), (chain,), 2)
+    with pytest.raises(NotPrimeField):
+        TruncatedLimit(ChainSpec(QQ, (2,)), (), 1)
 
 
 def test_truncated_chain_validation():

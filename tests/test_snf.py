@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from evoaut.errors import InvariantViolation
-from evoaut.snf import SmithDecomposition, SparseMatrix, smith_normal_form
+from evoaut.snf import SmithDecomposition, smith_normal_form
 
 
 def mat_mul(a, b):
@@ -50,6 +50,32 @@ def freeze(mat):
     return tuple(tuple(r) for r in mat)
 
 
+def transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def dense(lines, size):
+    """Sparse lines of (index, value) pairs as dense lists of ``size`` entries."""
+    out = [[0] * size for _ in lines]
+    for line, sparse in zip(out, lines):
+        for j, x in sparse:
+            line[j] = x
+    return out
+
+
+def dense_parts(snf):
+    """U, D and V of a decomposition as dense rows."""
+    m, n = len(snf.U), len(snf.V)
+    D = [[0] * n for _ in range(m)]
+    for k, d in enumerate(snf.diagonal):
+        D[k][k] = d
+    return dense(snf.U, m), D, transpose(dense(snf.V, n))
+
+
+def diagonal_of(D):
+    return [D[k][k] for k in range(min(len(D), len(D[0]) if D else 0))]
+
+
 def minor_gcd_factors(mat):
     """Independent invariant-factor oracle: d_1 ... d_k = gcd of k x k minors."""
     m, n = len(mat), len(mat[0]) if mat else 0
@@ -70,7 +96,8 @@ def minor_gcd_factors(mat):
 
 def test_snf_identity_case():
     snf = smith_normal_form([[1]])
-    assert snf.D == ((1,),)
+    assert snf.diagonal == (1,)
+    assert (snf.matrix, snf.U, snf.V) == ((((0, 1),),), (((0, 1),),), (((0, 1),),))
     assert snf.invariant_factors() == [1]
 
 
@@ -110,7 +137,7 @@ def test_snf_zero_and_rectangular():
 def test_snf_negative_entries():
     snf = smith_normal_form([[-2, 4], [4, -8]])
     assert snf.invariant_factors() == [2]
-    assert all(d >= 0 for d in snf.diagonal())
+    assert all(d >= 0 for d in snf.diagonal)
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -136,12 +163,12 @@ def test_invariant_factors_independent_of_row_order():
 def test_transforms_reverify():
     # the constructor re-checks U @ A @ V == D; sanity-check one case by hand
     snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    u = [list(r) for r in snf.U]
-    a = [list(r) for r in snf.matrix]
-    v = [list(r) for r in snf.V]
+    u, d, v = dense_parts(snf)
+    a = dense(snf.matrix, 3)
+    assert a == [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     prod = [[sum(u[i][k] * a[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     prod = [[sum(prod[i][k] * v[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-    assert prod == [list(r) for r in snf.D]
+    assert prod == d
     assert int_det(u) in (1, -1)
     assert int_det(v) in (1, -1)
     chain = snf.invariant_factors()
@@ -175,8 +202,8 @@ def test_transforms_unimodular_property():
     @hypothesis.given(matrices())
     def check(mat):
         snf = smith_normal_form(mat)
-        u, v = [list(r) for r in snf.U], [list(r) for r in snf.V]
-        assert mat_mul(mat_mul(u, mat), v) == [list(r) for r in snf.D]
+        u, d, v = dense_parts(snf)
+        assert mat_mul(mat_mul(u, mat), v) == d
         assert int_det(u) in (1, -1)
         assert int_det(v) in (1, -1)
 
@@ -223,18 +250,20 @@ def test_non_unimodular_transform_is_rejected(matrix, U, V, U_inv_t, V_inv_t):
     # every other invariant holds: D == U @ A @ V is diagonal with a divisibility chain
     D = mat_mul(mat_mul(U, matrix), V)
     assert all(D[i][j] == 0 for i in range(len(D)) for j in range(len(D[0])) if i != j)
+    # V and V^-T are given by their columns
     with pytest.raises(InvariantViolation, match="unimodular"):
-        SmithDecomposition(matrix=freeze(matrix), U=freeze(U), D=freeze(D), V=freeze(V),
-                           U_inv_t=U_inv_t, V_inv_t=V_inv_t)
+        SmithDecomposition(matrix=freeze(matrix), U=freeze(U), diagonal=diagonal_of(D),
+                           V=transpose(V), U_inv_t=U_inv_t, V_inv_t=transpose(V_inv_t))
 
 
 def test_corrupted_transform_is_rejected():
     snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    u = [list(r) for r in snf.U]
+    u = dense(snf.U, 3)
     u[1][0] += 1
+    v = [dict(column) for column in snf.V]
     with pytest.raises(InvariantViolation, match="U @ A @ V != D"):
-        SmithDecomposition(matrix=snf.matrix, U=freeze(u), D=snf.D, V=snf.V,
-                           U_inv_t=u, V_inv_t=snf.V)
+        SmithDecomposition(matrix=[dict(row) for row in snf.matrix], U=freeze(u),
+                           diagonal=snf.diagonal, V=v, U_inv_t=u, V_inv_t=v)
 
 
 @pytest.mark.parametrize("matrix, U, D, V", [
@@ -243,8 +272,8 @@ def test_corrupted_transform_is_rejected():
 ])
 def test_transform_of_the_wrong_size_is_rejected(matrix, U, D, V):
     with pytest.raises(InvariantViolation, match="must be"):
-        SmithDecomposition(matrix=freeze(matrix), U=freeze(U), D=freeze(D), V=freeze(V),
-                           U_inv_t=U, V_inv_t=V)
+        SmithDecomposition(matrix=freeze(matrix), U=freeze(U), diagonal=diagonal_of(D),
+                           V=freeze(V), U_inv_t=U, V_inv_t=V)
 
 
 @pytest.mark.parametrize("rows", [
@@ -253,22 +282,36 @@ def test_transform_of_the_wrong_size_is_rejected(matrix, U, D, V):
     [{-1: 1}, {1: 1}],            # a sparse entry before the first column
 ])
 def test_transform_rows_outside_the_square_are_rejected(rows):
-    with pytest.raises(InvariantViolation, match="not square"):
-        SparseMatrix(rows)
+    eye = [[1, 0], [0, 1]]
+    with pytest.raises(InvariantViolation, match="does not fit 2 entries"):
+        SmithDecomposition(matrix=eye, U=rows, diagonal=(1, 1), V=eye, U_inv_t=eye, V_inv_t=eye)
+
+
+@pytest.mark.parametrize("part", ["matrix", "U", "V", "U_inv_t", "V_inv_t"])
+def test_sparse_lines_outside_their_matrix_are_rejected(part):
+    # a 2 x 1 matrix given by dicts takes its width from V; each part in turn
+    # gets an entry one past its last index
+    parts = {"matrix": [{0: 1}, {}], "U": [{0: 1}, {1: 1}], "diagonal": (1,), "V": [{0: 1}],
+             "U_inv_t": [{0: 1}, {1: 1}], "V_inv_t": [{0: 1}]}
+    SmithDecomposition(**parts)
+    parts[part][0][len(parts[part])] = 1
+    with pytest.raises(InvariantViolation, match="does not fit"):
+        SmithDecomposition(**parts)
 
 
 @pytest.mark.parametrize("matrix, D, message", [
-    ([[1, 1]], [[1, 1]], "not diagonal"),
-    ([[1], [1]], [[1], [1]], "not diagonal"),                  # a row below the diagonal
+    # D is held by its diagonal: an entry off it fails the product
+    ([[1, 1]], [[1, 1]], "U @ A @ V != D"),
+    ([[1], [1]], [[1], [1]], "U @ A @ V != D"),                # a row below the diagonal
     ([[2, 0], [0, 3]], [[2, 0], [0, 3]], "divisibility chain"),
     ([[0, 0], [0, 1]], [[0, 0], [0, 1]], "divisibility chain"),  # a zero before a nonzero
 ])
 def test_d_off_the_smith_form_is_rejected(matrix, D, message):
-    # identity transforms: D == U @ A @ V holds and both are unimodular
+    # identity transforms: A == U @ A @ V and both are unimodular
     m, n = len(matrix), len(matrix[0])
     eye = lambda k: [[int(i == j) for j in range(k)] for i in range(k)]
     with pytest.raises(InvariantViolation, match=message):
-        SmithDecomposition(matrix=freeze(matrix), U=freeze(eye(m)), D=freeze(D),
+        SmithDecomposition(matrix=freeze(matrix), U=freeze(eye(m)), diagonal=diagonal_of(D),
                            V=freeze(eye(n)), U_inv_t=eye(m), V_inv_t=eye(n))
 
 
@@ -326,12 +369,12 @@ def transforms_digest(matrices):
     digest = hashlib.sha256()
     for mat in matrices:
         snf = smith_normal_form(mat)
-        digest.update(repr((tuple(map(tuple, snf.U)), snf.D, snf.V)).encode())
+        digest.update(repr(tuple(tuple(map(tuple, part)) for part in dense_parts(snf))).encode())
     return digest.hexdigest()[:24]
 
 
-# U, D and V as the dense-transform elimination produced them: the sparse
-# transforms change the cost of each operation, never its result
+# U, D and V, densified, as the dense-transform elimination produced them:
+# the sparse layout changes the cost of each operation, never its result
 @pytest.mark.parametrize("matrices, pin", [
     (random_matrices, "dd400ff371860759d477457e"),
     (lambda: [edge_rows(random.Random(32), 32, 6)], "95d4200dce3735e44991c55f"),   # 192 x 32
@@ -363,29 +406,26 @@ def exact_inverse(mat):
 def test_certificate_reads_every_stored_entry():
     rows = edge_rows(random.Random(37), 10, 4)                  # 40 x 10
     snf = smith_normal_form(rows)
-    transpose = lambda mat: [list(col) for col in zip(*mat)]
-    U, V = [list(r) for r in snf.U], [list(r) for r in snf.V]
-    parts = {"U": U, "V": V, "D": [list(r) for r in snf.D],
-             "U_inv_t": transpose(exact_inverse(U)), "V_inv_t": transpose(exact_inverse(V))}
+    U, _, V = dense_parts(snf)
+    # U and U^-T by rows, V and V^-T by columns, the diagonal of D
+    parts = {"U": U, "V": transpose(V), "diagonal": list(snf.diagonal),
+             "U_inv_t": transpose(exact_inverse(U)), "V_inv_t": exact_inverse(V)}
 
     def build(parts):
-        return SmithDecomposition(matrix=snf.matrix, U=freeze(parts["U"]), D=freeze(parts["D"]),
-                                  V=freeze(parts["V"]), U_inv_t=parts["U_inv_t"],
-                                  V_inv_t=parts["V_inv_t"])
+        return SmithDecomposition(matrix=rows, **parts)
 
     assert build(parts) == snf
     zeros = 0
     for name, mat in parts.items():
-        for i, j in itertools.product(range(len(mat)), range(len(mat[0]))):
-            zeros += mat[i][j] == 0
-            mat[i][j] += 1
-            with pytest.raises(InvariantViolation):
-                build(parts)
-            mat[i][j] -= 1
+        lines = [mat] if name == "diagonal" else mat
+        for line in lines:
+            for j in range(len(line)):
+                zeros += line[j] == 0
+                line[j] += 1
+                with pytest.raises(InvariantViolation):
+                    build(parts)
+                line[j] -= 1
     assert zeros > 3000        # most forged entries are zero in the real transforms
-    for row in (0, 9, 39):     # a D row one entry too long or too short
-        for wrong in (parts["D"][row] + [0], parts["D"][row][:-1]):
-            kept, parts["D"][row] = parts["D"][row], wrong
-            with pytest.raises(InvariantViolation):
-                build(parts)
-            parts["D"][row] = kept
+    for wrong in (parts["diagonal"] + [0], parts["diagonal"][:-1]):
+        with pytest.raises(InvariantViolation):
+            build({**parts, "diagonal": wrong})

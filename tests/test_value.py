@@ -72,13 +72,15 @@ def test_normalized_fields_compare_normalized():
     (lambda: GroupDescription(0, generators=((F7.one,),)), InvariantViolation),
     (lambda: coset((F7.one, F7.one)), InvariantViolation),
     (lambda: coset((F7.one,)), InvariantViolation),
-    (lambda: SmithDecomposition(((2,),), ((1,),), ((2,),), ((1,),), [[1]], [[2]]),
+    (lambda: SmithDecomposition(((2,),), ((1,),), (2,), ((1,),), [[1]], [[2]]),
      InvariantViolation),
     (lambda: AutPresentation(PRES.algebra, PRES.decomposition, PRES.lifted[1:],
                              PRES.not_lifted, True), InvariantViolation),
     (lambda: ChainSpec(F7, ()), ValueError),
     (lambda: ChainSpec(F7, (2,), 0), EvoautError),
     (lambda: TruncatedLimit(ChainSpec(F7, (2, 2)), ((F7.one, F7.scalar(3)),), 1), EvoautError),
+    (lambda: TruncatedLimit(ChainSpec(F7, (2, 2), 2), ((F7.scalar(2), F7.scalar(3)),), 2),
+     EvoautError),                                          # 3**2 == 2, but 2**2 != 2
 ])
 def test_constructor_errors(build, error):
     with pytest.raises(error):
