@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .algebra import EvolutionAlgebra
 from .autgroup import diag_group
-from .errors import DepthTooSmall, EvoautError, NotPrimeField, TooLarge
+from .errors import DepthTooSmall, EvoautError, FieldMismatch, NotPrimeField, TooLarge
 from .monomial import GroupDescription
 from .scalar import Field, PrimeField, RationalField, Scalar
 from .value import Value
@@ -72,12 +72,16 @@ class TruncatedLimit(Value):
                  stabilization_depth: int):
         if not isinstance(spec.field, PrimeField):
             raise NotPrimeField("a chain census is over a prime field")
-        # every link and the anchor, checked on the residues with pow(x, e, p)
-        p, exps = spec.field.p, spec.exponents
+        # every scalar in the spec's field; every link and the anchor, checked
+        # on the residues with pow(x, e, p)
+        field, exps = spec.field, spec.exponents
+        p = field.p
         anchor = None if spec.anchor is None else spec.anchor.residue
         for chain in tuples:
             if len(chain) != spec.depth:
                 raise EvoautError("tuple depth mismatch")
+            if any(x.field is not field and x.field != field for x in chain):
+                raise FieldMismatch(f"chain {chain} holds a scalar outside {field}")
             rs = [x.residue for x in chain]
             for i, (below, x, e) in enumerate(zip(rs, rs[1:], exps[1:])):
                 if pow(x, e, p) != below:

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import attrgetter, mul
+from functools import cached_property
+from operator import attrgetter, index, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
@@ -55,7 +56,10 @@ class MonomialSystem(Value):
             raise ValueError("variable count must be nonnegative")
         frozen = []
         for exps, rhs in rows:
-            exps = tuple(map(int, exps))
+            try:
+                exps = tuple(map(index, exps))
+            except TypeError:
+                raise ValueError(f"exponent row {exps!r} holds a non-integer") from None
             if len(exps) != n_vars:
                 raise ValueError(f"exponent row {exps} does not have {n_vars} entries")
             rhs = field.scalar(rhs)
@@ -224,10 +228,12 @@ def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
 
 
 class ExponentDecomposition:
-    """One Smith normal form of a system's exponent rows: U by sparse rows,
-    the diagonal, V by sparse columns and the homogeneous solution group,
-    whose generators are checked against the SNF's sparse copy of the rows
-    once, here.  Every system with the same rows and any right-hand sides
+    """One Smith normal form of a system's exponent rows: the diagonal, V by
+    sparse columns and the homogeneous solution group, whose generators are
+    checked against the SNF's sparse copy of the rows once, here.  U's
+    sparse rows are replayed from the SNF's log of row operations once, when
+    ``particular`` first reads them, so a caller that only needs the group
+    never builds U.  Every system with the same rows and any right-hand sides
     (an algebra's diagonal and twisted systems) is solved against it.
 
     ``modulus`` is the order of the cyclic group the log coordinates live in:
@@ -239,12 +245,11 @@ class ExponentDecomposition:
         self.field, self.n_vars = field, n
         self.exponents = tuple(exps for exps, _ in system.rows)
         if self.exponents:
-            snf = smith_normal_form(self.exponents)
-            rows, self.U, self.V, self.rank, self.diagonal = \
-                snf.matrix, snf.U, snf.V, snf.rank, snf.diagonal
-        else:   # no relations: V is the identity
-            rows, self.U, self.V, self.rank, self.diagonal = \
-                (), (), tuple(((k, 1),) for k in range(n)), 0, ()
+            snf = self._snf = smith_normal_form(self.exponents)
+            rows, self.V, self.rank, self.diagonal = snf.matrix, snf.V, snf.rank, snf.diagonal
+        else:   # no relations: U is empty and V the identity
+            self._snf = None
+            rows, self.V, self.rank, self.diagonal = (), tuple(((k, 1),) for k in range(n)), 0, ()
         finite = isinstance(field, PrimeField)
         self.modulus = field.p - 1 if finite else 2
         base = field.scalar(field.generator) if finite else -field.one
@@ -258,6 +263,11 @@ class ExponentDecomposition:
         self._roots: dict[tuple[int, int], int | None] = {}
         self._powers: dict[int, Scalar] = {}
         self._logs: dict[int, int] = {1: 0}   # residue -> its discrete log, over F_p
+
+    @cached_property
+    def U(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """U by sparse rows, replayed from the SNF's log once."""
+        return self._snf.U if self._snf is not None else ()
 
     def solve(self, system: MonomialSystem) -> SolutionCoset:
         """Solution coset of a system with this exponent matrix (Infeasible is a value),

@@ -1,10 +1,13 @@
 """Smith normal form of integer matrices with unimodular transforms.
 
 Pure big-integer arithmetic; the pivot rule (smallest absolute value, ties
-broken row-major) makes the output deterministic.  Each elementary operation
-on a transform is undone on a tracked inverse, so every decomposition is
-certified by exact products: U @ A @ V == D and U @ U^-1 == I == V^-1 @ V,
-which proves U and V unimodular without an O(m^3) determinant.
+broken row-major) makes the output deterministic.  U is kept as the log of
+its row operations, each a swap, a negation or "add f times row src to row
+dst" (dst != src, f a nonzero int): a product of elementary matrices, so U
+is unimodular by construction.  Each column operation on V is undone on a
+tracked inverse.  Every decomposition is certified by exact products:
+replaying the log on A and multiplying by V gives D, and V^-1 @ V == I,
+which proves V unimodular without an O(n^3) determinant.
 
 The exponent matrices of monomial systems (one row 2 e_u - e_v per edge)
 hold a few nonzeros per row and keep that sparsity through elimination, so
@@ -13,19 +16,23 @@ The input A is read once into dicts {column: value}, the working matrix's
 rows, with an index from each column to the rows nonzero in it: clearing a
 column, and the column operation that clears a row, visit only the rows
 nonzero in the pivot column, and a column swap only the rows that hold
-either column.  Row operations act on rows and column operations on
-columns, so U and U^-T are held by rows, V and V^-T by columns, and D by
-its diagonal.  The decomposition keeps that orientation, as (index, value)
-pairs: a row of U transforms a right-hand side, and a column of V maps a
-transformed solution back.  The certificate is checked over the nonzeros
-alone.  Storage sets the cost of each operation, never its result: the
-pivot rule alone fixes the operations and their order.
+either column.  Column operations act on columns, so V and V^-T are held by
+columns, and D by its diagonal.  U's rows, which transform a right-hand
+side, are rebuilt from the log on the identity only when a caller reads
+them; a column of V maps a transformed solution back.  Storage sets the
+cost of each operation, never its result: the pivot rule alone fixes the
+operations and their order.
 """
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import InvariantViolation
 from .value import Value
+
+# the codes of U's logged row operations (see ``replay``)
+SWAP, NEGATE, ADD = "swap", "negate", "add"
 
 
 def _sparse_lines(lines, size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -69,44 +76,94 @@ def is_inverse(rows, columns) -> bool:
     return len(columns) == len(rows) and _is_diagonal_product(rows, columns, (1,) * len(rows))
 
 
+def _combine(lines, dst, src, factor):
+    """Add ``factor`` (nonzero) times the dict line ``src`` to the dict line ``dst``."""
+    target = lines[dst]
+    for j, y in lines[src].items():
+        x = target.get(j, 0) + factor * y
+        if x:
+            target[j] = x
+        else:
+            del target[j]
+
+
+def replay(row_ops, rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Apply logged row operations in order to dict rows {column: value}, in
+    place, and return the rows: on A's rows this gives U @ A, on the
+    identity's rows U itself.  Each operation must be elementary and index
+    rows of ``rows``: ("swap", a, b) with a != b, ("negate", i), or
+    ("add", dst, src, f), which adds f times row src to row dst, with
+    dst != src and f a nonzero int.  Anything else raises InvariantViolation."""
+    m = len(rows)
+    for op in row_ops:
+        code = op[0] if op else None
+        if code == ADD and len(op) == 4:
+            _, dst, src, f = op
+            if type(dst) is type(src) is type(f) is int and f and dst != src \
+                    and 0 <= dst < m and 0 <= src < m:
+                _combine(rows, dst, src, f)
+                continue
+        elif code == SWAP and len(op) == 3:
+            _, a, b = op
+            if type(a) is type(b) is int and a != b and 0 <= a < m and 0 <= b < m:
+                rows[a], rows[b] = rows[b], rows[a]
+                continue
+        elif code == NEGATE and len(op) == 2:
+            i = op[1]
+            if type(i) is int and 0 <= i < m:
+                rows[i] = {j: -x for j, x in rows[i].items()}
+                continue
+        raise InvariantViolation(f"row operation {op!r} is not elementary on {m} rows")
+    return rows
+
+
 class SmithDecomposition(Value):
     """U @ matrix @ V == D with U, V unimodular and D = diag(d_1 | d_2 | ...).
 
-    ``matrix`` and ``U`` are held by sparse rows, ``V`` by sparse columns:
-    tuples of (index, value) pairs in index order.  ``diagonal`` holds the
-    min(m, n) diagonal entries of D, which is zero elsewhere.  ``U_inv_t``
-    and ``V_inv_t`` are the transposed integer inverses of the transforms,
-    U^-T by rows and V^-T by columns (so the lines of V^-T are the rows of
-    V^-1): the certificate that U and V are unimodular.  The constructor
-    takes each matrix as lines in that orientation, dense or dicts
+    ``matrix`` is held by sparse rows and ``V`` by sparse columns: tuples of
+    (index, value) pairs in index order.  U is held as ``row_ops``, the log
+    of the elementary row operations that make it from the identity (see
+    ``replay``), so it is unimodular by construction; the ``U`` property
+    rebuilds its sparse rows.  ``diagonal`` holds the min(m, n) diagonal
+    entries of D, which is zero elsewhere.  ``V_inv_t`` is the transposed
+    integer inverse of V, by columns (so its lines are the rows of V^-1):
+    the certificate that V is unimodular.  The constructor takes ``matrix``,
+    ``V`` and ``V_inv_t`` as lines in that orientation, dense or dicts
     {index: value}; the width n is that of a dense row of ``matrix``, or
-    else the number of columns of ``V``.  ``__init__`` checks the inverses
-    with the other invariants and does not keep them.
+    else the number of columns of ``V``.  ``__init__`` checks every logged
+    operation, U @ A @ V == D by replaying the log on A's rows, V^-1 @ V ==
+    I and the divisibility chain, and does not keep V^-T.
     """
 
-    __slots__ = ("matrix", "U", "diagonal", "V", "rank")
+    __slots__ = ("matrix", "row_ops", "diagonal", "V", "rank")
 
-    def __init__(self, matrix, U, diagonal, V, U_inv_t, V_inv_t):
+    def __init__(self, matrix, row_ops, diagonal, V, V_inv_t):
         m = len(matrix)
         n = len(V) if not m or isinstance(matrix[0], dict) else len(matrix[0])
-        if (len(U), len(V)) != (m, n):
-            raise InvariantViolation(
-                f"transforms of a {m} x {n} matrix must be {m} x {m} and {n} x {n}")
-        self.matrix, self.U = _sparse_lines(matrix, n), _sparse_lines(U, m)
+        if len(V) != n:
+            raise InvariantViolation(f"V of a {m} x {n} matrix must be {n} x {n}")
+        self.matrix, self.row_ops = _sparse_lines(matrix, n), tuple(map(tuple, row_ops))
         self.V, self.diagonal = _sparse_lines(V, n), tuple(diagonal)
-        self._verify(_sparse_lines(U_inv_t, m), _sparse_lines(V_inv_t, n))
+        self._verify(_sparse_lines(V_inv_t, n))
         self.rank = sum(1 for d in self.diagonal if d != 0)
+
+    @property
+    def U(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """U by sparse rows, rebuilt from the log on the identity."""
+        rows = replay(self.row_ops, [{i: 1} for i in range(len(self.matrix))])
+        return tuple(tuple(sorted(row.items())) for row in rows)
 
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal if d != 0]
 
-    def _verify(self, u_inv_t, v_inv_t):
+    def _verify(self, v_inv_t):
         diag = self.diagonal
-        # row i of U @ A @ V, over the nonzeros of U, A, U @ A and V
-        if len(diag) != min(len(self.U), len(self.V)) or not _is_diagonal_product(
-                (_times(row, self.matrix).items() for row in self.U), self.V, diag):
+        # row i of U @ A @ V, over the nonzeros of U @ A and V
+        u_a = replay(self.row_ops, [dict(row) for row in self.matrix])
+        if len(diag) != min(len(self.matrix), len(self.V)) or not _is_diagonal_product(
+                (row.items() for row in u_a), self.V, diag):
             raise InvariantViolation("U @ A @ V != D")
-        if not (is_inverse(self.U, u_inv_t) and is_inverse(v_inv_t, self.V)):
+        if not is_inverse(v_inv_t, self.V):
             raise InvariantViolation("transform matrices are not unimodular")
         for k in range(len(diag) - 1):
             if diag[k + 1] and (diag[k] == 0 or diag[k + 1] % diag[k]):
@@ -131,43 +188,41 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Accepts any rectangular list-of-lists (including zero rows/columns or an
-    empty matrix) and returns the full decomposition, re-verified.  The
-    input is read once, into sparse rows of its nonzeros as ints; the
-    working matrix keeps them with an index of the rows nonzero in each
-    column, so clearing a column or a row visits only its nonzeros.  A unit
-    pivot divides every entry, so the search for an entry that breaks the
-    divisibility chain is skipped for it.
+    empty matrix) of ints (anything ``operator.index`` takes; a float or a
+    string raises ValueError) and returns the full decomposition,
+    re-verified.  The input is read once, into sparse rows of its nonzeros;
+    the working matrix keeps them with an index of the rows nonzero in each
+    column, so clearing a column or a row visits only its nonzeros.  Row
+    operations are logged, not applied to U.  A unit pivot divides every
+    entry, so the search for an entry that breaks the divisibility chain is
+    skipped for it.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     if any(len(r) != n for r in matrix):
         raise ValueError("ragged matrix")
-    a = [{j: y for j, x in enumerate(r) if x and (y := int(x))} for r in matrix]
+    a = []
+    for i, r in enumerate(matrix):
+        try:
+            a.append({j: y for j, x in enumerate(r) if (y := index(x))})
+        except TypeError:
+            raise ValueError(f"row {i} of the matrix, {r!r}, holds a non-integer") from None
     d = [row.copy() for row in a]
     cols = [set() for _ in range(n)]   # column -> the rows nonzero in it
     for i, row in enumerate(d):
         for j in row:
             cols[j].add(i)
-    # the inverses are kept transposed, so U^-T takes row operations like U
-    # and V^-T column operations like V; V and V^-T are held by columns
-    u, u_inv_t = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
+    # U is its log of row operations; V^-1 is kept transposed, so V^-T takes
+    # column operations like V, and both are held by columns
+    row_ops = []
     v, v_inv_t = [{j: 1} for j in range(n)], [{j: 1} for j in range(n)]
-
-    def combine(sparse, dst, src, factor):
-        target = sparse[dst]
-        for j, y in sparse[src].items():
-            x = target.get(j, 0) + factor * y
-            if x:
-                target[j] = x
-            else:
-                target.pop(j, None)
 
     def swap_rows(a, b):
         for i in (a, b):
             for j in d[i]:
                 cols[j].remove(i)
-        for mat in (d, u, u_inv_t):
-            mat[a], mat[b] = mat[b], mat[a]
+        d[a], d[b] = d[b], d[a]
+        row_ops.append((SWAP, a, b))
         for i in (a, b):
             for j in d[i]:
                 cols[j].add(i)
@@ -193,22 +248,21 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             else:
                 del target[j]
                 cols[j].remove(dst)
-        combine(u, dst, src, factor)
-        combine(u_inv_t, src, dst, -factor)
+        row_ops.append((ADD, dst, src, factor))
 
     def add_col(dst, src, factor):
-        index = cols[dst]
+        holders = cols[dst]
         for i in cols[src]:
             row = d[i]
             x = row.get(dst, 0) + factor * row[src]
             if x:
                 row[dst] = x
-                index.add(i)
+                holders.add(i)
             else:
                 del row[dst]
-                index.remove(i)
-        combine(v, dst, src, factor)
-        combine(v_inv_t, src, dst, -factor)
+                holders.remove(i)
+        _combine(v, dst, src, factor)
+        _combine(v_inv_t, src, dst, -factor)
 
     # at step t the rows above t are zero off the diagonal and the rest are
     # zero left of column t: the operations of step t touch rows and columns
@@ -225,8 +279,8 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             if pj != t:
                 swap_cols(t, pj)
             if d[t][t] < 0:
-                for sparse in (d, u, u_inv_t):
-                    sparse[t] = {j: -x for j, x in sparse[t].items()}
+                d[t] = {j: -x for j, x in d[t].items()}
+                row_ops.append((NEGATE, t))
             pivot = d[t][t]
             # clear the pivot column and row; a nonzero remainder becomes the
             # new, strictly smaller pivot on the next pass
@@ -251,5 +305,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             pos = (t, t)
         t += 1
 
-    return SmithDecomposition(matrix=a, U=u, diagonal=[d[k].get(k, 0) for k in range(min(m, n))],
-                              V=v, U_inv_t=u_inv_t, V_inv_t=v_inv_t)
+    return SmithDecomposition(matrix=a, row_ops=row_ops,
+                              diagonal=[d[k].get(k, 0) for k in range(min(m, n))],
+                              V=v, V_inv_t=v_inv_t)

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from evoaut.autgroup import diag_system
-from evoaut.errors import DepthTooSmall, EvoautError, NotPrimeField, TooLarge
+from evoaut.errors import DepthTooSmall, EvoautError, FieldMismatch, NotPrimeField, TooLarge
 from evoaut.limits import (
     ChainSpec,
     TruncatedLimit,
@@ -62,6 +62,15 @@ def test_truncated_limit_checks_each_link_and_the_anchor():
         TruncatedLimit(ChainSpec(F7, (2, 2), anchor=2), (chain,), 2)
     with pytest.raises(NotPrimeField):
         TruncatedLimit(ChainSpec(QQ, (2,)), (), 1)
+
+
+def test_truncated_limit_rejects_scalars_of_another_field():
+    # 2**2 == 4: the residues' link holds mod 7 in both, but the F_5 scalars
+    # are not elements of F_7
+    with pytest.raises(FieldMismatch, match="outside F7"):
+        TruncatedLimit(ChainSpec(F7, (2, 2)), ((F5.scalar(4), F5.scalar(2)),), 2)
+    with pytest.raises(FieldMismatch, match="outside F7"):
+        TruncatedLimit(ChainSpec(F7, (2, 2)), ((F7.scalar(4), F5.scalar(2)),), 2)
 
 
 def test_truncated_chain_validation():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from evoaut.errors import InvariantViolation
-from evoaut.snf import SmithDecomposition, smith_normal_form
+from evoaut.snf import SmithDecomposition, replay, smith_normal_form
 
 
 def mat_mul(a, b):
@@ -237,65 +237,93 @@ def test_invariant_factors_match_sympy():
         assert ours == sorted(abs(theirs[k, k]) for k in range(min(theirs.shape)) if theirs[k, k])
 
 
-@pytest.mark.parametrize("matrix, U, V, U_inv_t, V_inv_t", [
-    # U has determinant 2: it has no integer inverse, so any claimed one fails
-    ([[1]], [[2]], [[1]], [[1]], [[1]]),
-    ([[1, 0], [0, 2]], [[2, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
-    # V has determinant 2
-    ([[2, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
-    # unimodular U, but the claimed inverse is wrong (V's is right)
-    ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, -1], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [1, 1]]),
+@pytest.mark.parametrize("matrix, row_ops, V, V_inv_t", [
+    # V has determinant 2: it has no integer inverse, so any claimed one fails
+    ([[2, 0], [0, 1]], [], [[1, 0], [0, 2]], [[1, 0], [0, 1]]),
+    # unimodular U and V, but the claimed inverse of V is wrong
+    ([[1, 0], [0, 1]], [("add", 0, 1, 1)], [[1, -1], [0, 1]], [[1, 0], [0, 1]]),
 ])
-def test_non_unimodular_transform_is_rejected(matrix, U, V, U_inv_t, V_inv_t):
+def test_non_unimodular_transform_is_rejected(matrix, row_ops, V, V_inv_t):
     # every other invariant holds: D == U @ A @ V is diagonal with a divisibility chain
+    m = len(matrix)
+    U = dense([sorted(row.items()) for row in replay(row_ops, [{i: 1} for i in range(m)])], m)
     D = mat_mul(mat_mul(U, matrix), V)
     assert all(D[i][j] == 0 for i in range(len(D)) for j in range(len(D[0])) if i != j)
     # V and V^-T are given by their columns
     with pytest.raises(InvariantViolation, match="unimodular"):
-        SmithDecomposition(matrix=freeze(matrix), U=freeze(U), diagonal=diagonal_of(D),
-                           V=transpose(V), U_inv_t=U_inv_t, V_inv_t=transpose(V_inv_t))
+        SmithDecomposition(matrix=freeze(matrix), row_ops=row_ops, diagonal=diagonal_of(D),
+                           V=transpose(V), V_inv_t=transpose(V_inv_t))
+
+
+@pytest.mark.parametrize("matrix, op, diagonal", [
+    # each operation, applied as written, would make D: only the log check fails
+    ([[1]], ("add", 0, 0, 1), (2,)),                  # dst == src: U = [[2]], determinant 2
+    ([[1, 0], [0, 2]], ("add", 0, 0, 1), (2, 2)),     # U = diag(2, 1), determinant 2
+    ([[1, 0], [0, 1]], ("add", 0, 1, 0), (1, 1)),     # f == 0
+    ([[1, 0], [0, 0]], ("add", 0, 1, 1.5), (1, 0)),   # a non-int f, on a zero row
+    ([[1, 0], [0, 0]], ("add", 0, 1, Fraction(2)), (1, 0)),
+    ([[1, 0], [0, 1]], ("add", 0, 2, 1), (1, 1)),     # an index outside range(m)
+    ([[1, 0], [0, 1]], ("negate", -1), (1, 1)),
+    ([[2]], ("swap", 0, 1), (2,)),                    # row 1 of a one-row matrix
+    ([[1, 0], [0, 1]], ("swap", 0, 0), (1, 1)),       # a swap of a row with itself
+    ([[1]], ("scale", 0, 2), (2,)),                   # an unknown op code: U = [[2]]
+    ([[1, 0], [0, 1]], ("add", 0, 1), (1, 1)),        # an add without its factor
+])
+def test_non_elementary_row_operation_is_rejected(matrix, op, diagonal):
+    n = len(matrix[0])
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    SmithDecomposition(matrix=freeze(matrix), row_ops=(), diagonal=diagonal_of(matrix),
+                       V=eye, V_inv_t=eye)
+    with pytest.raises(InvariantViolation, match="not elementary"):
+        SmithDecomposition(matrix=freeze(matrix), row_ops=[op], diagonal=diagonal,
+                           V=eye, V_inv_t=eye)
 
 
 def test_corrupted_transform_is_rejected():
     snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    u = dense(snf.U, 3)
-    u[1][0] += 1
+    ops = list(snf.row_ops)
+    k = next(k for k, op in enumerate(ops) if op[0] == "add")
+    ops[k] = ops[k][:3] + (ops[k][3] + 1,)
     v = [dict(column) for column in snf.V]
     with pytest.raises(InvariantViolation, match="U @ A @ V != D"):
-        SmithDecomposition(matrix=[dict(row) for row in snf.matrix], U=freeze(u),
-                           diagonal=snf.diagonal, V=v, U_inv_t=u, V_inv_t=v)
+        SmithDecomposition(matrix=[dict(row) for row in snf.matrix], row_ops=ops,
+                           diagonal=snf.diagonal, V=v, V_inv_t=v)
 
 
 @pytest.mark.parametrize("matrix, U, D, V", [
-    ([[2]], [[1, 0], [0, 1]], [[2], [0]], [[1]]),     # U is 2 x 2 for one row
-    ([[1, 0]], [[1]], [[1]], [[1]]),                  # V is 1 x 1 for two columns
+    ([[2]], [("swap", 0, 1)], [[2], [0]], [[1]]),     # U, by its log, acts on 2 rows for one
+    ([[1, 0]], [], [[1]], [[1]]),                     # V is 1 x 1 for two columns
 ])
 def test_transform_of_the_wrong_size_is_rejected(matrix, U, D, V):
-    with pytest.raises(InvariantViolation, match="must be"):
-        SmithDecomposition(matrix=freeze(matrix), U=freeze(U), diagonal=diagonal_of(D),
-                           V=freeze(V), U_inv_t=U, V_inv_t=V)
+    with pytest.raises(InvariantViolation, match="must be|not elementary on 1 rows"):
+        SmithDecomposition(matrix=freeze(matrix), row_ops=U, diagonal=diagonal_of(D),
+                           V=freeze(V), V_inv_t=V)
 
 
 @pytest.mark.parametrize("rows", [
-    [[1, 0], [0, 1, 0]],          # a dense row of the wrong length
-    [{0: 1}, {2: 1}],             # a sparse entry past the last column
-    [{-1: 1}, {1: 1}],            # a sparse entry before the first column
+    [[1, 0], [0, 1, 0]],          # a dense line of the wrong length
+    [{0: 1}, {2: 1}],             # a sparse entry past the last index
+    [{-1: 1}, {1: 1}],            # a sparse entry before the first index
 ])
 def test_transform_rows_outside_the_square_are_rejected(rows):
     eye = [[1, 0], [0, 1]]
     with pytest.raises(InvariantViolation, match="does not fit 2 entries"):
-        SmithDecomposition(matrix=eye, U=rows, diagonal=(1, 1), V=eye, U_inv_t=eye, V_inv_t=eye)
+        SmithDecomposition(matrix=eye, row_ops=(), diagonal=(1, 1), V=rows, V_inv_t=eye)
 
 
-@pytest.mark.parametrize("part", ["matrix", "U", "V", "U_inv_t", "V_inv_t"])
+@pytest.mark.parametrize("part", ["matrix", "U", "V", "V_inv_t"])
 def test_sparse_lines_outside_their_matrix_are_rejected(part):
     # a 2 x 1 matrix given by dicts takes its width from V; each part in turn
-    # gets an entry one past its last index
-    parts = {"matrix": [{0: 1}, {}], "U": [{0: 1}, {1: 1}], "diagonal": (1,), "V": [{0: 1}],
-             "U_inv_t": [{0: 1}, {1: 1}], "V_inv_t": [{0: 1}]}
+    # gets an entry one past its last index: for U, held by its log, an
+    # operation on row 2
+    parts = {"matrix": [{0: 1}, {}], "row_ops": [], "diagonal": (1,), "V": [{0: 1}],
+             "V_inv_t": [{0: 1}]}
     SmithDecomposition(**parts)
-    parts[part][0][len(parts[part])] = 1
-    with pytest.raises(InvariantViolation, match="does not fit"):
+    if part == "U":
+        parts["row_ops"].append(("negate", 2))
+    else:
+        parts[part][0][len(parts[part])] = 1
+    with pytest.raises(InvariantViolation, match="does not fit|not elementary on 2 rows"):
         SmithDecomposition(**parts)
 
 
@@ -308,11 +336,11 @@ def test_sparse_lines_outside_their_matrix_are_rejected(part):
 ])
 def test_d_off_the_smith_form_is_rejected(matrix, D, message):
     # identity transforms: A == U @ A @ V and both are unimodular
-    m, n = len(matrix), len(matrix[0])
+    n = len(matrix[0])
     eye = lambda k: [[int(i == j) for j in range(k)] for i in range(k)]
     with pytest.raises(InvariantViolation, match=message):
-        SmithDecomposition(matrix=freeze(matrix), U=freeze(eye(m)), diagonal=diagonal_of(D),
-                           V=freeze(eye(n)), U_inv_t=eye(m), V_inv_t=eye(n))
+        SmithDecomposition(matrix=freeze(matrix), row_ops=(), diagonal=diagonal_of(D),
+                           V=freeze(eye(n)), V_inv_t=eye(n))
 
 
 def edge_rows(rng, n, out_degree):
@@ -406,15 +434,25 @@ def exact_inverse(mat):
 def test_certificate_reads_every_stored_entry():
     rows = edge_rows(random.Random(37), 10, 4)                  # 40 x 10
     snf = smith_normal_form(rows)
-    U, _, V = dense_parts(snf)
-    # U and U^-T by rows, V and V^-T by columns, the diagonal of D
-    parts = {"U": U, "V": transpose(V), "diagonal": list(snf.diagonal),
-             "U_inv_t": transpose(exact_inverse(U)), "V_inv_t": exact_inverse(V)}
+    _, _, V = dense_parts(snf)
+    # V and V^-T by columns, the diagonal of D
+    parts = {"V": transpose(V), "diagonal": list(snf.diagonal), "V_inv_t": exact_inverse(V)}
+    ops = [list(op) for op in snf.row_ops]
 
-    def build(parts):
-        return SmithDecomposition(matrix=rows, **parts)
+    def build(parts, ops=ops):
+        return SmithDecomposition(matrix=rows, row_ops=map(tuple, ops), **parts)
 
     assert build(parts) == snf
+    # every logged operation with its factor, destination or source one higher
+    forged = 0
+    for op in ops:
+        for k in range(1, len(op)):
+            op[k] += 1
+            with pytest.raises(InvariantViolation):
+                build(parts)
+            op[k] -= 1
+            forged += 1
+    assert forged == 276       # 85 adds, 9 negations and 6 swaps
     zeros = 0
     for name, mat in parts.items():
         lines = [mat] if name == "diagonal" else mat
@@ -425,7 +463,11 @@ def test_certificate_reads_every_stored_entry():
                 with pytest.raises(InvariantViolation):
                     build(parts)
                 line[j] -= 1
-    assert zeros > 3000        # most forged entries are zero in the real transforms
+    assert zeros > 150         # most forged entries of V and V^-T are zero
     for wrong in (parts["diagonal"] + [0], parts["diagonal"][:-1]):
         with pytest.raises(InvariantViolation):
             build({**parts, "diagonal": wrong})
+    # dropping any one operation breaks the product
+    for k in range(len(ops)):
+        with pytest.raises(InvariantViolation):
+            build(parts, ops[:k] + ops[k + 1:])

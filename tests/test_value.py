@@ -72,8 +72,7 @@ def test_normalized_fields_compare_normalized():
     (lambda: GroupDescription(0, generators=((F7.one,),)), InvariantViolation),
     (lambda: coset((F7.one, F7.one)), InvariantViolation),
     (lambda: coset((F7.one,)), InvariantViolation),
-    (lambda: SmithDecomposition(((2,),), ((1,),), (2,), ((1,),), [[1]], [[2]]),
-     InvariantViolation),
+    (lambda: SmithDecomposition(((2,),), (), (2,), ((1,),), [[2]]), InvariantViolation),
     (lambda: AutPresentation(PRES.algebra, PRES.decomposition, PRES.lifted[1:],
                              PRES.not_lifted, True), InvariantViolation),
     (lambda: ChainSpec(F7, ()), ValueError),
@@ -85,3 +84,17 @@ def test_normalized_fields_compare_normalized():
 def test_constructor_errors(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("build, row", [
+    (lambda e: MonomialSystem(F7, 2, (((2, -1), 3), ((1, e), 5))), r"\(1, 2\.5\)"),
+    (lambda e: smith_normal_form([[2, -1], [1, e]]), r"row 1 .*\[1, 2\.5\]"),
+], ids=["MonomialSystem", "smith_normal_form"])
+def test_non_integer_exponents_are_rejected(build, row):
+    # exponent 2 is kept; 2.5 is not truncated to 2, and the string '2' is
+    # not read as 2: each raises ValueError naming its row
+    assert build(2) == build(2)
+    with pytest.raises(ValueError, match=row):
+        build(2.5)
+    with pytest.raises(ValueError, match="non-integer"):
+        build("2")
