@@ -71,11 +71,6 @@ def _is_diagonal_product(rows, columns, diagonal) -> bool:
     return True
 
 
-def is_inverse(rows, columns) -> bool:
-    """R @ C == I, for a square R by its sparse rows and C by its columns."""
-    return len(columns) == len(rows) and _is_diagonal_product(rows, columns, (1,) * len(rows))
-
-
 def _combine(lines, dst, src, factor):
     """Add ``factor`` (nonzero) times the dict line ``src`` to the dict line ``dst``."""
     target = lines[dst]
@@ -163,7 +158,8 @@ class SmithDecomposition(Value):
         if len(diag) != min(len(self.matrix), len(self.V)) or not _is_diagonal_product(
                 (row.items() for row in u_a), self.V, diag):
             raise InvariantViolation("U @ A @ V != D")
-        if not is_inverse(v_inv_t, self.V):
+        n = len(self.V)
+        if len(v_inv_t) != n or not _is_diagonal_product(v_inv_t, self.V, (1,) * n):
             raise InvariantViolation("transform matrices are not unimodular")
         for k in range(len(diag) - 1):
             if diag[k + 1] and (diag[k] == 0 or diag[k + 1] % diag[k]):
