@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from operator import attrgetter, index, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
@@ -263,11 +262,16 @@ class ExponentDecomposition:
         self._roots: dict[tuple[int, int], int | None] = {}
         self._powers: dict[int, Scalar] = {}
         self._logs: dict[int, int] = {1: 0}   # residue -> its discrete log, over F_p
+        self._u = None
 
-    @cached_property
+    @property
     def U(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """U by sparse rows, replayed from the SNF's log once."""
-        return self._snf.U if self._snf is not None else ()
+        """U by sparse rows, replayed from the SNF's log on first use and kept
+        in ``_u``, an attribute set in ``__init__``: ``cached_property`` would
+        write through ``__dict__``, which slows every later attribute read."""
+        if self._u is None:
+            self._u = self._snf.U if self._snf is not None else ()
+        return self._u
 
     def solve(self, system: MonomialSystem) -> SolutionCoset:
         """Solution coset of a system with this exponent matrix (Infeasible is a value),
@@ -301,7 +305,7 @@ class ExponentDecomposition:
         for r in set(rhs).difference(logs):
             logs[r] = dlog(self.field, r)
         xs = [0] * self.n_vars
-        for k, u_row in enumerate(self.U):
+        for k, u_row in enumerate(self._u or self.U):   # a property call only the first time
             c = 0
             for j, e in u_row:
                 c += e * logs[rhs[j]]
