@@ -305,7 +305,7 @@ class ExponentDecomposition:
         for r in set(rhs).difference(logs):
             logs[r] = dlog(self.field, r)
         xs = [0] * self.n_vars
-        for k, u_row in enumerate(self._u or self.U):   # a property call only the first time
+        for k, u_row in enumerate(self._u or self.U):   # no property call per solve once built
             c = 0
             for j, e in u_row:
                 c += e * logs[rhs[j]]
