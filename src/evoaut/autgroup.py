@@ -29,11 +29,12 @@ column is counted by popcount and never listed unless asked for.
 from __future__ import annotations
 
 from itertools import compress, product
-from operator import add, itemgetter, mul, not_
+from operator import add, index, itemgetter, mul, not_
 
 from .algebra import EvolutionAlgebra, Vector, _eliminate
 from .errors import (
     AlgebraMismatch,
+    DimensionMismatch,
     InvariantViolation,
     NotAGraphAutomorphism,
     NotAnAutomorphism,
@@ -609,14 +610,23 @@ def bruteforce_aut_count(algebra: EvolutionAlgebra) -> int:
 
 
 def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:
-    """Pure-python membership test matching the brute-force criteria."""
+    """Pure-python membership test matching the brute-force criteria.  ``rows``
+    must be an n x n matrix of ints (anything ``operator.index`` takes):
+    another shape raises DimensionMismatch, a float or a string ValueError."""
     field = algebra.field
     if not isinstance(field, PrimeField):
         raise NotPrimeField("residue matrices exist over F_p only")
     p = field.p
     n = algebra.dim
     M = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
-    T = [list(map(int, r)) for r in rows]
+    T = []
+    for i, r in enumerate(rows):
+        try:
+            T.append(list(map(index, r)))
+        except TypeError:
+            raise ValueError(f"row {i} of the matrix, {r!r}, holds a non-integer") from None
+    if len(T) != n or any(len(r) != n for r in T):
+        raise DimensionMismatch(f"a matrix on a {n}-dimensional algebra must be {n} x {n}")
     for i in range(n):
         for j in range(i, n):
             had = [T[r][i] * T[r][j] % p for r in range(n)]

@@ -15,6 +15,8 @@ cyclotomic extension of Q) are handled symbolically with the answer Z_2.
 
 from __future__ import annotations
 
+from operator import index
+
 from .algebra import EvolutionAlgebra
 from .autgroup import diag_group
 from .errors import DepthTooSmall, EvoautError, FieldMismatch, NotPrimeField, TooLarge
@@ -44,7 +46,13 @@ class ChainSpec(Value):
     __slots__ = ("field", "exponents", "anchor")
 
     def __init__(self, field: Field, exponents: tuple[int, ...], anchor: Scalar | None = None):
-        exponents = tuple(int(e) for e in exponents)
+        checked = []
+        for e in exponents:
+            try:
+                checked.append(index(e))
+            except TypeError:
+                raise ValueError(f"exponent {e!r} is not an integer") from None
+        exponents = tuple(checked)
         if not exponents or any(e < 1 for e in exponents):
             raise ValueError("exponents must be a nonempty sequence of positive integers")
         if anchor is not None:

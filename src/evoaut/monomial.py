@@ -15,8 +15,8 @@ Over F_p everything runs in integers; scalars are built only where a public
 function returns them.  F_p^x is cyclic of order m = p - 1, so in discrete
 logs to the field generator g every relation is a linear congruence mod m:
 ``particular`` takes residue right-hand sides, looks up their logs (each
-taken once per decomposition; log 1 = 0 is known, so an all-ones system
-takes none), transforms them by U, solves d*y == c' (mod m) and maps back
+taken once per decomposition; an all-ones system, solved by all ones,
+takes none and needs no U), transforms them by U, solves d*y == c' (mod m) and maps back
 through V.  It is the one place here that takes a discrete log.
 Homogeneous generators are log vectors l with base g mod p - 1 (base -1
 mod 2 for the sign part over Q), each checked against every row as
@@ -228,11 +228,13 @@ def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
 
 class ExponentDecomposition:
     """One Smith normal form of a system's exponent rows: the diagonal, V by
-    sparse columns and the homogeneous solution group, whose generators are
-    checked against the SNF's sparse copy of the rows once, here.  U's
-    sparse rows are replayed from the SNF's log of row operations once, when
-    ``particular`` first reads them, so a caller that only needs the group
-    never builds U.  Every system with the same rows and any right-hand sides
+    sparse columns, replayed from the SNF's log of column operations once,
+    here, and the homogeneous solution group, whose generators are checked
+    against the SNF's sparse copy of the rows once, here.  U's sparse rows
+    are replayed from the SNF's log of row operations once, when
+    ``particular`` first reads them for right-hand sides other than all
+    ones, so a caller that only needs the group or the identity lift never
+    builds U.  Every system with the same rows and any right-hand sides
     (an algebra's diagonal and twisted systems) is solved against it.
 
     ``modulus`` is the order of the cyclic group the log coordinates live in:
@@ -297,8 +299,11 @@ class ExponentDecomposition:
         smallest root otherwise, then maps back through V.  Over F_p all of
         this is integer arithmetic mod p - 1 on the residues' discrete logs,
         each taken once per decomposition, and the root chosen for each
-        (d, c') is kept for the next call.
+        (d, c') is kept for the next call.  When every right-hand side is 1,
+        so is every c', and the answer is all ones without U.
         """
+        if all(c == 1 for c in rhs):
+            return (self.field.one,) * self.n_vars
         if not isinstance(self.field, PrimeField):
             return self._particular_rational(rhs)
         m, roots, logs = self.modulus, self._roots, self._logs

@@ -25,6 +25,7 @@ from evoaut.autgroup import (
 )
 from evoaut.errors import (
     AlgebraMismatch,
+    DimensionMismatch,
     InvariantViolation,
     NotAGraphAutomorphism,
     NotAnAutomorphism,
@@ -33,6 +34,7 @@ from evoaut.errors import (
 )
 from evoaut.monomial import ExponentDecomposition, GroupDescription, MonomialSystem
 from evoaut.scalar import PrimeField, QQ
+from evoaut.snf import SmithDecomposition
 from evoaut.wgraph import enumerate_graph_automorphisms, tree_of
 
 from helpers import (
@@ -255,6 +257,24 @@ def test_diag_of_the_largest_field_prime_takes_no_discrete_log():
     coset = diag_coset(algebra)
     assert coset.count() == 3
     assert field._baby is None
+
+
+@pytest.mark.parametrize("field", [F7, QQ])
+def test_identity_lift_builds_no_u(monkeypatch, field):
+    # every right-hand side of the diagonal system is 1, so the canonical
+    # solution is all ones without replaying U from the SNF's log
+    rng = random.Random(19)
+    squares = [[rng.randrange(1, 7) if rng.random() < 0.5 else 0 for _ in range(12)]
+               for _ in range(12)]
+    algebra = EvolutionAlgebra.from_squares(field, squares)
+    expected = diag_coset(algebra)
+
+    def no_u(self):
+        raise AssertionError("U was rebuilt")
+
+    monkeypatch.setattr(SmithDecomposition, "U", property(no_u))
+    coset = diag_coset(algebra)
+    assert coset == expected and coset.particular == (field.one,) * 12
 
 
 def test_monomial_automorphism_validation():
@@ -703,6 +723,18 @@ def test_is_automorphism_matrix_agrees_with_scan():
         for mat in itertools.product(range(3), repeat=4):
             rows = ((mat[0], mat[1]), (mat[2], mat[3]))
             assert (rows in brute) == is_automorphism_matrix(a, rows)
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[1, 0, 0], [0, 1, 0]], DimensionMismatch),    # 2 x 3
+    ([[1]], DimensionMismatch),                     # 1 x 1
+    ([[1, 0], [0, 1.9]], ValueError),               # 1.9 is not truncated to 1
+])
+def test_is_automorphism_matrix_rejects_malformed_matrices(rows, error):
+    algebra = EvolutionAlgebra.from_squares(F3, [[1, 0], [0, 1]])
+    assert is_automorphism_matrix(algebra, [[1, 0], [0, 1]])
+    with pytest.raises(error):
+        is_automorphism_matrix(algebra, rows)
 
 
 def test_assemble_seven_spoke_star_within_gate():

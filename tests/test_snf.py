@@ -237,93 +237,77 @@ def test_invariant_factors_match_sympy():
         assert ours == sorted(abs(theirs[k, k]) for k in range(min(theirs.shape)) if theirs[k, k])
 
 
-@pytest.mark.parametrize("matrix, row_ops, V, V_inv_t", [
-    # V has determinant 2: it has no integer inverse, so any claimed one fails
-    ([[2, 0], [0, 1]], [], [[1, 0], [0, 2]], [[1, 0], [0, 1]]),
-    # unimodular U and V, but the claimed inverse of V is wrong
-    ([[1, 0], [0, 1]], [("add", 0, 1, 1)], [[1, -1], [0, 1]], [[1, 0], [0, 1]]),
-])
-def test_non_unimodular_transform_is_rejected(matrix, row_ops, V, V_inv_t):
-    # every other invariant holds: D == U @ A @ V is diagonal with a divisibility chain
-    m = len(matrix)
-    U = dense([sorted(row.items()) for row in replay(row_ops, [{i: 1} for i in range(m)])], m)
-    D = mat_mul(mat_mul(U, matrix), V)
-    assert all(D[i][j] == 0 for i in range(len(D)) for j in range(len(D[0])) if i != j)
-    # V and V^-T are given by their columns
-    with pytest.raises(InvariantViolation, match="unimodular"):
-        SmithDecomposition(matrix=freeze(matrix), row_ops=row_ops, diagonal=diagonal_of(D),
-                           V=transpose(V), V_inv_t=transpose(V_inv_t))
-
-
 @pytest.mark.parametrize("matrix, op, diagonal", [
-    # each operation, applied as written, would make D: only the log check fails
+    # each operation, applied as written to the rows or to the columns of
+    # its symmetric matrix, would make D: only the log check fails
     ([[1]], ("add", 0, 0, 1), (2,)),                  # dst == src: U = [[2]], determinant 2
     ([[1, 0], [0, 2]], ("add", 0, 0, 1), (2, 2)),     # U = diag(2, 1), determinant 2
     ([[1, 0], [0, 1]], ("add", 0, 1, 0), (1, 1)),     # f == 0
-    ([[1, 0], [0, 0]], ("add", 0, 1, 1.5), (1, 0)),   # a non-int f, on a zero row
+    ([[1, 0], [0, 0]], ("add", 0, 1, 1.5), (1, 0)),   # a non-int f, on a zero line
     ([[1, 0], [0, 0]], ("add", 0, 1, Fraction(2)), (1, 0)),
     ([[1, 0], [0, 1]], ("add", 0, 2, 1), (1, 1)),     # an index outside range(m)
     ([[1, 0], [0, 1]], ("negate", -1), (1, 1)),
-    ([[2]], ("swap", 0, 1), (2,)),                    # row 1 of a one-row matrix
-    ([[1, 0], [0, 1]], ("swap", 0, 0), (1, 1)),       # a swap of a row with itself
+    ([[2]], ("swap", 0, 1), (2,)),                    # line 1 of a one-line matrix
+    ([[1, 0], [0, 1]], ("swap", 0, 0), (1, 1)),       # a swap of a line with itself
     ([[1]], ("scale", 0, 2), (2,)),                   # an unknown op code: U = [[2]]
     ([[1, 0], [0, 1]], ("add", 0, 1), (1, 1)),        # an add without its factor
+    ([[1, 0], [0, 1]], ("add", 1, 1, 1), (1, 2)),     # V = diag(1, 2), determinant 2
 ])
 def test_non_elementary_row_operation_is_rejected(matrix, op, diagonal):
     n = len(matrix[0])
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    SmithDecomposition(matrix=freeze(matrix), row_ops=(), diagonal=diagonal_of(matrix),
-                       V=eye, V_inv_t=eye)
-    with pytest.raises(InvariantViolation, match="not elementary"):
-        SmithDecomposition(matrix=freeze(matrix), row_ops=[op], diagonal=diagonal,
-                           V=eye, V_inv_t=eye)
+    SmithDecomposition(matrix=freeze(matrix), width=n, row_ops=(), col_ops=(),
+                       diagonal=diagonal_of(matrix))
+    for log in ("row_ops", "col_ops"):
+        logs = {"row_ops": (), "col_ops": (), log: [op]}
+        with pytest.raises(InvariantViolation, match="not elementary"):
+            SmithDecomposition(matrix=freeze(matrix), width=n, diagonal=diagonal, **logs)
 
 
 def test_corrupted_transform_is_rejected():
     snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    ops = list(snf.row_ops)
-    k = next(k for k, op in enumerate(ops) if op[0] == "add")
-    ops[k] = ops[k][:3] + (ops[k][3] + 1,)
-    v = [dict(column) for column in snf.V]
-    with pytest.raises(InvariantViolation, match="U @ A @ V != D"):
-        SmithDecomposition(matrix=[dict(row) for row in snf.matrix], row_ops=ops,
-                           diagonal=snf.diagonal, V=v, V_inv_t=v)
+    for log in ("row_ops", "col_ops"):
+        logs = {"row_ops": list(snf.row_ops), "col_ops": list(snf.col_ops)}
+        ops = logs[log]
+        k = next(k for k, op in enumerate(ops) if op[0] == "add")
+        ops[k] = ops[k][:3] + (ops[k][3] + 1,)
+        with pytest.raises(InvariantViolation, match="U @ A @ V != D"):
+            SmithDecomposition(matrix=[dict(row) for row in snf.matrix], width=3,
+                               diagonal=snf.diagonal, **logs)
 
 
 @pytest.mark.parametrize("matrix, U, D, V", [
-    ([[2]], [("swap", 0, 1)], [[2], [0]], [[1]]),     # U, by its log, acts on 2 rows for one
-    ([[1, 0]], [], [[1]], [[1]]),                     # V is 1 x 1 for two columns
+    ([[2]], [("swap", 0, 1)], [[2], [0]], []),        # U, by its log, acts on 2 rows for one
+    ([[2], [0]], [], [[2], [0]], [("negate", 1)]),    # V, by its log, on 2 columns for one
 ])
 def test_transform_of_the_wrong_size_is_rejected(matrix, U, D, V):
-    with pytest.raises(InvariantViolation, match="must be|not elementary on 1 rows"):
-        SmithDecomposition(matrix=freeze(matrix), row_ops=U, diagonal=diagonal_of(D),
-                           V=freeze(V), V_inv_t=V)
+    with pytest.raises(InvariantViolation, match="not elementary on 1 lines"):
+        SmithDecomposition(matrix=freeze(matrix), width=1, row_ops=U, col_ops=V,
+                           diagonal=diagonal_of(D))
 
 
 @pytest.mark.parametrize("rows", [
-    [[1, 0], [0, 1, 0]],          # a dense line of the wrong length
-    [{0: 1}, {2: 1}],             # a sparse entry past the last index
-    [{-1: 1}, {1: 1}],            # a sparse entry before the first index
+    [[1, 0], [0, 1, 0]],          # a dense row of the wrong length
+    [{0: 1}, {2: 1}],             # a sparse entry past the last column
+    [{-1: 1}, {1: 1}],            # a sparse entry before the first column
 ])
-def test_transform_rows_outside_the_square_are_rejected(rows):
-    eye = [[1, 0], [0, 1]]
+def test_matrix_rows_outside_the_width_are_rejected(rows):
     with pytest.raises(InvariantViolation, match="does not fit 2 entries"):
-        SmithDecomposition(matrix=eye, row_ops=(), diagonal=(1, 1), V=rows, V_inv_t=eye)
+        SmithDecomposition(matrix=rows, width=2, row_ops=(), col_ops=(), diagonal=(1, 1))
 
 
-@pytest.mark.parametrize("part", ["matrix", "U", "V", "V_inv_t"])
+@pytest.mark.parametrize("part", ["matrix", "U", "V"])
 def test_sparse_lines_outside_their_matrix_are_rejected(part):
-    # a 2 x 1 matrix given by dicts takes its width from V; each part in turn
-    # gets an entry one past its last index: for U, held by its log, an
-    # operation on row 2
-    parts = {"matrix": [{0: 1}, {}], "row_ops": [], "diagonal": (1,), "V": [{0: 1}],
-             "V_inv_t": [{0: 1}]}
+    # a 2 x 1 matrix given by dicts; each part in turn gets an entry one past
+    # its last index: for U and V, held by their logs, an operation on row 2
+    # or on column 1
+    parts = {"matrix": [{0: 1}, {}], "width": 1, "row_ops": [], "col_ops": [],
+             "diagonal": (1,)}
     SmithDecomposition(**parts)
-    if part == "U":
-        parts["row_ops"].append(("negate", 2))
+    if part == "matrix":
+        parts["matrix"][0][1] = 1
     else:
-        parts[part][0][len(parts[part])] = 1
-    with pytest.raises(InvariantViolation, match="does not fit|not elementary on 2 rows"):
+        parts["row_ops" if part == "U" else "col_ops"].append(("negate", 2 if part == "U" else 1))
+    with pytest.raises(InvariantViolation, match="does not fit|not elementary on [12] lines"):
         SmithDecomposition(**parts)
 
 
@@ -333,14 +317,13 @@ def test_sparse_lines_outside_their_matrix_are_rejected(part):
     ([[1], [1]], [[1], [1]], "U @ A @ V != D"),                # a row below the diagonal
     ([[2, 0], [0, 3]], [[2, 0], [0, 3]], "divisibility chain"),
     ([[0, 0], [0, 1]], [[0, 0], [0, 1]], "divisibility chain"),  # a zero before a nonzero
+    ([[1, 0], [0, 0]], [[1, 0]], "U @ A @ V != D"),            # a diagonal short of a zero
 ])
 def test_d_off_the_smith_form_is_rejected(matrix, D, message):
-    # identity transforms: A == U @ A @ V and both are unimodular
-    n = len(matrix[0])
-    eye = lambda k: [[int(i == j) for j in range(k)] for i in range(k)]
+    # empty logs: U and V are the identity and A == U @ A @ V
     with pytest.raises(InvariantViolation, match=message):
-        SmithDecomposition(matrix=freeze(matrix), row_ops=(), diagonal=diagonal_of(D),
-                           V=freeze(eye(n)), V_inv_t=eye(n))
+        SmithDecomposition(matrix=freeze(matrix), width=len(matrix[0]), row_ops=(), col_ops=(),
+                           diagonal=diagonal_of(D))
 
 
 def edge_rows(rng, n, out_degree):
@@ -414,60 +397,41 @@ def test_decompositions_are_unchanged_entry_for_entry(matrices, pin):
     assert transforms_digest(matrices()) == pin
 
 
-def exact_inverse(mat):
-    """Inverse of an integer matrix by Gauss-Jordan over the rationals."""
-    size = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size)]
-            for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if work[r][col])
-        work[col], work[pivot] = work[pivot], work[col]
-        work[col] = [x / work[col][col] for x in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    assert all(x.denominator == 1 for row in work for x in row[size:])
-    return [[int(x) for x in row[size:]] for row in work]
-
-
 def test_certificate_reads_every_stored_entry():
     rows = edge_rows(random.Random(37), 10, 4)                  # 40 x 10
     snf = smith_normal_form(rows)
-    _, _, V = dense_parts(snf)
-    # V and V^-T by columns, the diagonal of D
-    parts = {"V": transpose(V), "diagonal": list(snf.diagonal), "V_inv_t": exact_inverse(V)}
-    ops = [list(op) for op in snf.row_ops]
+    logs = {"row_ops": [list(op) for op in snf.row_ops],
+            "col_ops": [list(op) for op in snf.col_ops]}
+    diagonal = list(snf.diagonal)
 
-    def build(parts, ops=ops):
-        return SmithDecomposition(matrix=rows, row_ops=map(tuple, ops), **parts)
+    def build(logs=logs, diagonal=diagonal):
+        return SmithDecomposition(matrix=rows, width=10, diagonal=diagonal,
+                                  **{name: map(tuple, ops) for name, ops in logs.items()})
 
-    assert build(parts) == snf
+    assert build() == snf
     # every logged operation with its factor, destination or source one higher
-    forged = 0
-    for op in ops:
-        for k in range(1, len(op)):
-            op[k] += 1
-            with pytest.raises(InvariantViolation):
-                build(parts)
-            op[k] -= 1
-            forged += 1
-    assert forged == 276       # 85 adds, 9 negations and 6 swaps
-    zeros = 0
-    for name, mat in parts.items():
-        lines = [mat] if name == "diagonal" else mat
-        for line in lines:
-            for j in range(len(line)):
-                zeros += line[j] == 0
-                line[j] += 1
+    forged = {}
+    for name, ops in logs.items():
+        forged[name] = 0
+        for op in ops:
+            for k in range(1, len(op)):
+                op[k] += 1
                 with pytest.raises(InvariantViolation):
-                    build(parts)
-                line[j] -= 1
-    assert zeros > 150         # most forged entries of V and V^-T are zero
-    for wrong in (parts["diagonal"] + [0], parts["diagonal"][:-1]):
+                    build()
+                op[k] -= 1
+                forged[name] += 1
+    # row log: 85 adds, 9 negations and 6 swaps; column log: 3 adds and 4 swaps
+    assert forged == {"row_ops": 276, "col_ops": 17}
+    for j in range(len(diagonal)):
+        diagonal[j] += 1
         with pytest.raises(InvariantViolation):
-            build({**parts, "diagonal": wrong})
-    # dropping any one operation breaks the product
-    for k in range(len(ops)):
+            build()
+        diagonal[j] -= 1
+    for wrong in (diagonal + [0], diagonal[:-1]):
         with pytest.raises(InvariantViolation):
-            build(parts, ops[:k] + ops[k + 1:])
+            build(diagonal=wrong)
+    # dropping any one operation of either log breaks the product
+    for name, ops in logs.items():
+        for k in range(len(ops)):
+            with pytest.raises(InvariantViolation):
+                build({**logs, name: ops[:k] + ops[k + 1:]})

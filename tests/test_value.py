@@ -72,7 +72,9 @@ def test_normalized_fields_compare_normalized():
     (lambda: GroupDescription(0, generators=((F7.one,),)), InvariantViolation),
     (lambda: coset((F7.one, F7.one)), InvariantViolation),
     (lambda: coset((F7.one,)), InvariantViolation),
-    (lambda: SmithDecomposition(((2,),), (), (2,), ((1,),), [[2]]), InvariantViolation),
+    # a column log that adds column 0 to itself: V = [[2]] gives D = [[4]], but
+    # the operation is not elementary
+    (lambda: SmithDecomposition(((2,),), 1, (), (("add", 0, 0, 1),), (4,)), InvariantViolation),
     (lambda: AutPresentation(PRES.algebra, PRES.decomposition, PRES.lifted[1:],
                              PRES.not_lifted, True), InvariantViolation),
     (lambda: ChainSpec(F7, ()), ValueError),
