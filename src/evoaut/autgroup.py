@@ -619,12 +619,10 @@ def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:
     p = field.p
     n = algebra.dim
     M = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
-    T = []
-    for i, r in enumerate(rows):
-        try:
-            T.append(list(map(index, r)))
-        except TypeError:
-            raise ValueError(f"row {i} of the matrix, {r!r}, holds a non-integer") from None
+    try:
+        T = [list(map(index, r)) for r in rows]
+    except TypeError:
+        raise ValueError(f"matrix {rows!r} holds a non-integer") from None
     if len(T) != n or any(len(r) != n for r in T):
         raise DimensionMismatch(f"a matrix on a {n}-dimensional algebra must be {n} x {n}")
     for i in range(n):

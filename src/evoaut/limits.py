@@ -51,7 +51,7 @@ class ChainSpec(Value):
             try:
                 checked.append(index(e))
             except TypeError:
-                raise ValueError(f"exponent {e!r} is not an integer") from None
+                raise ValueError(f"exponent {e!r} is a non-integer") from None
         exponents = tuple(checked)
         if not exponents or any(e < 1 for e in exponents):
             raise ValueError("exponents must be a nonempty sequence of positive integers")

@@ -16,8 +16,8 @@ function returns them.  F_p^x is cyclic of order m = p - 1, so in discrete
 logs to the field generator g every relation is a linear congruence mod m:
 ``particular`` takes residue right-hand sides, looks up their logs (each
 taken once per decomposition; an all-ones system, solved by all ones,
-takes none and needs no U), transforms them by U, solves d*y == c' (mod m) and maps back
-through V.  It is the one place here that takes a discrete log.
+needs neither logs nor U), transforms them by U, solves d*y == c' (mod m)
+and maps back through V.  It is the one place here that takes a discrete log.
 Homogeneous generators are log vectors l with base g mod p - 1 (base -1
 mod 2 for the sign part over Q), each checked against every row as
 sum_v a[v]*l[v] == 0 (mod m), which is the scalar check itself as the base
@@ -37,7 +37,7 @@ from operator import attrgetter, index, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
-from .snf import smith_normal_form
+from .snf import SmithDecomposition, smith_normal_form
 from .value import Value
 
 ENUMERATION_CAP = 10**6
@@ -228,13 +228,12 @@ def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
 
 class ExponentDecomposition:
     """One Smith normal form of a system's exponent rows: the diagonal, V by
-    sparse columns, replayed from the SNF's log of column operations once,
-    here, and the homogeneous solution group, whose generators are checked
-    against the SNF's sparse copy of the rows once, here.  U's sparse rows
-    are replayed from the SNF's log of row operations once, when
-    ``particular`` first reads them for right-hand sides other than all
-    ones, so a caller that only needs the group or the identity lift never
-    builds U.  Every system with the same rows and any right-hand sides
+    sparse columns (replayed from the SNF's column log once, here) and the
+    homogeneous solution group, whose generators are checked against the
+    SNF's sparse copy of the rows once, here.  U's sparse rows are replayed
+    from the row log once, when ``particular`` first reads them for
+    right-hand sides other than all ones, so a caller that only needs the
+    group or the identity lift never builds U.  Every system with the same rows and any right-hand sides
     (an algebra's diagonal and twisted systems) is solved against it.
 
     ``modulus`` is the order of the cyclic group the log coordinates live in:
@@ -245,12 +244,10 @@ class ExponentDecomposition:
         field, n = system.field, system.n_vars
         self.field, self.n_vars = field, n
         self.exponents = tuple(exps for exps, _ in system.rows)
-        if self.exponents:
-            snf = self._snf = smith_normal_form(self.exponents)
-            rows, self.V, self.rank, self.diagonal = snf.matrix, snf.V, snf.rank, snf.diagonal
-        else:   # no relations: U is empty and V the identity
-            self._snf = None
-            rows, self.V, self.rank, self.diagonal = (), tuple(((k, 1),) for k in range(n)), 0, ()
+        # no relations: the empty 0 x n decomposition, whose V is the identity
+        snf = self._snf = smith_normal_form(self.exponents) if self.exponents \
+            else SmithDecomposition((), n, (), (), ())
+        rows, self.V, self.rank, self.diagonal = snf.matrix, snf.V, snf.rank, snf.diagonal
         finite = isinstance(field, PrimeField)
         self.modulus = field.p - 1 if finite else 2
         base = field.scalar(field.generator) if finite else -field.one
@@ -272,7 +269,7 @@ class ExponentDecomposition:
         in ``_u``, an attribute set in ``__init__``: ``cached_property`` would
         write through ``__dict__``, which slows every later attribute read."""
         if self._u is None:
-            self._u = self._snf.U if self._snf is not None else ()
+            self._u = self._snf.U
         return self._u
 
     def solve(self, system: MonomialSystem) -> SolutionCoset:

@@ -46,17 +46,6 @@ def _sparse_rows(rows, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return out
 
 
-def _combine(lines, dst, src, factor):
-    """Add ``factor`` (nonzero) times the dict line ``src`` to the dict line ``dst``."""
-    target = lines[dst]
-    for j, y in lines[src].items():
-        x = target.get(j, 0) + factor * y
-        if x:
-            target[j] = x
-        else:
-            del target[j]
-
-
 def replay(ops, lines: list[dict[int, int]]) -> list[dict[int, int]]:
     """Apply logged operations in order to dict lines {index: value}, in
     place, and return the lines.  The row log on A's rows gives U @ A, on
@@ -73,7 +62,13 @@ def replay(ops, lines: list[dict[int, int]]) -> list[dict[int, int]]:
             _, dst, src, f = op
             if type(dst) is type(src) is type(f) is int and f and dst != src \
                     and 0 <= dst < m and 0 <= src < m:
-                _combine(lines, dst, src, f)
+                target = lines[dst]
+                for j, y in lines[src].items():
+                    x = target.get(j, 0) + f * y
+                    if x:
+                        target[j] = x
+                    else:
+                        del target[j]
                 continue
         elif code == SWAP and len(op) == 3:
             _, a, b = op

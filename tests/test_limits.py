@@ -26,15 +26,6 @@ F13 = PrimeField(13)
 F17 = PrimeField(17)
 
 
-
-@pytest.mark.parametrize("exponents", [(2.5, 2), ("2", 3)])
-def test_chain_spec_rejects_non_integer_exponents(exponents):
-    # 2.5 is not truncated to 2, and the string '2' is not read as 2
-    assert ChainSpec(F7, (2, 3)).exponents == (2, 3)
-    with pytest.raises(ValueError, match=f"exponent {exponents[0]!r} is not an integer"):
-        ChainSpec(F7, exponents)
-
-
 def residues(tuples):
     return [tuple(x.residue for x in t) for t in tuples]
 

@@ -91,10 +91,11 @@ def test_constructor_errors(build, error):
 @pytest.mark.parametrize("build, row", [
     (lambda e: MonomialSystem(F7, 2, (((2, -1), 3), ((1, e), 5))), r"\(1, 2\.5\)"),
     (lambda e: smith_normal_form([[2, -1], [1, e]]), r"row 1 .*\[1, 2\.5\]"),
-], ids=["MonomialSystem", "smith_normal_form"])
+    (lambda e: ChainSpec(F7, (e, 2)), r"exponent 2\.5 "),
+], ids=["MonomialSystem", "smith_normal_form", "ChainSpec"])
 def test_non_integer_exponents_are_rejected(build, row):
     # exponent 2 is kept; 2.5 is not truncated to 2, and the string '2' is
-    # not read as 2: each raises ValueError naming its row
+    # not read as 2: each raises ValueError naming its row or entry
     assert build(2) == build(2)
     with pytest.raises(ValueError, match=row):
         build(2.5)
