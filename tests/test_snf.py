@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from evoaut.errors import InvariantViolation
-from evoaut.snf import SmithDecomposition, replay, smith_normal_form
+from evoaut.snf import SmithDecomposition, smith_normal_form
 
 
 def mat_mul(a, b):
@@ -305,8 +305,10 @@ def test_sparse_lines_outside_their_matrix_are_rejected(part):
     SmithDecomposition(**parts)
     if part == "matrix":
         parts["matrix"][0][1] = 1
+    elif part == "U":
+        parts["row_ops"].append(("negate", 2))
     else:
-        parts["row_ops" if part == "U" else "col_ops"].append(("negate", 2 if part == "U" else 1))
+        parts["col_ops"].append(("negate", 1))
     with pytest.raises(InvariantViolation, match="does not fit|not elementary on [12] lines"):
         SmithDecomposition(**parts)
 
