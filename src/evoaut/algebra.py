@@ -1,18 +1,21 @@
 """Finite-dimensional evolution algebras with a distinguished natural basis.
 
-An algebra is stored as its structure matrix M with the column convention
-M[j][i] = coefficient of e_j in e_i**2; distinct basis elements multiply to
-zero.  ``edges`` lists the nonzero entries once, as the edges (i, j, M[j][i])
-of the associated graph in (i, j) order; whatever needs only them reads that
-list.  Vectors are plain tuples of scalars in basis coordinates.  All objects
-are immutable, apart from an algebra's idempotent caches of its rank and
-determinant and of its edge quotient map, and the predicates are pure.
+An algebra is built from its edge list: ``edges`` lists the nonzero
+structure constants once, as the edges (i, j, M[j][i]) of the associated
+graph in (i, j) order, where M is the structure matrix with the column
+convention M[j][i] = coefficient of e_j in e_i**2; distinct basis elements
+multiply to zero.  The dense ``matrix`` is filled from the edges, and
+whatever needs only the edges reads that list.  Vectors are plain tuples of
+scalars in basis coordinates.  All objects are immutable, apart from an
+algebra's idempotent caches of its rank and determinant and of its edge
+quotient map, and the predicates are pure.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from operator import index
 
 from .errors import (
     DimensionMismatch,
@@ -31,22 +34,34 @@ Vector = tuple[Scalar, ...]
 
 
 class EvolutionAlgebra:
-    def __init__(self, field: Field, rows, labels=None):
-        n = len(rows)
+    """Built from its edge list: ``edges`` holds triples (i, j, w), w the
+    nonzero coefficient of e_j in e_i**2, at most one per pair (i, j) and in
+    any order; only the weights are coerced into the field."""
+
+    def __init__(self, field: Field, dim: int, edges, labels=None):
+        n = index(dim)
         if n < 1:
             raise DimensionMismatch("an evolution algebra needs at least one basis element")
         if n > DEFAULT_DIMENSION_CAP:
             raise TooLarge(f"algebra: dimension exceeds the cap {DEFAULT_DIMENSION_CAP} "
                            f"(dimension {n})")
-        matrix = []
-        for row in rows:
-            if len(row) != n:
-                raise DimensionMismatch("structure matrix must be square")
-            matrix.append(tuple(field.scalar(x) for x in row))
+        weights = {}
+        for i, j, w in edges:
+            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise DimensionMismatch(f"edge {i!r} -> {j!r} is not between basis elements "
+                                        f"0 to {n - 1}")
+            if (i, j) in weights:
+                raise DimensionMismatch(f"edge {i} -> {j} is listed twice")
+            w = weights[i, j] = field.scalar(w)
+            if w.is_zero():
+                raise ZeroVector(f"edge {i} -> {j} has weight zero")
         self.field = field
-        self.matrix = tuple(matrix)
-        self.edges = tuple((i, j, matrix[j][i]) for i in range(n) for j in range(n)
-                           if not matrix[j][i].is_zero())
+        self.edges = tuple((i, j, weights[i, j]) for i, j in sorted(weights))
+        zero = field.zero   # one scalar shared by every zero entry
+        matrix = [[zero] * n for _ in range(n)]
+        for i, j, w in self.edges:
+            matrix[j][i] = w
+        self.matrix = tuple(map(tuple, matrix))
         if labels is None:
             labels = tuple(f"e{i + 1}" for i in range(n))
         else:
@@ -61,11 +76,13 @@ class EvolutionAlgebra:
     def from_squares(cls, field: Field, squares, labels=None):
         """Build from the list of basis squares: squares[i] = coords of e_i**2."""
         n = len(squares)
-        cols = [[field.scalar(x) for x in col] for col in squares]
-        if any(len(c) != n for c in cols):
-            raise DimensionMismatch("each square must have one coordinate per basis element")
-        rows = [[cols[i][j] for i in range(n)] for j in range(n)]
-        return cls(field, rows, labels=labels)
+        edges = []
+        for i, square in enumerate(squares):
+            coords = [field.scalar(x) for x in square]
+            if len(coords) != n:
+                raise DimensionMismatch("each square must have one coordinate per basis element")
+            edges += [(i, j, w) for j, w in enumerate(coords) if not w.is_zero()]
+        return cls(field, n, edges, labels=labels)
 
     @property
     def dim(self) -> int:
@@ -147,10 +164,10 @@ class EvolutionAlgebra:
         return (isinstance(other, EvolutionAlgebra)
                 and self.field == other.field
                 and self.labels == other.labels
-                and self.matrix == other.matrix)
+                and self.edges == other.edges)
 
     def __hash__(self):
-        return hash((self.field, self.labels, self.matrix))
+        return hash((self.field, self.labels, self.edges))
 
     def __repr__(self):
         return f"EvolutionAlgebra(dim={self.dim}, field={self.field})"

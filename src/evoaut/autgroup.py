@@ -223,13 +223,12 @@ def _no_image(weights: dict, sigma) -> NotAGraphAutomorphism:
 
 
 def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
-    """One row x_u**2 / x_v == c per edge u -> v, in edge-list order."""
+    """One row x_u**2 / x_v == c per edge u -> v, in edge-list order, held by
+    its nonzeros: ((u, 2), (v, -1)) in variable order, ((u, 1),) for a loop."""
     rows = []
     for (u, v, _), c in zip(algebra.edges, rhs):
-        exps = [0] * algebra.dim
-        exps[u] += 2
-        exps[v] -= 1
-        rows.append((tuple(exps), c))
+        exps = ((u, 1),) if u == v else ((u, 2), (v, -1)) if u < v else ((v, -1), (u, 2))
+        rows.append((exps, c))
     return MonomialSystem(algebra.field, algebra.dim, tuple(rows))
 
 

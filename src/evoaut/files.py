@@ -72,7 +72,8 @@ def _read(text: str, label_head: str, entry_head: str, entry_edges,
     ``label_head`` names the label line and ``entry_head`` the entry lines;
     ``entry_edges(tokens, line_no)`` turns one entry line into (src, dst,
     literal) edges.  Literals are read after the loop, once the field is
-    known: the ``field`` line, else ``default_field``.
+    known (the ``field`` line, else ``default_field``), one scalar per edge,
+    and the algebra is built from its edge list.
     """
     field = labels = None
     edges: dict[tuple[str, str], tuple[str, int]] = {}
@@ -114,7 +115,7 @@ def _read(text: str, label_head: str, entry_head: str, entry_edges,
     field = field if field is not None else default_field
     if field is None:
         raise ParseError("the file has no field line")
-    rows = [[field.zero] * len(labels) for _ in labels]
+    weighted = []
     for (src, dst), (literal, line_no) in edges.items():
         try:
             w = field.parse(literal)
@@ -122,8 +123,8 @@ def _read(text: str, label_head: str, entry_head: str, entry_edges,
             raise ParseError(f"bad scalar literal {literal!r}: {exc}", line=line_no) from exc
         if w.is_zero():
             raise ParseError("zero coefficients and weights must be omitted", line=line_no)
-        rows[labels[dst]][labels[src]] = w
-    return EvolutionAlgebra(field, rows, labels=list(labels))
+        weighted.append((labels[src], labels[dst], w))
+    return EvolutionAlgebra(field, len(labels), weighted, labels=list(labels))
 
 
 def parse_algebra(text: str) -> EvolutionAlgebra:

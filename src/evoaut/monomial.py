@@ -45,23 +45,22 @@ BRUTEFORCE_CAP = 10**7
 
 
 class MonomialSystem(Value):
-    """Rows (a, c) encode the relations prod_v x_v**a[v] == c, c in K^x."""
+    """Rows (a, c) encode the relations prod_v x_v**a[v] == c, c in K^x.
+
+    Each exponent row a is held by its nonzeros, as (v, a[v]) pairs in v
+    order.  The constructor takes a row as such pairs (an empty row is the
+    zero row) or dense, as n_vars integers, and raises ValueError for
+    anything else."""
 
     __slots__ = ("field", "n_vars", "rows")
 
     def __init__(self, field: Field, n_vars: int,
-                 rows: tuple[tuple[tuple[int, ...], Scalar], ...]):
+                 rows: tuple[tuple[tuple[tuple[int, int], ...], Scalar], ...]):
         if n_vars < 0:
             raise ValueError("variable count must be nonnegative")
         frozen = []
         for exps, rhs in rows:
-            try:
-                exps = tuple(map(index, exps))
-            except TypeError:
-                raise ValueError(f"exponent row {exps!r} holds a non-integer") from None
-            if len(exps) != n_vars:
-                raise ValueError(f"exponent row {exps} does not have {n_vars} entries")
-            rhs = field.scalar(rhs)
+            exps, rhs = _exponent_pairs(exps, n_vars), field.scalar(rhs)
             if rhs.is_zero():
                 raise ZeroArgument("monomial relations cannot have zero right-hand side")
             frozen.append((exps, rhs))
@@ -72,12 +71,36 @@ class MonomialSystem(Value):
         return all(power_product(self.field, xs, exps) == rhs for exps, rhs in self.rows)
 
 
+def _exponent_pairs(exps, n_vars: int) -> tuple[tuple[int, int], ...]:
+    """An exponent row, as (v, e) pairs in increasing v order or dense, as
+    its nonzero (v, e) pairs in v order.  Pairs out of order or outside
+    range(n_vars), a dense row of another length and a non-integer raise
+    ValueError."""
+    try:
+        if not exps or type(exps[0]) is tuple:
+            last, pairs = -1, []
+            for v, e in exps:
+                v, e = index(v), index(e)
+                if not last < v < n_vars:
+                    raise ValueError(f"exponent row {exps} does not list variables of "
+                                     f"range({n_vars}) in increasing order")
+                last = v
+                if e:
+                    pairs.append((v, e))
+            return tuple(pairs)
+        dense = tuple(map(index, exps))
+    except TypeError:
+        raise ValueError(f"exponent row {exps!r} holds a non-integer") from None
+    if len(dense) != n_vars:
+        raise ValueError(f"exponent row {dense} does not have {n_vars} entries")
+    return tuple((v, e) for v, e in enumerate(dense) if e)
+
+
 def power_product(field: Field, xs, exps) -> Scalar:
-    """prod xs[k] ** exps[k]; negative exponents invert."""
+    """prod xs[v] ** e over the (v, e) pairs of ``exps``; negative exponents invert."""
     acc = field.one
-    for x, e in zip(xs, exps):
-        if e:
-            acc = acc * x**e
+    for v, e in exps:
+        acc = acc * xs[v]**e
     return acc
 
 
@@ -245,7 +268,7 @@ class ExponentDecomposition:
         self.field, self.n_vars = field, n
         self.exponents = tuple(exps for exps, _ in system.rows)
         # no relations: the empty 0 x n decomposition, whose V is the identity
-        snf = self._snf = smith_normal_form(self.exponents) if self.exponents \
+        snf = self._snf = smith_normal_form(self.exponents, n) if self.exponents \
             else SmithDecomposition((), n, (), (), ())
         rows, self.V, self.rank, self.diagonal = snf.matrix, snf.V, snf.rank, snf.diagonal
         finite = isinstance(field, PrimeField)
@@ -379,8 +402,9 @@ def check_scan_cap(p: int, n_vars: int) -> None:
 
 def bruteforce_solution_sets(p: int, n_vars: int, exponents, rights) -> list[list[tuple]]:
     """Oracle: the solutions in (F_p^x)^n, as sorted lists of residue tuples,
-    of the systems with the exponent rows ``exponents`` and each right-hand
-    side in ``rights`` (residues, one per row; a generator will do).
+    of the systems with the exponent rows ``exponents`` (as ``MonomialSystem``
+    holds them: (v, e) pairs) and each right-hand side in ``rights``
+    (residues, one per row; a generator will do).
 
     One exhaustive scan serves all of them, as it does an algebra's diagonal
     and twisted systems.  Each point is read once, by its vector of row
@@ -393,7 +417,7 @@ def bruteforce_solution_sets(p: int, n_vars: int, exponents, rights) -> list[lis
     check_scan_cap(p, n_vars)
     keys = [tuple(rhs) for rhs in rights]
     # x**e depends on e mod p - 1 only, as x is a unit
-    rows = [[(v, e % (p - 1)) for v, e in enumerate(exps) if e % (p - 1)] for exps in exponents]
+    rows = [[(v, e % (p - 1)) for v, e in exps if e % (p - 1)] for exps in exponents]
     trie = {} if rows else []   # row values -> ... -> the list of points
     hits = {}
     for key in keys:

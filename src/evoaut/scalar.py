@@ -94,10 +94,14 @@ class Field:
         return self._from_number(value)
 
     def parse(self, text: str) -> "Scalar":
-        """Parse a decimal integer, ``a/b``, or ``-a/b`` literal."""
+        """Parse a decimal integer, ``a/b``, or ``-a/b`` literal.  A plain
+        ASCII integer (an optional ``-``, then only the digits 0-9) is read
+        by ``int``, and any other literal by ``Fraction``, so what is
+        accepted is what the running interpreter's ``Fraction`` accepts."""
         cleaned = text.strip().replace("−", "-")
+        digits = cleaned[1:] if cleaned[:1] == "-" else cleaned
         try:
-            value = Fraction(cleaned)
+            value = int(cleaned) if digits.isascii() and digits.isdigit() else Fraction(cleaned)
         except (ValueError, ZeroDivisionError) as exc:
             raise EvoautError(f"cannot parse scalar literal {text!r}") from exc
         return self._from_number(value)

@@ -12,13 +12,14 @@ must leave exactly D.
 The exponent matrices of monomial systems (one row 2 e_u - e_v per edge)
 hold a few nonzeros per row and keep that sparsity through elimination, so
 every matrix here is held by its nonzeros, from the input to the consumer.
-The input A is read once into dicts {column: value}, the working matrix's
-rows, with an index from each column to the rows nonzero in it: clearing a
-column, and the column operation that clears a row, visit only the rows
-nonzero in the pivot column, and a column swap only the rows that hold
-either column.  D is held by its diagonal.  U's rows, which transform a
-right-hand side, and V's columns, which map a transformed solution back,
-are rebuilt from their logs on the identity only when a caller reads them.
+The input A is read once, by ``_sparse_rows``, into (column, value) pairs;
+the working matrix holds them as dicts, with an index from each column to
+the rows nonzero in it: clearing a column, and the column operation that
+clears a row, visit only the rows nonzero in the pivot column, and a column
+swap only the rows that hold either column.  D is held by its diagonal.
+U's rows, which transform a right-hand side, and V's columns, which map a
+transformed solution back, are rebuilt from their logs on the identity only
+when a caller reads them.
 Storage sets the cost of each operation, never its result: the pivot rule
 alone fixes the operations and their order.
 """
@@ -35,15 +36,40 @@ SWAP, NEGATE, ADD = "swap", "negate", "add"
 
 
 def _sparse_rows(rows, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each row, dense or a dict {column: value}, as its nonzero (column,
-    value) pairs in column order.  A dense row must hold ``width`` entries
-    and a dict only columns in range(width)."""
-    out = tuple(tuple(sorted((j, x) for j, x in row.items() if x)) if isinstance(row, dict)
-                else tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
-    if any(len(row) != width for row in rows if not isinstance(row, dict)) \
-            or any(row and not (row[0][0] >= 0 and row[-1][0] < width) for row in out):
-        raise InvariantViolation(f"a row does not fit {width} entries")
-    return out
+    """Each row as its nonzero (column, value) pairs in column order: the one
+    reader of a matrix, for ``smith_normal_form`` and ``SmithDecomposition``
+    alike.  A row is a dict {column: value}, a sequence of (column, value)
+    pairs in strictly increasing column order, or a sequence of ``width``
+    values; an empty row is the zero row.  Every column must lie in
+    range(width) and every value be an int (``type(x) is int``: not a bool,
+    a float or a Fraction).  A row that breaks this raises ValueError."""
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            if isinstance(row, dict):
+                pairs = sorted(row.items())
+            elif not row or type(row[0]) is tuple:
+                pairs = row
+            elif len(row) == width:
+                pairs = enumerate(row)
+            else:
+                raise ValueError
+            last, nonzero = -1, []
+            for j, x in pairs:
+                if type(x) is not int:
+                    raise TypeError
+                if not (type(j) is int and last < j < width):
+                    raise ValueError
+                last = j
+                if x:
+                    nonzero.append((j, x))
+        except TypeError:
+            raise ValueError(f"row {i} of the matrix, {row!r}, holds a non-integer") from None
+        except ValueError:
+            raise ValueError(f"row {i} of the matrix, {row!r}, does not fit {width} "
+                             "entries") from None
+        out.append(tuple(nonzero))
+    return tuple(out)
 
 
 def replay(ops, lines: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -88,23 +114,28 @@ class SmithDecomposition(Value):
     """U @ matrix @ V == D with U, V unimodular and D = diag(d_1 | d_2 | ...).
 
     ``matrix`` is held by sparse rows: tuples of (column, value) pairs in
-    column order, ``width`` columns wide.  U is held as ``row_ops`` and V as
-    ``col_ops``, the logs of the elementary operations that make them from
-    the identity (see ``replay``), so both are unimodular by construction;
-    the ``U`` property rebuilds U's sparse rows and the ``V`` property V's
-    sparse columns.  ``diagonal`` holds the min(m, width) diagonal entries
-    of D, which is zero elsewhere.  The constructor takes ``matrix`` as
-    rows, dense or dicts {column: value}.  ``__init__`` certifies the
-    decomposition: every logged operation is elementary, replaying the row
-    log on A's rows and then the column log on the resulting columns leaves
-    exactly D, and the diagonal forms a divisibility chain.
+    column order, ``width`` columns wide, every value an int.  U is held as
+    ``row_ops`` and V as ``col_ops``, the logs of the elementary operations
+    that make them from the identity (see ``replay``), so both are
+    unimodular by construction; the ``U`` property rebuilds U's sparse rows
+    and the ``V`` property V's sparse columns.  ``diagonal`` holds the
+    min(m, width) diagonal entries of D, which is zero elsewhere.  The
+    constructor reads ``matrix`` with ``_sparse_rows``, as
+    ``smith_normal_form`` reads its input.  ``__init__`` certifies the
+    decomposition: every matrix entry is an int, every logged operation is
+    elementary, replaying the row log on A's rows and then the column log on
+    the resulting columns leaves exactly D, and the diagonal is a
+    divisibility chain of ints >= 0.
     """
 
     __slots__ = ("matrix", "width", "row_ops", "col_ops", "diagonal", "rank")
 
     def __init__(self, matrix, width, row_ops, col_ops, diagonal):
         self.width = index(width)
-        self.matrix = _sparse_rows(matrix, self.width)
+        try:
+            self.matrix = _sparse_rows(matrix, self.width)
+        except ValueError as exc:
+            raise InvariantViolation(str(exc)) from None
         self.row_ops, self.col_ops = tuple(map(tuple, row_ops)), tuple(map(tuple, col_ops))
         self.diagonal = tuple(diagonal)
         self._verify()
@@ -129,6 +160,9 @@ class SmithDecomposition(Value):
         diag = self.diagonal
         if len(diag) != min(len(self.matrix), self.width):
             raise InvariantViolation("U @ A @ V != D")
+        if any(type(d) is not int or d < 0 for d in diag):
+            raise InvariantViolation(f"the diagonal {list(diag)} holds an entry that is not "
+                                     "an int >= 0")
         # U @ A by rows, turned into columns, then U @ A @ V by columns
         columns = [{} for _ in range(self.width)]
         for i, row in enumerate(replay(self.row_ops, [dict(row) for row in self.matrix])):
@@ -156,30 +190,25 @@ def _find_pivot(d: list[dict[int, int]], t: int):
     return None if best is None else best[1:]
 
 
-def smith_normal_form(matrix) -> SmithDecomposition:
+def smith_normal_form(matrix, width) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Accepts any rectangular list-of-lists (including zero rows/columns or an
-    empty matrix) of ints (anything ``operator.index`` takes; a float or a
-    string raises ValueError) and returns the full decomposition,
-    re-verified.  The input is read once, into sparse rows of its nonzeros;
-    the working matrix keeps them with an index of the rows nonzero in each
+    ``matrix`` is a sequence of rows ``width`` columns wide (any number of
+    them, zero rows and columns included), each dense, a dict {column:
+    value} or (column, value) pairs, with int values; ``_sparse_rows``
+    reads it once, as ``SmithDecomposition`` does, and a row that does not
+    fit or holds anything but ints (a float, a bool, a string) raises
+    ValueError.  Returns the full decomposition, re-verified.  The working
+    matrix keeps the sparse rows with an index of the rows nonzero in each
     column, so clearing a column or a row visits only its nonzeros.  Row and
     column operations are logged, not applied to U and V.  A unit pivot
     divides every entry, so the search for an entry that breaks the
     divisibility chain is skipped for it.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if any(len(r) != n for r in matrix):
-        raise ValueError("ragged matrix")
-    a = []
-    for i, r in enumerate(matrix):
-        try:
-            a.append({j: y for j, x in enumerate(r) if (y := index(x))})
-        except TypeError:
-            raise ValueError(f"row {i} of the matrix, {r!r}, holds a non-integer") from None
-    d = [row.copy() for row in a]
+    n = index(width)
+    a = _sparse_rows(matrix, n)
+    m = len(a)
+    d = [dict(row) for row in a]
     cols = [set() for _ in range(n)]   # column -> the rows nonzero in it
     for i, row in enumerate(d):
         for j in row:

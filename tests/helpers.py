@@ -154,11 +154,10 @@ def scalar_particular(decomposition, rhs):
             ys[k] = one if one in roots else roots[0]
         elif c != one:
             return None
-    n = decomposition.n_vars
-    v_rows = [[0] * n for _ in range(n)]
+    v_rows = [[] for _ in range(decomposition.n_vars)]   # V's rows as (k, e) pairs
     for k, column in enumerate(decomposition.V):
         for i, e in column:
-            v_rows[i][k] = e
+            v_rows[i].append((k, e))
     return tuple(power_product(field, ys, row) for row in v_rows)
 
 
@@ -189,6 +188,18 @@ def scalar_generators_hold(decomposition) -> bool:
     return all(power_product(field, gen, exps) == field.one
                for gen in decomposition.homogeneous.generators
                for exps in decomposition.exponents)
+
+
+def dense_exponent_rows(algebra):
+    """The diagonal system's exponent matrix written densely, as the solver
+    once did: one row 2 e_u - e_v per edge u -> v, in edge-list order, n wide."""
+    rows = []
+    for u, v, _ in algebra.edges:
+        exps = [0] * algebra.dim
+        exps[u] += 2
+        exps[v] -= 1
+        rows.append(exps)
+    return rows
 
 
 def reference_rank(rows) -> int:
@@ -316,9 +327,9 @@ def count_snf_calls(monkeypatch) -> list:
     calls = []
     real = monomial.smith_normal_form
 
-    def counting(matrix):
+    def counting(matrix, width):
         calls.append(len(matrix))
-        return real(matrix)
+        return real(matrix, width)
 
     monkeypatch.setattr(monomial, "smith_normal_form", counting)
     return calls

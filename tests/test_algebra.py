@@ -220,8 +220,17 @@ def test_unique_basis_oracle():
 
 
 def test_labels_and_construction_errors():
+    # the edge list is checked: indices in range, one edge per pair, no zero weight
+    with pytest.raises(DimensionMismatch, match="not between basis elements 0 to 0"):
+        EvolutionAlgebra(QQ, 1, [(0, 0, QQ.one), (0, 1, QQ.one)])
+    with pytest.raises(DimensionMismatch, match="not between basis elements"):
+        EvolutionAlgebra(QQ, 2, [(True, 0, QQ.one)])
+    with pytest.raises(DimensionMismatch, match="listed twice"):
+        EvolutionAlgebra(QQ, 2, [(0, 1, 1), (1, 1, 1), (0, 1, 2)])
+    with pytest.raises(ZeroVector, match="weight zero"):
+        EvolutionAlgebra(F7, 2, [(0, 1, 7)])
     with pytest.raises(DimensionMismatch):
-        EvolutionAlgebra(QQ, [[QQ.one, QQ.one]])
+        EvolutionAlgebra.from_squares(QQ, [[QQ.one, QQ.one]])
     with pytest.raises(DimensionMismatch):
         EvolutionAlgebra.from_squares(QQ, [[1, 0], [0, 1]], labels=["a", "a"])
     with pytest.raises(TooLarge):

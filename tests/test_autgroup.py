@@ -139,7 +139,7 @@ def test_diag_group_examples():
 
 
 def test_trivial_diag_group_lists_the_identity():
-    zero = EvolutionAlgebra(F2, [[0, 0], [0, 0]])
+    zero = EvolutionAlgebra(F2, 2, [])
     assert diag_group(zero).concrete_order() == 1
     assert diag_group(zero).elements() == [(F2.one, F2.one)]
     both_loops = EvolutionAlgebra.from_squares(QQ, [[1, 2], [2, 1]])

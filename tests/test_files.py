@@ -1,10 +1,13 @@
 import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from evoaut import EvolutionAlgebra
+from evoaut.autgroup import diag_system
 from evoaut.cli import main
 from evoaut.errors import ParseError
 from evoaut.files import (
@@ -19,10 +22,11 @@ from evoaut.files import (
     serialize_graph,
     structured_lines,
 )
-from evoaut.monomial import GroupDescription
-from evoaut.scalar import QQ
+from evoaut.monomial import ExponentDecomposition, GroupDescription
+from evoaut.scalar import PrimeField, QQ
+from evoaut.snf import smith_normal_form
 
-from helpers import F5, F7
+from helpers import F2, F5, F7, dense_exponent_rows
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -246,5 +250,51 @@ def test_mutated_samples_exit_with_an_answer_a_parse_error_or_a_cap(tmp_path):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main([command, str(path)])
             assert code in (0, 2, 3), (command, text)
+
+    check()
+
+
+def test_parsed_algebra_equals_the_one_built_from_its_squares():
+    # the parser builds an algebra from its edges, one scalar per edge; the
+    # same structure matrix given densely to from_squares gives the same
+    # algebra, and the diagonal system, held by its nonzeros, the same SNF
+    # as the dense exponent matrix
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def structures(draw):
+        field = draw(st.sampled_from([F2, F7, PrimeField(683), QQ]))
+        n = draw(st.integers(1, 12))
+        p = getattr(field, "p", 0)
+        # a nonzero weight, an integer or a/b, with neither part divisible by p
+        part = st.integers(-50, 50).filter(lambda x: x % p if p else x)
+        weight = st.builds(Fraction, part, part.map(abs))
+        squares = [[0] * n for _ in range(n)]
+        for i in range(n):   # loops and zero squares included
+            for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+                squares[i][j] = draw(weight)
+        return field, squares, draw(st.permutations(range(n)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(structures())
+    def check(case):
+        field, squares, order = case
+        n = len(squares)
+        labels = [f"v{k}" for k in order]
+        lines = [f"field {field_tag(field)}", "basis " + " ".join(labels)]
+        for i in reversed(order):   # sq lines and their terms out of basis order
+            terms = [f"{w}*{labels[j]}" for j, w in reversed(list(enumerate(squares[i]))) if w]
+            if terms:
+                lines.append(f"sq {labels[i]} = " + " + ".join(terms))
+        parsed = parse_algebra("\n".join(lines) + "\n")
+        built = EvolutionAlgebra.from_squares(field, squares, labels=labels)
+        assert (parsed.matrix, parsed.edges, parsed.labels) == \
+            (built.matrix, built.edges, built.labels)
+        assert parsed == built and hash(parsed) == hash(built)
+        snf = ExponentDecomposition(diag_system(parsed))._snf
+        dense = smith_normal_form(dense_exponent_rows(built), n)
+        assert (snf.row_ops, snf.col_ops, snf.diagonal) == \
+            (dense.row_ops, dense.col_ops, dense.diagonal)
 
     check()

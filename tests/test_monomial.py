@@ -200,7 +200,7 @@ def test_rational_systems_with_planted_solutions():
         rows = []
         for _ in range(rng.randint(1, 4)):
             exps = [rng.randint(-3, 3) for _ in range(n)]
-            rows.append((exps, power_product(QQ, planted, exps)))
+            rows.append((exps, power_product(QQ, planted, enumerate(exps))))
         coset = solve_inhomogeneous(system(QQ, n, rows))
         assert coset.is_feasible
         if coset.count() is not None:
@@ -220,7 +220,7 @@ def test_rational_feasibility_projects_to_prime_fields():
         rows = []
         for _ in range(rng.randint(1, 3)):
             exps = [rng.randint(-2, 2) for _ in range(n)]
-            rows.append((exps, power_product(QQ, planted, exps)))
+            rows.append((exps, power_product(QQ, planted, enumerate(exps))))
         assert solve_inhomogeneous(system(QQ, n, rows)).is_feasible
         for field in (F7, PrimeField(11)):
             reduced = [(exps, field.scalar(rhs.fraction)) for exps, rhs in rows]
@@ -228,6 +228,20 @@ def test_rational_feasibility_projects_to_prime_fields():
             assert coset.is_feasible
             image = tuple(field.scalar(x.fraction) for x in planted)
             assert image in coset.elements()
+
+
+def test_exponent_rows_are_held_by_their_nonzeros():
+    dense = system(F7, 3, [([2, 0, -1], 3), ([0, 0, 0], 1)])
+    assert dense.rows == ((((0, 2), (2, -1)), F7.scalar(3)), ((), F7.one))
+    assert system(F7, 3, [(((0, 2), (1, 0), (2, -1)), 3), ((), 1)]) == dense
+    for pairs in (((2, -1), (0, 2)),     # out of variable order
+                  ((0, 2), (0, -1)),     # one variable twice
+                  ((0, 2), (3, -1)),     # a variable outside range(3)
+                  ((-1, 2),)):
+        with pytest.raises(ValueError, match="increasing order"):
+            system(F7, 3, [(pairs, 3)])
+    with pytest.raises(ValueError, match="non-integer"):
+        system(F7, 3, [(((0, 2.5),), 3)])
 
 
 def test_zero_exponent_rows():

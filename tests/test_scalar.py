@@ -254,3 +254,38 @@ def test_q_roots_of_large_primes_need_no_factoring():
     assert nth_roots(QQ, 2, big) == []
     assert nth_roots(QQ, 2, -big**2) == []
     assert nth_roots(QQ, 3, big**6 * 2) == []
+
+
+def fraction_route(field, text):
+    """What ``Field.parse`` made of a literal when every literal went through
+    ``Fraction`` on the running interpreter: the scalar, or the class of the
+    error raised (``parse`` turns Fraction's own errors into EvoautError)."""
+    try:
+        value = Fraction(text.strip().replace("−", "-"))
+    except (ValueError, ZeroDivisionError):
+        return EvoautError
+    try:
+        return field._from_number(value)
+    except EvoautError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=["F7", "Q"])
+@pytest.mark.parametrize("literal", [
+    "1_0", "٣", "²", "+3", "-0", "−2", " 7 ", "3.0", "1e3", "3/1", "-3/6", "0x10", "", "-",
+    "1/7", "10000000000037",
+    pytest.param("1" * 5000, id="5000-digits"),   # past int's default digit limit on 3.11+
+])
+def test_parse_matches_the_fraction_route(field, literal):
+    # plain ASCII integers are read by int, everything else by Fraction: the
+    # shortcut accepts nothing Fraction would refuse on this interpreter
+    # (Python 3.10's Fraction takes no underscores) and reads every literal
+    # to the same scalar
+    expected = fraction_route(field, literal)
+    if isinstance(expected, type):
+        with pytest.raises(EvoautError) as raised:
+            field.parse(literal)
+        assert type(raised.value) is expected
+    else:
+        got = field.parse(literal)
+        assert got == expected and type(got) is type(expected)

@@ -50,6 +50,11 @@ def freeze(mat):
     return tuple(tuple(r) for r in mat)
 
 
+def width(mat):
+    """The width of a dense matrix: its first row's length, 0 without rows."""
+    return len(mat[0]) if mat else 0
+
+
 def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
@@ -95,7 +100,7 @@ def minor_gcd_factors(mat):
 
 
 def test_snf_identity_case():
-    snf = smith_normal_form([[1]])
+    snf = smith_normal_form([[1]], 1)
     assert snf.diagonal == (1,)
     assert (snf.matrix, snf.U, snf.V) == ((((0, 1),),), (((0, 1),),), (((0, 1),),))
     assert snf.invariant_factors() == [1]
@@ -104,7 +109,7 @@ def test_snf_identity_case():
 def test_snf_star_rows():
     # three relations 2e_i - e_w on four unknowns: cokernel Z x (Z/2)^2
     rows = [[2, 0, 0, -1], [0, 2, 0, -1], [0, 0, 2, -1]]
-    snf = smith_normal_form(rows)
+    snf = smith_normal_form(rows, 4)
     assert snf.rank == 3
     assert snf.invariant_factors() == [1, 2, 2]
 
@@ -119,23 +124,23 @@ def test_snf_ear_relation_matrix():
         [2, 0, 0, 0, -1],
         [-1, 0, 0, 0, 2],
     ]
-    snf = smith_normal_form(rows)
+    snf = smith_normal_form(rows, 5)
     assert snf.rank == 5
     assert snf.invariant_factors() == [1, 1, 1, 1, 3]
 
 
 def test_snf_zero_and_rectangular():
-    snf = smith_normal_form([[0, 0], [0, 0]])
+    snf = smith_normal_form([[0, 0], [0, 0]], 2)
     assert snf.rank == 0
     assert snf.invariant_factors() == []
-    snf = smith_normal_form([[6, 10, 15]])
+    snf = smith_normal_form([[6, 10, 15]], 3)
     assert snf.invariant_factors() == [1]
-    snf = smith_normal_form([[4], [6]])
+    snf = smith_normal_form([[4], [6]], 1)
     assert snf.invariant_factors() == [2]
 
 
 def test_snf_negative_entries():
-    snf = smith_normal_form([[-2, 4], [4, -8]])
+    snf = smith_normal_form([[-2, 4], [4, -8]], 2)
     assert snf.invariant_factors() == [2]
     assert all(d >= 0 for d in snf.diagonal)
 
@@ -146,23 +151,23 @@ def test_snf_matches_minor_gcd_oracle():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        snf = smith_normal_form(mat)
+        snf = smith_normal_form(mat, n)
         assert snf.invariant_factors() == minor_gcd_factors(mat)
 
 
 def test_invariant_factors_independent_of_row_order():
     rng = random.Random(29)
     base = [[2, -1, 0, 0], [0, 2, -1, 0], [0, 0, 2, -1], [2, 0, 0, -1]]
-    reference = smith_normal_form(base).invariant_factors()
+    reference = smith_normal_form(base, 4).invariant_factors()
     for _ in range(10):
         shuffled = base[:]
         rng.shuffle(shuffled)
-        assert smith_normal_form(shuffled).invariant_factors() == reference
+        assert smith_normal_form(shuffled, 4).invariant_factors() == reference
 
 
 def test_transforms_reverify():
     # the constructor re-checks U @ A @ V == D; sanity-check one case by hand
-    snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
     u, d, v = dense_parts(snf)
     a = dense(snf.matrix, 3)
     assert a == [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
@@ -201,7 +206,7 @@ def test_transforms_unimodular_property():
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(matrices())
     def check(mat):
-        snf = smith_normal_form(mat)
+        snf = smith_normal_form(mat, width(mat))
         u, d, v = dense_parts(snf)
         assert mat_mul(mat_mul(u, mat), v) == d
         assert int_det(u) in (1, -1)
@@ -232,7 +237,7 @@ def test_invariant_factors_match_sympy():
             rows.append(row)
         cases.append(rows)
     for mat in cases:
-        ours = sorted(abs(d) for d in smith_normal_form(mat).invariant_factors())
+        ours = sorted(abs(d) for d in smith_normal_form(mat, len(mat[0])).invariant_factors())
         theirs = sympy_snf(sympy.Matrix(mat), domain=sympy.ZZ)
         assert ours == sorted(abs(theirs[k, k]) for k in range(min(theirs.shape)) if theirs[k, k])
 
@@ -264,7 +269,7 @@ def test_non_elementary_row_operation_is_rejected(matrix, op, diagonal):
 
 
 def test_corrupted_transform_is_rejected():
-    snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    snf = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
     for log in ("row_ops", "col_ops"):
         logs = {"row_ops": list(snf.row_ops), "col_ops": list(snf.col_ops)}
         ops = logs[log]
@@ -289,10 +294,23 @@ def test_transform_of_the_wrong_size_is_rejected(matrix, U, D, V):
     [[1, 0], [0, 1, 0]],          # a dense row of the wrong length
     [{0: 1}, {2: 1}],             # a sparse entry past the last column
     [{-1: 1}, {1: 1}],            # a sparse entry before the first column
+    [((1, 1), (0, 1)), ()],       # (column, value) pairs out of column order
+    [((0, 1), (0, 1)), ()],       # pairs naming one column twice
 ])
 def test_matrix_rows_outside_the_width_are_rejected(rows):
     with pytest.raises(InvariantViolation, match="does not fit 2 entries"):
         SmithDecomposition(matrix=rows, width=2, row_ops=(), col_ops=(), diagonal=(1, 1))
+
+
+@pytest.mark.parametrize("matrix, diagonal", [
+    ([[2]], (2.0,)),       # a float on the diagonal: 2.0 == 2 passes the product
+    ([[-2]], (-2,)),       # a negative invariant factor, which torsion would drop
+    ([{0: 2.0}], (2,)),    # a float in the matrix
+    ([[True]], (1,)),      # a bool in the matrix
+])
+def test_entries_other_than_ints_and_negative_factors_are_rejected(matrix, diagonal):
+    with pytest.raises(InvariantViolation):
+        SmithDecomposition(matrix, 1, (), (), diagonal)
 
 
 @pytest.mark.parametrize("part", ["matrix", "U", "V"])
@@ -381,7 +399,7 @@ def random_matrices():
 def transforms_digest(matrices):
     digest = hashlib.sha256()
     for mat in matrices:
-        snf = smith_normal_form(mat)
+        snf = smith_normal_form(mat, width(mat))
         digest.update(repr(tuple(tuple(map(tuple, part)) for part in dense_parts(snf))).encode())
     return digest.hexdigest()[:24]
 
@@ -401,7 +419,7 @@ def test_decompositions_are_unchanged_entry_for_entry(matrices, pin):
 
 def test_certificate_reads_every_stored_entry():
     rows = edge_rows(random.Random(37), 10, 4)                  # 40 x 10
-    snf = smith_normal_form(rows)
+    snf = smith_normal_form(rows, 10)
     logs = {"row_ops": [list(op) for op in snf.row_ops],
             "col_ops": [list(op) for op in snf.col_ops]}
     diagonal = list(snf.diagonal)

@@ -34,7 +34,8 @@ CASES = {
     "MonomialSystem": (lambda c: MonomialSystem(F7, 2, (((2, -1), c),)), 3, 5),
     "GroupDescription": (lambda t: GroupDescription(1, t, F7, n_vars=2), (2,), (3,)),
     "SolutionCoset": (coset, (F7.scalar(3), F7.scalar(3)), None),
-    "SmithDecomposition": (smith_normal_form, [[2, 4], [6, 8]], [[2, 4], [6, 9]]),
+    "SmithDecomposition": (lambda rows: smith_normal_form(rows, 2), [[2, 4], [6, 8]],
+                           [[2, 4], [6, 9]]),
     "AutPresentation": (presentation, True, False),
     "ChainSpec": (lambda anchor: ChainSpec(F7, [2, 2], anchor), None, 1),
     "TruncatedLimit": (lambda p: truncated_chain(ChainSpec(p, (2, 2))), F7, F5),
@@ -54,8 +55,12 @@ def test_equal_fields_give_equal_values(build, a, b):
 def test_normalized_fields_compare_normalized():
     assert ChainSpec(F7, [2, 2], 1) == ChainSpec(F7, (2, 2), F7.one)
     assert MonomialSystem(F7, 1, [([2], 3)]) == MonomialSystem(F7, 1, (((2,), F7.scalar(3)),))
-    dense = smith_normal_form([[2, 4], [6, 8]])
-    assert dense.rank == 2 and dense == smith_normal_form(((2, 4), (6, 8)))
+    dense = smith_normal_form([[2, 4], [6, 8]], 2)
+    assert dense.rank == 2 and dense == smith_normal_form(((2, 4), (6, 8)), 2)
+    # rows given dense, as dicts or as (column, value) pairs are one matrix
+    assert dense == smith_normal_form([{1: 4, 0: 2}, ((0, 6), (1, 8))], 2)
+    # an exponent row given dense or by its nonzeros is one row
+    assert MonomialSystem(F7, 3, [([2, 0, -1], 3)]) == MonomialSystem(F7, 3, [(((0, 2), (2, -1)), 3)])
     assert repr(GraphAutomorphism((1, 0))) == "GraphAutomorphism(sigma=(1, 0))"
 
 
@@ -90,7 +95,7 @@ def test_constructor_errors(build, error):
 
 @pytest.mark.parametrize("build, row", [
     (lambda e: MonomialSystem(F7, 2, (((2, -1), 3), ((1, e), 5))), r"\(1, 2\.5\)"),
-    (lambda e: smith_normal_form([[2, -1], [1, e]]), r"row 1 .*\[1, 2\.5\]"),
+    (lambda e: smith_normal_form([[2, -1], [1, e]], 2), r"row 1 .*\[1, 2\.5\]"),
     (lambda e: ChainSpec(F7, (e, 2)), r"exponent 2\.5 "),
 ], ids=["MonomialSystem", "smith_normal_form", "ChainSpec"])
 def test_non_integer_exponents_are_rejected(build, row):
