@@ -1,21 +1,23 @@
 """Finite-dimensional evolution algebras with a distinguished natural basis.
 
-An algebra is built from its edge list: ``edges`` lists the nonzero
+An algebra is held by its edge list alone: ``edges`` lists the nonzero
 structure constants once, as the edges (i, j, M[j][i]) of the associated
 graph in (i, j) order, where M is the structure matrix with the column
-convention M[j][i] = coefficient of e_j in e_i**2; distinct basis elements
-multiply to zero.  The dense ``matrix`` is filled from the edges, and
-whatever needs only the edges reads that list.  Vectors are plain tuples of
-scalars in basis coordinates.  All objects are immutable, apart from an
-algebra's idempotent caches of its rank and determinant and of its edge
-quotient map, and the predicates are pure.
+convention M[j][i] = coefficient of e_j in e_i**2, and ``weights`` maps each
+(i, j) to its weight; distinct basis elements multiply to zero.  No dense
+matrix is built: one sparse elimination on raw values (residues over F_p,
+Fractions over Q) gives every rank and determinant, and 2LI hashes the
+squares' directions.  Vectors are plain tuples of scalars in basis
+coordinates.  All objects are immutable, apart from an algebra's idempotent
+caches of its rank and determinant and of its edge quotient map, and the
+predicates are pure.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from operator import index
+from operator import attrgetter, index
 
 from .errors import (
     DimensionMismatch,
@@ -56,12 +58,9 @@ class EvolutionAlgebra:
             if w.is_zero():
                 raise ZeroVector(f"edge {i} -> {j} has weight zero")
         self.field = field
+        self.dim = n
+        self.weights = weights
         self.edges = tuple((i, j, weights[i, j]) for i, j in sorted(weights))
-        zero = field.zero   # one scalar shared by every zero entry
-        matrix = [[zero] * n for _ in range(n)]
-        for i, j, w in self.edges:
-            matrix[j][i] = w
-        self.matrix = tuple(map(tuple, matrix))
         if labels is None:
             labels = tuple(f"e{i + 1}" for i in range(n))
         else:
@@ -83,18 +82,6 @@ class EvolutionAlgebra:
                 raise DimensionMismatch("each square must have one coordinate per basis element")
             edges += [(i, j, w) for j, w in enumerate(coords) if not w.is_zero()]
         return cls(field, n, edges, labels=labels)
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    def entry(self, j: int, i: int) -> Scalar:
-        """omega_{ji}: the e_j coordinate of e_i**2."""
-        return self.matrix[j][i]
-
-    def square_of(self, i: int) -> Vector:
-        """e_i**2 as a coordinate vector (column i of the structure matrix)."""
-        return tuple(self.matrix[j][i] for j in range(self.dim))
 
     def basis_vector(self, i: int) -> Vector:
         one, zero = self.field.one, self.field.zero
@@ -122,15 +109,30 @@ class EvolutionAlgebra:
 
     # -- structural predicates ------------------------------------------
 
+    def _squares(self) -> list[dict]:
+        """Each square e_i**2 as {j: raw value} in j order, from the edges."""
+        raw = _raw(self.field)
+        squares = [{} for _ in range(self.dim)]
+        for i, j, w in self.edges:
+            squares[i][j] = raw(w)
+        return squares
+
     def two_li_witness(self):
-        """First pair (i, j) whose squares are linearly dependent, else None:
-        a zero square, or two squares with the same direction."""
-        directions = [_direction(self.square_of(i)) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if directions[i] is None or directions[j] in (None, directions[i]):
-                    return (i, j)
-        return None
+        """First pair (i, j), i < j, whose squares are linearly dependent,
+        else None: a zero square, or two squares with the same direction.
+        A zero e_j**2 gives (0, j), or (0, 1) for j = 0, and a direction met
+        before gives (its first square, j); the least pair is the answer."""
+        p = self.field.p if isinstance(self.field, PrimeField) else 0
+        first, pairs = {}, []
+        for j, square in enumerate(self._squares()):
+            if not square:
+                if self.dim > 1:
+                    pairs.append((0, max(j, 1)))
+                continue
+            i = first.setdefault(tuple(_monic(square, p).items()), j)
+            if i < j:
+                pairs.append((i, j))
+        return min(pairs, default=None)
 
     def is_2li(self) -> bool:
         """Squares of any two distinct basis elements are independent."""
@@ -144,7 +146,8 @@ class EvolutionAlgebra:
         """Rank and determinant of the structure matrix, found once: the
         algebra is immutable."""
         if self._reduced is None:
-            self._reduced = _eliminate(self.matrix)
+            squares = (square.items() for square in self._squares())
+            self._reduced = _eliminate(self.field, squares, self.dim)
         return self._reduced
 
     def rank(self) -> int:
@@ -154,7 +157,7 @@ class EvolutionAlgebra:
         return self._elimination()[1]
 
     def is_invertible(self) -> bool:
-        return not self.det().is_zero()
+        return self.rank() == self.dim
 
     def is_perfect(self) -> bool:
         """A**2 = A; in finite dimension the squares must span."""
@@ -173,37 +176,58 @@ class EvolutionAlgebra:
         return f"EvolutionAlgebra(dim={self.dim}, field={self.field})"
 
 
-def _eliminate(rows) -> tuple[int, Scalar]:
-    """Forward elimination over K: the rank of a nonempty matrix and, for a
-    square one, its determinant (zero for any other shape)."""
-    rows = [list(r) for r in rows]
-    det = rows[0][0].field.one
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            det = -det
-        head = rows[rank]
-        det = det * head[col]
-        inv = head[col].inv()
-        for r in range(rank + 1, len(rows)):
-            if not rows[r][col].is_zero():
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], head)]
-        rank += 1
-    return rank, det if rank == len(rows) == len(rows[0]) else det.field.zero
+def _raw(field: Field):
+    """The raw value of a scalar of ``field``: its residue over F_p, its
+    Fraction over Q."""
+    return attrgetter("residue" if isinstance(field, PrimeField) else "fraction")
 
 
-def _direction(v: Vector):
-    """v scaled so that its first nonzero entry is 1; None for the zero vector."""
-    lead = next((x for x in v if not x.is_zero()), None)
-    if lead is None:
-        return None
-    inv = lead.inv()
-    return tuple(x * inv for x in v)
+def _monic(row: dict, p: int) -> dict:
+    """A nonzero sparse row of raw values scaled so that its entry in the
+    least column is 1: mod p when p, over Q when p is 0."""
+    lead = row[min(row)]
+    if p:
+        inv = pow(lead, -1, p)
+        return {j: x * inv % p for j, x in row.items()}
+    return {j: x / lead for j, x in row.items()}
+
+
+def _eliminate(field: Field, rows, width: int) -> tuple[int, Scalar]:
+    """Forward elimination over ``field`` on sparse rows of raw values, each
+    an iterable of (column, value) pairs: ints, read mod p, over F_p; ints
+    or Fractions over Q.  The rank and, for a square matrix, its determinant
+    (zero for any other shape).  Each row is reduced by the monic rows kept
+    so far, keyed by their least column, until its least column has none;
+    what is left, unless zero, is kept.  Sorted by least column the kept
+    rows are triangular, with the determinant up to the sign of that sort."""
+    p = field.p if isinstance(field, PrimeField) else 0
+    pivots, det, m = {}, 1, 0   # pivots: least column -> monic row, in row order
+    for m, pairs in enumerate(rows, 1):
+        row = {j: x % p if p else x for j, x in pairs}
+        row = {j: x for j, x in row.items() if x}
+        while row and (lead := min(row)) in pivots:
+            f = row[lead]
+            for j, y in pivots[lead].items():
+                x = row.get(j, 0) - f * y
+                if p:
+                    x %= p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        if row:
+            pivots[lead] = _monic(row, p)
+            det *= row[lead]
+    if not len(pivots) == m == width:
+        return len(pivots), field.zero
+    odd = sum(a > b for a, b in itertools.combinations(pivots, 2)) % 2
+    return m, field.scalar(-det if odd else det)
+
+
+def _rank(field: Field, vectors) -> int:
+    """The rank of a nonempty list of vectors of scalars, all of one length."""
+    raw = _raw(field)
+    return _eliminate(field, (enumerate(map(raw, v)) for v in vectors), len(vectors[0]))[0]
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -236,10 +260,11 @@ def is_natural_vector(algebra: EvolutionAlgebra, u) -> Naturality:
     if len(support) == 1:
         return Naturality.NATURAL
     square = algebra.multiply(u, u)
+    squares = algebra._squares()
     if vec_is_zero(square):
-        ok = all(vec_is_zero(algebra.square_of(i)) for i in support)
+        ok = not any(squares[i] for i in support)
         return Naturality.NATURAL if ok else Naturality.NOT_NATURAL
-    span_dim = _eliminate([algebra.square_of(i) for i in support])[0]
+    span_dim = _eliminate(algebra.field, (squares[i].items() for i in support), algebra.dim)[0]
     if span_dim >= 2:
         return Naturality.NOT_NATURAL
     if algebra.field.characteristic != 2:
@@ -255,12 +280,12 @@ def _natural_bases(algebra: EvolutionAlgebra):
     each vector leads with 1, and the vectors come in residue order.  Scaling
     keeps both products zero and independence, so this loses nothing."""
     n = algebra.dim
-    reps = [v for v in map(algebra.vector, itertools.product(range(algebra.field.p), repeat=n))
-            if _direction(v) == v]
+    reps = [algebra.vector(c) for c in itertools.product(range(algebra.field.p), repeat=n)
+            if next(filter(None, c), 0) == 1]
 
     def extend(basis, rest):   # rest: the later representatives orthogonal to all of basis
         if len(basis) == n:
-            if _eliminate(basis)[0] == n:
+            if _rank(algebra.field, basis) == n:
                 yield basis
             return
         for k, v in enumerate(rest):
@@ -297,7 +322,7 @@ def check_natural_basis(algebra: EvolutionAlgebra, basis):
         if not vec_is_zero(algebra.multiply(a, b)):
             raise NotANaturalBasis("two basis vectors have nonzero product",
                                    witness=(a, b))
-    if _eliminate(basis)[0] != algebra.dim:
+    if _rank(algebra.field, basis) != algebra.dim:
         raise NotANaturalBasis("vectors are linearly dependent", witness="dependent")
     return basis
 
@@ -332,11 +357,9 @@ def same_orbit(algebra: EvolutionAlgebra, basis1, basis2):
 
 def _scalar_multiple(w: Vector, b: Vector):
     """The scalar k with w == k * b, or None."""
-    direction = _direction(b)
-    if direction is None or _direction(w) != direction:
-        return None
-    pivot = next(i for i, x in enumerate(b) if not x.is_zero())
-    return w[pivot] / b[pivot]
+    pivot = next((i for i, x in enumerate(b) if not x.is_zero()), None)
+    k = None if pivot is None else w[pivot] / b[pivot]
+    return None if k is None or k.is_zero() or vec_scale(k, b) != w else k
 
 
 def verify_unique_basis_up_to_scaling(algebra: EvolutionAlgebra) -> bool:

@@ -86,15 +86,17 @@ class MonomialAutomorphism:
         self._verify()
 
     def _verify(self):
-        sigma, x, matrix = self.sigma, self.scales, self.algebra.matrix
+        sigma, x, weights = self.sigma, self.scales, self.algebra.weights
         field = self.algebra.field
+        zero = field.zero   # the weight of a missing image edge
         if isinstance(field, PrimeField):
             p, r = field.p, [v.residue for v in x]
             failed = [(i, j) for i, j, w in self.algebra.edges
-                      if (r[i] * r[i] * matrix[sigma[j]][sigma[i]].residue - w.residue * r[j]) % p]
+                      if (r[i] * r[i] * weights.get((sigma[i], sigma[j]), zero).residue
+                          - w.residue * r[j]) % p]
         else:
             failed = [(i, j) for i, j, w in self.algebra.edges
-                      if x[i] * x[i] * matrix[sigma[j]][sigma[i]] != w * x[j]]
+                      if x[i] * x[i] * weights.get((sigma[i], sigma[j]), zero) != w * x[j]]
         if failed:
             raise NotAnAutomorphism(
                 f"sigma={self.sigma}, scales fail the square relation on edge "
@@ -195,31 +197,23 @@ def edge_quotients(algebra: EvolutionAlgebra):
 
 
 def _quotient_map(algebra: EvolutionAlgebra):
-    if not isinstance(algebra.field, PrimeField):
-        weights = {(u, v): w for u, v, w in algebra.edges}
+    weights = algebra.weights
+    if isinstance(algebra.field, PrimeField):
+        p = algebra.field.p
+        edges = [(u, v, w.residue) for u, v, w in algebra.edges]
+        inverses = {e: pow(w.residue, -1, p) for e, w in weights.items()}
+    else:
+        p, edges, inverses = 0, algebra.edges, {e: w.inv() for e, w in weights.items()}
 
-        def quotients(sigma) -> list:
-            try:
-                return [w / weights[sigma[u], sigma[v]] for (u, v), w in weights.items()]
-            except KeyError:   # an edge has no image
-                raise _no_image(weights, sigma) from None
-        return quotients
-    p = algebra.field.p
-    weights = {(u, v): w.residue for u, v, w in algebra.edges}
-    inverses = {e: pow(w, -1, p) for e, w in weights.items()}
-
-    def residues(sigma) -> list:
+    def quotients(sigma) -> list:
         try:
-            return [w * inverses[sigma[u], sigma[v]] % p for (u, v), w in weights.items()]
-        except KeyError:   # an edge has no image
-            raise _no_image(weights, sigma) from None
-    return residues
-
-
-def _no_image(weights: dict, sigma) -> NotAGraphAutomorphism:
-    """The error for a sigma that maps an edge onto a non-edge, naming the first."""
-    u, v = next((u, v) for u, v in weights if (sigma[u], sigma[v]) not in weights)
-    return NotAGraphAutomorphism(f"edge {u}->{v} has no image under sigma={sigma}")
+            products = [w * inverses[sigma[u], sigma[v]] for u, v, w in edges]
+        except KeyError:   # an edge has no image: name the first
+            u, v = next((u, v) for u, v, _ in edges if (sigma[u], sigma[v]) not in weights)
+            raise NotAGraphAutomorphism(
+                f"edge {u}->{v} has no image under sigma={sigma}") from None
+        return [x % p for x in products] if p else products
+    return quotients
 
 
 def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
@@ -361,6 +355,14 @@ def _members(mask: int) -> list[int]:
     return [8 * at + b for at, byte in enumerate(data) if byte for b in _BYTE_BITS[byte]]
 
 
+def _structure_residues(algebra: EvolutionAlgebra) -> list[list[int]]:
+    """The structure matrix of an F_p algebra as residues, M[j][i] the e_j
+    coordinate of e_i**2, read from the weight map."""
+    n, weights = algebra.dim, algebra.weights
+    return [[weights[i, j].residue if (i, j) in weights else 0 for i in range(n)]
+            for j in range(n)]
+
+
 def _oracle_search(algebra: EvolutionAlgebra):
     """Yield every invertible homomorphism e_i -> t_i, in groups that share
     all columns but one.  Each item is ``(t, last, mask)``: ``t`` holds the
@@ -388,7 +390,7 @@ def _oracle_search(algebra: EvolutionAlgebra):
     if p ** (n * n) > BRUTEFORCE_MATRIX_CAP:
         raise TooLarge(f"autgroup: matrix oracle exceeds the cap {BRUTEFORCE_MATRIX_CAP} "
                        f"(p^(n^2) = {p}^{n * n} = {p ** (n * n)})")
-    M = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
+    M = _structure_residues(algebra)
     size = p ** n
     full = (1 << size) - 1
     powers = [p ** r for r in range(n)]
@@ -617,7 +619,7 @@ def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:
         raise NotPrimeField("residue matrices exist over F_p only")
     p = field.p
     n = algebra.dim
-    M = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
+    M = _structure_residues(algebra)
     try:
         T = [list(map(index, r)) for r in rows]
     except TypeError:
@@ -634,4 +636,4 @@ def is_automorphism_matrix(algebra: EvolutionAlgebra, rows) -> bool:
                 rhs = [0] * n
             if lhs != rhs:
                 return False
-    return _eliminate([[field.scalar(x) for x in row] for row in T])[0] == n
+    return _eliminate(field, map(enumerate, T), n)[0] == n

@@ -194,12 +194,7 @@ def loop_chain_algebra(field: Field, n: int) -> EvolutionAlgebra:
     """Loop-rooted chain: e_1**2 = e_1 and e_{i+1}**2 = e_i."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    squares = []
-    for i in range(n):
-        col = [0] * n
-        col[max(i - 1, 0)] = 1
-        squares.append(col)
-    return EvolutionAlgebra.from_squares(field, squares)
+    return EvolutionAlgebra(field, n, [(i, max(i - 1, 0), 1) for i in range(n)])
 
 
 def loop_chain_diag_group(field: Field, n: int) -> GroupDescription:

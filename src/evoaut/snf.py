@@ -42,7 +42,10 @@ def _sparse_rows(rows, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     pairs in strictly increasing column order, or a sequence of ``width``
     values; an empty row is the zero row.  Every column must lie in
     range(width) and every value be an int (``type(x) is int``: not a bool,
-    a float or a Fraction).  A row that breaks this raises ValueError."""
+    a float or a Fraction).  A row that breaks this, or a negative width,
+    raises ValueError."""
+    if width < 0:
+        raise ValueError(f"the width of a matrix cannot be negative ({width})")
     out = []
     for i, row in enumerate(rows):
         try:

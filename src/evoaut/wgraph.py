@@ -83,8 +83,7 @@ def is_graph_isomorphism(algebra: EvolutionAlgebra, other: EvolutionAlgebra, sig
     n = algebra.dim
     if other.dim != n or sorted(sigma) != list(range(n)):
         return False
-    return {(sigma[u], sigma[v]) for u, v, _ in algebra.edges} == \
-        {(u, v) for u, v, _ in other.edges}
+    return {(sigma[u], sigma[v]) for u, v, _ in algebra.edges} == other.weights.keys()
 
 
 def is_unweighted_automorphism(algebra: EvolutionAlgebra, sigma) -> bool:
@@ -145,7 +144,7 @@ def enumerate_graph_automorphisms(algebra: EvolutionAlgebra) -> list[GraphAutomo
 
     backtrack(0)
     sigmas = sorted(found)
-    edges = {(u, v) for u, v, _ in algebra.edges}
+    edges = algebra.weights.keys()
     for sigma in sigmas:
         if {(sigma[u], sigma[v]) for u, v in edges} != edges:
             raise InvariantViolation(f"search produced a non-automorphism {sigma}")

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: named algebras, the random corpus,
-scalar references for the solver's log arithmetic, references for the
-structural predicates and the natural-basis and 2-power-tower oracles, and
-monkeypatch probes into the solver."""
+dense views of an algebra's structure matrix, scalar references for the
+solver's log arithmetic, references for the structural predicates and the
+natural-basis and 2-power-tower oracles, and monkeypatch probes into the
+solver."""
 
 import itertools
 import math
@@ -121,16 +122,35 @@ def build_corpus(seed=CORPUS_SEED, f5_count=300, f7_count=200):
     return corpus
 
 
+def structure_matrix(algebra):
+    """The dense structure matrix of scalars, M[j][i] the e_j coordinate of
+    e_i**2, filled from the edge list: the references read it."""
+    zero = algebra.field.zero
+    rows = [[zero] * algebra.dim for _ in range(algebra.dim)]
+    for i, j, w in algebra.edges:
+        rows[j][i] = w
+    return tuple(map(tuple, rows))
+
+
+def square_of(algebra, i):
+    """e_i**2 as a dense coordinate vector: column i of the structure matrix."""
+    square = list(algebra.zero_vector())
+    for u, j, w in algebra.edges:
+        if u == i:
+            square[j] = w
+    return tuple(square)
+
+
 def square_relations_hold(algebra, sigma, scales) -> bool:
     """Reference lift check, dense: e_i -> x_i e_sigma(i) sends each basis
     square e_i**2 onto (x_i e_sigma(i))**2, compared coordinate by coordinate."""
     n = algebra.dim
     for i in range(n):
         image = [algebra.field.zero] * n
-        for j, w in enumerate(algebra.square_of(i)):
+        for j, w in enumerate(square_of(algebra, i)):
             image[sigma[j]] = w * scales[j]
         x2 = scales[i] * scales[i]
-        if image != [x2 * w for w in algebra.square_of(sigma[i])]:
+        if image != [x2 * w for w in square_of(algebra, sigma[i])]:
             return False
     return True
 
@@ -246,7 +266,7 @@ def reference_det(field, rows):
 def reference_two_li_witness(algebra):
     """First pair (i, j) of dependent squares: column j is compared entry by
     entry with its ratio to column i at column i's first nonzero entry."""
-    matrix = algebra.matrix
+    matrix = structure_matrix(algebra)
 
     def independent(i, j):
         pivot = next((r for r in range(algebra.dim) if not matrix[r][i].is_zero()), None)
@@ -289,7 +309,7 @@ def reference_unique_basis(algebra) -> bool:
     """Every natural basis of an F_p algebra, in residue arithmetic, one
     projective representative per vector, consists of basis vectors."""
     p, n = algebra.field.p, algebra.dim
-    m = [[algebra.matrix[j][i].residue for i in range(n)] for j in range(n)]
+    m = [[x.residue for x in row] for row in structure_matrix(algebra)]
     reps = [c for c in itertools.product(range(p), repeat=n)
             if next((x for x in c if x), None) == 1]
 

@@ -37,6 +37,8 @@ from helpers import (
     reference_scalar_multiple,
     reference_two_li_witness,
     reference_unique_basis,
+    square_of,
+    structure_matrix,
     three_cycle_algebra,
     two_loop_algebra,
     zero_square_algebra,
@@ -51,7 +53,7 @@ def multiply_oracle(algebra, u, v):
             if i != j:
                 continue  # distinct basis elements multiply to zero
             c = u[i] * v[j]
-            square = algebra.square_of(i)
+            square = square_of(algebra, i)
             for k in range(algebra.dim):
                 out[k] = out[k] + c * square[k]
     return tuple(out)
@@ -272,15 +274,16 @@ def test_predicates_match_the_references():
     @hypothesis.given(algebras())
     @hypothesis.example(EvolutionAlgebra.from_squares(QQ, [[0, 1], [1, 0]]))
     @hypothesis.example(EvolutionAlgebra.from_squares(F3, [[1, 0], [0, 0]]))
+    @hypothesis.example(EvolutionAlgebra.from_squares(F7, [[0]]))
     def check(algebra):
-        field, n, rows = algebra.field, algebra.dim, algebra.matrix
+        field, n, rows = algebra.field, algebra.dim, structure_matrix(algebra)
         assert algebra.rank() == reference_rank(rows)
         assert algebra.det() == reference_det(field, rows)
         assert algebra.two_li_witness() == reference_two_li_witness(algebra)
         assert algebra.is_perfect() == (reference_rank(rows) == n)
         assert algebra.is_invertible() == (not reference_det(field, rows).is_zero())
         for i, j in itertools.product(range(n), repeat=2):
-            w, b = algebra.square_of(i), algebra.square_of(j)
+            w, b = square_of(algebra, i), square_of(algebra, j)
             assert _scalar_multiple(w, b) == reference_scalar_multiple(w, b)
         if field is not QQ and field.p <= 5 and n <= 3:
             verdict = reference_unique_basis(algebra)
@@ -297,3 +300,62 @@ def test_predicates_match_the_references():
     check()
     assert unique_verdicts == {True, False}
     assert f2_verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field, n, seed", [(F2, 64, 1), (F7, 64, 2), (F7, 24, 3),
+                                            (QQ, 16, 4), (QQ, 32, 5)])
+def test_predicates_match_the_references_at_scale(field, n, seed):
+    """rank, det, the 2LI witness and naturality against the dense references
+    on a seeded algebra of five terms per square: as drawn, with three zero
+    squares, and with its last square 3 times a late one (sq e64 = 3 sq e40
+    at n = 64; over F_2 a repeat).  Naturality is asked of vectors whose
+    supports take in zero squares."""
+    rng = random.Random(seed)
+
+    def coefficient():
+        if field is QQ:
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+        return rng.randrange(1, field.p)
+
+    def reference_naturality(algebra, u):
+        support = [i for i, x in enumerate(u) if not x.is_zero()]
+        squares = [square_of(algebra, i) for i in support]
+        if len(support) == 1:
+            return Naturality.NATURAL
+        square = [sum((u[i] * u[i] * sq[j] for i, sq in zip(support, squares)), field.zero)
+                  for j in range(n)]
+        if vec_is_zero(square):
+            zero = all(vec_is_zero(sq) for sq in squares)
+            return Naturality.NATURAL if zero else Naturality.NOT_NATURAL
+        if reference_rank(squares) >= 2:
+            return Naturality.NOT_NATURAL
+        return Naturality.NATURAL if field is not F2 else Naturality.INDETERMINATE
+
+    drawn = [[0] * n for _ in range(n)]
+    for square in drawn:
+        for j in rng.sample(range(n), 5):
+            square[j] = coefficient()
+    zeros = sorted(rng.sample(range(n), 3))
+    zeroed = [[0] * n if i in zeros else square for i, square in enumerate(drawn)]
+    late = n * 5 // 8 - 1
+    scaled = drawn[:-1] + [[3 * x for x in drawn[late]]]
+    others = [i for i in range(n) if i not in zeros]
+    supports = [[zeros[0], others[0]], zeros[:2], [zeros[0]] + others[:2],
+                zeros[1:] + others[-1:], [late, n - 1]]
+    verdicts = set()
+    for squares in (drawn, zeroed, scaled):
+        algebra = EvolutionAlgebra.from_squares(field, squares)
+        rows = structure_matrix(algebra)
+        assert algebra.rank() == reference_rank(rows)
+        assert algebra.det() == reference_det(field, rows)
+        assert algebra.two_li_witness() == reference_two_li_witness(algebra)
+        for support in supports:
+            coords = [0] * n
+            for i in support:
+                coords[i] = coefficient()
+            u = algebra.vector(coords)
+            verdict = is_natural_vector(algebra, u)
+            assert verdict is reference_naturality(algebra, u)
+            verdicts.add(verdict)
+    assert reference_two_li_witness(algebra) == (late, n - 1)
+    assert len(verdicts) >= 2

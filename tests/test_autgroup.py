@@ -52,6 +52,7 @@ from helpers import (
     scalar_particular,
     square_relations_hold,
     star_algebra,
+    structure_matrix,
     three_cycle_algebra,
     two_cycles_algebra,
     two_loop_algebra,
@@ -91,8 +92,8 @@ def raw_scan(algebra):
     invertible homomorphism, as sorted residue matrices."""
     p = algebra.field.p
     n = algebra.dim
-    M = np.array([[algebra.matrix[j][i].residue for i in range(n)]
-                  for j in range(n)], dtype=np.int64)
+    M = np.array([[x.residue for x in row] for row in structure_matrix(algebra)],
+                 dtype=np.int64)
     total = p ** (n * n)
     found = []
     chunk = 1 << 16
@@ -237,13 +238,13 @@ def test_edge_quotients_match_the_structure_matrix(corpus):
     # come in the order (u, v) by u, then v
     sigmas = 0
     for algebra in corpus:
-        p, n, entry = algebra.field.p, algebra.dim, algebra.entry
-        edges = [(u, v) for u in range(n) for v in range(n) if not entry(v, u).is_zero()]
+        p, n, M = algebra.field.p, algebra.dim, structure_matrix(algebra)
+        edges = [(u, v) for u in range(n) for v in range(n) if not M[v][u].is_zero()]
         quotients = autgroup.edge_quotients(algebra)
         for ga in enumerate_graph_automorphisms(algebra):
             s, q = ga.sigma, quotients(ga.sigma)
             assert len(q) == len(edges)
-            assert all(q[k] * entry(s[v], s[u]).residue % p == entry(v, u).residue
+            assert all(q[k] * M[s[v]][s[u]].residue % p == M[v][u].residue
                        for k, (u, v) in enumerate(edges))
             sigmas += 1
     assert sigmas > len(corpus)
@@ -406,7 +407,8 @@ def test_log_arithmetic_matches_the_scalar_reference():
         assert decomposition.homogeneous.generators == scalar_generators(decomposition)
         assert scalar_generators_hold(decomposition)
         if sigma is not None:
-            rhs = [w / algebra.entry(sigma[v], sigma[u]) for u, v, w in algebra.edges]
+            M = structure_matrix(algebra)
+            rhs = [w / M[sigma[v]][sigma[u]] for u, v, w in algebra.edges]
             assert [c for _, c in autgroup.twisted_system(algebra, sigma).rows] == rhs
             twisted = autgroup.edge_quotients(algebra)(sigma)
             assert decomposition.particular(twisted) == scalar_particular(decomposition, rhs)

@@ -26,7 +26,7 @@ from evoaut.monomial import ExponentDecomposition, GroupDescription
 from evoaut.scalar import PrimeField, QQ
 from evoaut.snf import smith_normal_form
 
-from helpers import F2, F5, F7, dense_exponent_rows
+from helpers import F2, F5, F7, dense_exponent_rows, square_of, structure_matrix
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -61,13 +61,13 @@ basis a b
 sq a = 1*a + 2*b
 """)
     assert a.labels == ("a", "b")
-    assert str(a.entry(1, 0)) == "2"
-    assert a.square_of(1) == a.zero_vector()
+    assert str(structure_matrix(a)[1][0]) == "2"
+    assert square_of(a, 1) == a.zero_vector()
 
 
 def test_parse_algebra_unicode_minus_and_fractions():
     a = parse_algebra("field Q\nbasis x y\nsq x = −1/2*y\n")
-    assert str(a.entry(1, 0)) == "-1/2"
+    assert str(structure_matrix(a)[1][0]) == "-1/2"
 
 
 def test_parse_algebra_errors_carry_line_numbers():
@@ -289,8 +289,8 @@ def test_parsed_algebra_equals_the_one_built_from_its_squares():
                 lines.append(f"sq {labels[i]} = " + " + ".join(terms))
         parsed = parse_algebra("\n".join(lines) + "\n")
         built = EvolutionAlgebra.from_squares(field, squares, labels=labels)
-        assert (parsed.matrix, parsed.edges, parsed.labels) == \
-            (built.matrix, built.edges, built.labels)
+        assert (parsed.weights, parsed.edges, parsed.labels) == \
+            (built.weights, built.edges, built.labels)
         assert parsed == built and hash(parsed) == hash(built)
         snf = ExponentDecomposition(diag_system(parsed))._snf
         dense = smith_normal_form(dense_exponent_rows(built), n)

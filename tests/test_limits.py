@@ -20,7 +20,7 @@ from evoaut.limits import (
 from evoaut.monomial import enumerate_solutions_bruteforce
 from evoaut.scalar import PrimeField, QQ
 
-from helpers import F2, F3, F5, F7, reference_stationary_collapse
+from helpers import F2, F3, F5, F7, reference_stationary_collapse, square_of
 
 F13 = PrimeField(13)
 F17 = PrimeField(17)
@@ -177,8 +177,8 @@ def test_loop_chain_diag_group_orders_over_f17():
 
 def test_loop_chain_algebra_shape():
     a = loop_chain_algebra(QQ, 3)
-    assert a.square_of(0) == a.basis_vector(0)
-    assert a.square_of(1) == a.basis_vector(0)
-    assert a.square_of(2) == a.basis_vector(1)
+    assert square_of(a, 0) == a.basis_vector(0)
+    assert square_of(a, 1) == a.basis_vector(0)
+    assert square_of(a, 2) == a.basis_vector(1)
     assert not a.is_2li()
     assert not a.is_invertible()

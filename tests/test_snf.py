@@ -257,6 +257,12 @@ def test_invariant_factors_match_sympy():
     ([[1]], ("scale", 0, 2), (2,)),                   # an unknown op code: U = [[2]]
     ([[1, 0], [0, 1]], ("add", 0, 1), (1, 1)),        # an add without its factor
     ([[1, 0], [0, 1]], ("add", 1, 1, 1), (1, 2)),     # V = diag(1, 2), determinant 2
+    # index -1, which Python reads as the last line; each operation would
+    # leave the matrix as it is, so only the index check can reject it
+    ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], ("add", -1, 1, 1), (1, 0, 0)),   # dst -1
+    ([[1, 0], [0, 0]], ("add", 0, -1, 1), (1, 0)),                       # src -1
+    ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], ("swap", 1, -1), (1, 0, 0)),
+    ([[1, 0], [0, 0]], ("negate", -1), (1, 0)),
 ])
 def test_non_elementary_row_operation_is_rejected(matrix, op, diagonal):
     n = len(matrix[0])
@@ -311,6 +317,14 @@ def test_matrix_rows_outside_the_width_are_rejected(rows):
 def test_entries_other_than_ints_and_negative_factors_are_rejected(matrix, diagonal):
     with pytest.raises(InvariantViolation):
         SmithDecomposition(matrix, 1, (), (), diagonal)
+
+
+@pytest.mark.parametrize("matrix", [[], [[]]])
+def test_negative_width_is_rejected(matrix):
+    with pytest.raises(ValueError, match="cannot be negative"):
+        smith_normal_form(matrix, -1)
+    with pytest.raises(InvariantViolation, match="cannot be negative"):
+        SmithDecomposition(matrix, -1, (), (), ())
 
 
 @pytest.mark.parametrize("part", ["matrix", "U", "V"])

@@ -20,6 +20,8 @@ from helpers import (
     ear_algebra,
     random_algebra,
     random_rational_algebra,
+    square_of,
+    structure_matrix,
     two_loop_algebra,
     zero_algebra,
     zero_square_algebra,
@@ -43,15 +45,15 @@ def test_algebra_edges_examples():
 
     a = two_loop_algebra(QQ)
     assert pairs(a) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert str(a.entry(0, 1)) == "2"  # the edge 1 -> 0
-    assert str(a.entry(1, 0)) == "1"  # the edge 0 -> 1
+    assert str(structure_matrix(a)[0][1]) == "2"  # the edge 1 -> 0
+    assert str(structure_matrix(a)[1][0]) == "1"  # the edge 0 -> 1
 
     assert zero_algebra(QQ, 3).edges == ()
 
 
 def test_graph_text_examples():
     loop = parse_graph("vertices v\nedge v -> v w=1\n")
-    assert loop.square_of(0) == (QQ.one,)
+    assert square_of(loop, 0) == (QQ.one,)
     assert loop.labels == ("v",)
 
     ear = ear_algebra(QQ)
