@@ -72,8 +72,9 @@ def _read(text: str, label_head: str, entry_head: str, entry_edges,
     ``label_head`` names the label line and ``entry_head`` the entry lines;
     ``entry_edges(tokens, line_no)`` turns one entry line into (src, dst,
     literal) edges.  Literals are read after the loop, once the field is
-    known (the ``field`` line, else ``default_field``), one scalar per edge,
-    and the algebra is built from its edge list.
+    known (the ``field`` line, else ``default_field``), each distinct one
+    once, in the order of the edges, so that a bad or zero literal is
+    reported at its first line; the algebra is built from its edge list.
     """
     field = labels = None
     edges: dict[tuple[str, str], tuple[str, int]] = {}
@@ -115,12 +116,13 @@ def _read(text: str, label_head: str, entry_head: str, entry_edges,
     field = field if field is not None else default_field
     if field is None:
         raise ParseError("the file has no field line")
-    weighted = []
+    weighted, scalars = [], {}
     for (src, dst), (literal, line_no) in edges.items():
-        try:
-            w = field.parse(literal)
-        except EvoautError as exc:
-            raise ParseError(f"bad scalar literal {literal!r}: {exc}", line=line_no) from exc
+        if (w := scalars.get(literal)) is None:
+            try:
+                w = scalars[literal] = field.parse(literal)
+            except EvoautError as exc:
+                raise ParseError(f"bad scalar literal {literal!r}: {exc}", line=line_no) from exc
         if w.is_zero():
             raise ParseError("zero coefficients and weights must be omitted", line=line_no)
         weighted.append((labels[src], labels[dst], w))

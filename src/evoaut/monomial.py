@@ -256,8 +256,10 @@ class ExponentDecomposition:
     SNF's sparse copy of the rows once, here.  U's sparse rows are replayed
     from the row log once, when ``particular`` first reads them for
     right-hand sides other than all ones, so a caller that only needs the
-    group or the identity lift never builds U.  Every system with the same rows and any right-hand sides
-    (an algebra's diagonal and twisted systems) is solved against it.
+    group or the identity lift never builds U.  Every system with the same
+    rows and any right-hand sides (an algebra's diagonal and twisted
+    systems) is solved against it.  The generators' scalars are built once
+    per distinct log.
 
     ``modulus`` is the order of the cyclic group the log coordinates live in:
     p - 1 over F_p (base: the field generator), 2 over Q (base: -1, the sign).
@@ -277,9 +279,10 @@ class ExponentDecomposition:
         logs, orders = _generator_logs(self.modulus, self.V, self.rank, self.diagonal, n, finite)
         if any(sum(e * gen[v] for v, e in row) % self.modulus for gen in logs for row in rows):
             raise InvariantViolation("homogeneous generator fails the system")
+        powers = {x: base**x for x in set().union(*logs)}
         self.homogeneous = GroupDescription(
             free_rank=n - self.rank, torsion=tuple(d for d in self.diagonal[:self.rank] if d > 1),
-            field=field, generators=tuple(tuple(base**x for x in gen) for gen in logs),
+            field=field, generators=tuple(tuple(map(powers.__getitem__, gen)) for gen in logs),
             generator_orders=tuple(orders), n_vars=n)
         self._roots: dict[tuple[int, int], int | None] = {}
         self._powers: dict[int, Scalar] = {}

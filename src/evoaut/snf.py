@@ -15,13 +15,14 @@ every matrix here is held by its nonzeros, from the input to the consumer.
 The input A is read once, by ``_sparse_rows``, into (column, value) pairs;
 the working matrix holds them as dicts, with an index from each column to
 the rows nonzero in it: clearing a column, and the column operation that
-clears a row, visit only the rows nonzero in the pivot column, and a column
-swap only the rows that hold either column.  D is held by its diagonal.
-U's rows, which transform a right-hand side, and V's columns, which map a
-transformed solution back, are rebuilt from their logs on the identity only
-when a caller reads them.
+clears a row, visit only the rows nonzero in the pivot column.  No row or
+column of the working matrix moves during elimination: a swap exchanges
+two entries of a map between logical positions and physical lines.  D is
+held by its diagonal.  U's rows, which transform a right-hand side, and V's
+columns, which map a transformed solution back, are rebuilt from their logs
+on the identity only when a caller reads them.
 Storage sets the cost of each operation, never its result: the pivot rule
-alone fixes the operations and their order.
+alone fixes U, V and D.
 """
 
 from __future__ import annotations
@@ -179,20 +180,6 @@ class SmithDecomposition(Value):
                 raise InvariantViolation(f"divisibility chain broken: {list(diag)}")
 
 
-def _find_pivot(d: list[dict[int, int]], t: int):
-    """Smallest-|value| nonzero entry of the trailing submatrix, row-major ties.
-    Rows from ``t`` on are zero left of column ``t``, so all their entries count."""
-    best = None
-    for i in range(t, len(d)):
-        if d[i]:
-            x, j = min(zip(map(abs, d[i].values()), d[i]))
-            if x == 1:
-                return i, j
-            if best is None or x < best[0]:
-                best = (x, i, j)
-    return None if best is None else best[1:]
-
-
 def smith_normal_form(matrix, width) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
@@ -201,110 +188,117 @@ def smith_normal_form(matrix, width) -> SmithDecomposition:
     value} or (column, value) pairs, with int values; ``_sparse_rows``
     reads it once, as ``SmithDecomposition`` does, and a row that does not
     fit or holds anything but ints (a float, a bool, a string) raises
-    ValueError.  Returns the full decomposition, re-verified.  The working
-    matrix keeps the sparse rows with an index of the rows nonzero in each
-    column, so clearing a column or a row visits only its nonzeros.  Row and
-    column operations are logged, not applied to U and V.  A unit pivot
+    ValueError.  Returns the full decomposition, re-verified.
+
+    The pivot of each pass is the entry of smallest absolute value, ties
+    broken row-major in logical positions.  A unit is the smallest there
+    is, so the search takes the first row that holds one, found by a
+    membership test, and takes a min over entries only when no row does.
+    Row and column operations are logged in logical positions, not applied
+    to U and V.  No line of the working matrix moves: a swap exchanges two
+    entries of the maps between logical positions and physical lines, so it
+    costs O(1), and clearing a column or a row visits only its nonzeros,
+    through an index of the rows nonzero in each column.  A unit pivot
     divides every entry, so the search for an entry that breaks the
     divisibility chain is skipped for it.
     """
     n = index(width)
     a = _sparse_rows(matrix, n)
     m = len(a)
-    d = [dict(row) for row in a]
-    cols = [set() for _ in range(n)]   # column -> the rows nonzero in it
+    d = [dict(row) for row in a]       # physical rows, keyed by physical column
+    cols = [set() for _ in range(n)]   # physical column -> the physical rows nonzero in it
     for i, row in enumerate(d):
         for j in row:
             cols[j].add(i)
-    # U and V are the logs of their row and column operations
+    # logical position -> physical line and back, for rows and for columns
+    row_at, row_pos = list(range(m)), list(range(m))
+    col_at, col_pos = list(range(n)), list(range(n))
+    # U and V are the logs of their row and column operations, in logical positions
     row_ops, col_ops = [], []
 
-    def swap_rows(a, b):
-        for i in (a, b):
-            for j in d[i]:
-                cols[j].remove(i)
-        d[a], d[b] = d[b], d[a]
-        row_ops.append((SWAP, a, b))
-        for i in (a, b):
-            for j in d[i]:
-                cols[j].add(i)
-
-    def swap_cols(a, b):
-        for i in cols[a] | cols[b]:
-            row = d[i]
-            x, y = row.pop(a, 0), row.pop(b, 0)
-            if y:
-                row[a] = y
-            if x:
-                row[b] = x
-        cols[a], cols[b] = cols[b], cols[a]
-        col_ops.append((SWAP, a, b))
-
-    def add_row(dst, src, factor):
-        target = d[dst]
-        for j, y in d[src].items():
-            x = target.get(j, 0) + factor * y
-            if x:
-                target[j] = x
-                cols[j].add(dst)
-            else:
-                del target[j]
-                cols[j].remove(dst)
-        row_ops.append((ADD, dst, src, factor))
-
-    def add_col(dst, src, factor):
-        holders = cols[dst]
-        for i in cols[src]:
-            row = d[i]
-            x = row.get(dst, 0) + factor * row[src]
-            if x:
-                row[dst] = x
-                holders.add(i)
-            else:
-                del row[dst]
-                holders.remove(i)
-        col_ops.append((ADD, dst, src, factor))
-
-    # at step t the rows above t are zero off the diagonal and the rest are
-    # zero left of column t: the operations of step t touch rows and columns
-    # from t on
-    t = 0
+    # at step t the logical rows above t are zero off the diagonal and the
+    # rest are zero left of logical column t: the operations of step t touch
+    # rows and columns from t on
+    t, at = 0, None
     while t < min(m, n):
-        pos = _find_pivot(d, t)
-        if pos is None:
-            break
-        while True:
-            pi, pj = pos
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            if d[t][t] < 0:
-                d[t] = {j: -x for j, x in d[t].items()}
-                row_ops.append((NEGATE, t))
-            pivot = d[t][t]
-            # clear the pivot column and row; a nonzero remainder becomes the
-            # new, strictly smaller pivot on the next pass
-            for i in cols[t] - {t}:
-                if q := d[i][t] // pivot:
-                    add_row(i, t, -q)
-            for j, x in list(d[t].items()):
-                if j != t and (q := x // pivot):
-                    add_col(j, t, -q)
-            if len(cols[t]) > 1 or len(d[t]) > 1:
-                pos = _find_pivot(d, t)
-                continue
-            if pivot == 1:
-                break
+        if at is None:
+            # every entry of the rows from t on lies in a column from t on
+            for i in range(t, m):
+                row = d[row_at[i]]
+                if 1 in (values := row.values()) or -1 in values:
+                    at = i, min(col_pos[j] for j, x in row.items() if x == 1 or x == -1)
+                    break
+            else:
+                best = None
+                for i in range(t, m):
+                    if row := d[row_at[i]]:
+                        x, j = min(zip(map(abs, row.values()), map(col_pos.__getitem__, row)))
+                        if best is None or x < best[0]:
+                            best = x, i, j
+                if best is None:
+                    break
+                at = best[1:]
+        pi, pj = at
+        if pi != t:
+            r, s = row_at[pi], row_at[t]
+            row_at[t], row_at[pi], row_pos[r], row_pos[s] = r, s, t, pi
+            row_ops.append((SWAP, t, pi))
+        if pj != t:
+            c, s = col_at[pj], col_at[t]
+            col_at[t], col_at[pj], col_pos[c], col_pos[s] = c, s, t, pj
+            col_ops.append((SWAP, t, pj))
+        r, c = row_at[t], col_at[t]
+        prow = d[r]
+        if prow[c] < 0:
+            prow = d[r] = {j: -x for j, x in prow.items()}
+            row_ops.append((NEGATE, t))
+        pivot = prow[c]
+        # clear the pivot column and row; a nonzero remainder becomes the
+        # new, strictly smaller pivot on the next pass
+        for i in cols[c] - {r}:
+            target = d[i]
+            if q := target[c] // pivot:
+                for j, y in prow.items():
+                    if x := target.get(j, 0) - q * y:
+                        target[j] = x
+                        cols[j].add(i)
+                    else:
+                        del target[j]
+                        cols[j].remove(i)
+                row_ops.append((ADD, row_pos[i], t, -q))
+        for j, x in list(prow.items()):
+            if j != c and (q := x // pivot):
+                holders = cols[j]
+                for i in cols[c]:
+                    row = d[i]
+                    if y := row.get(j, 0) - q * row[c]:
+                        row[j] = y
+                        holders.add(i)
+                    else:
+                        del row[j]
+                        holders.remove(i)
+                col_ops.append((ADD, col_pos[j], t, -q))
+        at = None
+        if len(cols[c]) > 1 or len(prow) > 1:
+            continue
+        if pivot != 1:
             # force the divisibility chain: drag a non-divisible entry into
             # the pivot row and keep reducing
             culprit = next((i for i in range(t + 1, m)
-                            if any(x % pivot for x in d[i].values())), None)
-            if culprit is None:
-                break
-            add_row(t, culprit, 1)
-            pos = (t, t)
+                            if any(x % pivot for x in d[row_at[i]].values())), None)
+            if culprit is not None:
+                for j, y in d[row_at[culprit]].items():
+                    if x := prow.get(j, 0) + y:
+                        prow[j] = x
+                        cols[j].add(r)
+                    else:
+                        del prow[j]
+                        cols[j].remove(r)
+                row_ops.append((ADD, t, culprit, 1))
+                at = t, t
+                continue
         t += 1
 
     return SmithDecomposition(matrix=a, width=n, row_ops=row_ops, col_ops=col_ops,
-                              diagonal=[d[k].get(k, 0) for k in range(min(m, n))])
+                              diagonal=[d[row_at[k]].get(col_at[k], 0)
+                                        for k in range(min(m, n))])

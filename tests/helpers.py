@@ -1,8 +1,8 @@
 """Shared builders for the test suite: named algebras, the random corpus,
 dense views of an algebra's structure matrix, scalar references for the
-solver's log arithmetic, references for the structural predicates and the
-natural-basis and 2-power-tower oracles, and monkeypatch probes into the
-solver."""
+solver's log arithmetic, references for the structural predicates, the
+natural-basis and 2-power-tower oracles and the Smith normal form's
+elimination, and monkeypatch probes into the solver."""
 
 import itertools
 import math
@@ -10,11 +10,13 @@ import os
 import random
 import subprocess
 import sys
+from operator import index
 from pathlib import Path
 
 from evoaut import EvolutionAlgebra, autgroup, monomial
 from evoaut.monomial import power_product
 from evoaut.scalar import PrimeField, QQ, mu_order, nth_roots
+from evoaut.snf import ADD, NEGATE, SWAP, SmithDecomposition, _sparse_rows
 from evoaut.limits import tate_stationary_index
 
 F2 = PrimeField(2)
@@ -340,6 +342,128 @@ def reference_stationary_collapse(field, depth) -> bool:
         if all(chain[i] ** (2 ** (i + 1)) == one for i in range(depth)):
             chains.append(chain)
     return bool(chains) and all(x == one for chain in chains for x in chain[:depth - s])
+
+
+def _reference_pivot(d: list[dict[int, int]], t: int):
+    """Smallest-|value| nonzero entry of the trailing submatrix, row-major ties.
+    Rows from ``t`` on are zero left of column ``t``, so all their entries count."""
+    best = None
+    for i in range(t, len(d)):
+        if d[i]:
+            x, j = min(zip(map(abs, d[i].values()), d[i]))
+            if x == 1:
+                return i, j
+            if best is None or x < best[0]:
+                best = (x, i, j)
+    return None if best is None else best[1:]
+
+
+def reference_smith_normal_form(matrix, width) -> SmithDecomposition:
+    """The elimination that ``smith_normal_form`` replaced, kept as it was:
+    it moves the entries of the rows and columns it swaps.  Both follow one
+    pivot rule, so their U, V and D agree entry for entry; only the order of
+    the adds that commute within one clearing step may differ between their
+    logs."""
+    n = index(width)
+    a = _sparse_rows(matrix, n)
+    m = len(a)
+    d = [dict(row) for row in a]
+    cols = [set() for _ in range(n)]   # column -> the rows nonzero in it
+    for i, row in enumerate(d):
+        for j in row:
+            cols[j].add(i)
+    # U and V are the logs of their row and column operations
+    row_ops, col_ops = [], []
+
+    def swap_rows(a, b):
+        for i in (a, b):
+            for j in d[i]:
+                cols[j].remove(i)
+        d[a], d[b] = d[b], d[a]
+        row_ops.append((SWAP, a, b))
+        for i in (a, b):
+            for j in d[i]:
+                cols[j].add(i)
+
+    def swap_cols(a, b):
+        for i in cols[a] | cols[b]:
+            row = d[i]
+            x, y = row.pop(a, 0), row.pop(b, 0)
+            if y:
+                row[a] = y
+            if x:
+                row[b] = x
+        cols[a], cols[b] = cols[b], cols[a]
+        col_ops.append((SWAP, a, b))
+
+    def add_row(dst, src, factor):
+        target = d[dst]
+        for j, y in d[src].items():
+            x = target.get(j, 0) + factor * y
+            if x:
+                target[j] = x
+                cols[j].add(dst)
+            else:
+                del target[j]
+                cols[j].remove(dst)
+        row_ops.append((ADD, dst, src, factor))
+
+    def add_col(dst, src, factor):
+        holders = cols[dst]
+        for i in cols[src]:
+            row = d[i]
+            x = row.get(dst, 0) + factor * row[src]
+            if x:
+                row[dst] = x
+                holders.add(i)
+            else:
+                del row[dst]
+                holders.remove(i)
+        col_ops.append((ADD, dst, src, factor))
+
+    # at step t the rows above t are zero off the diagonal and the rest are
+    # zero left of column t: the operations of step t touch rows and columns
+    # from t on
+    t = 0
+    while t < min(m, n):
+        pos = _reference_pivot(d, t)
+        if pos is None:
+            break
+        while True:
+            pi, pj = pos
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            if d[t][t] < 0:
+                d[t] = {j: -x for j, x in d[t].items()}
+                row_ops.append((NEGATE, t))
+            pivot = d[t][t]
+            # clear the pivot column and row; a nonzero remainder becomes the
+            # new, strictly smaller pivot on the next pass
+            for i in cols[t] - {t}:
+                if q := d[i][t] // pivot:
+                    add_row(i, t, -q)
+            for j, x in list(d[t].items()):
+                if j != t and (q := x // pivot):
+                    add_col(j, t, -q)
+            if len(cols[t]) > 1 or len(d[t]) > 1:
+                pos = _reference_pivot(d, t)
+                continue
+            if pivot == 1:
+                break
+            # force the divisibility chain: drag a non-divisible entry into
+            # the pivot row and keep reducing
+            culprit = next((i for i in range(t + 1, m)
+                            if any(x % pivot for x in d[i].values())), None)
+            if culprit is None:
+                break
+            add_row(t, culprit, 1)
+            pos = (t, t)
+        t += 1
+
+    return SmithDecomposition(matrix=a, width=n, row_ops=row_ops, col_ops=col_ops,
+                              diagonal=[d[k].get(k, 0) for k in range(min(m, n))])
 
 
 def count_snf_calls(monkeypatch) -> list:

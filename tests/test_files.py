@@ -128,6 +128,15 @@ REJECTIONS = {
     "vanishing denominator (graph)": (GRAPH, "field F7\nvertices a\nedge a -> a w=1/7\n", 3),
     "zero coefficient (algebra)": (ALG, "field F7\nbasis a b\nsq a = 1*a + 7*b\n", 3),
     "zero weight (graph)": (GRAPH, "vertices a\nedge a -> a w=0\n", 2),
+    # a literal that repeats is parsed once, and still rejected at its first line
+    "repeated bad literal (algebra)":
+        (ALG, "field F7\nbasis a b\nsq a = 2*a + x*b\nsq b = x*a\n", 3),
+    "repeated bad literal (graph)":
+        (GRAPH, "field F7\nvertices a b\nedge a -> a w=2\nedge a -> b w=x\nedge b -> a w=x\n", 4),
+    "repeated zero coefficient (algebra)":
+        (ALG, "field F7\nbasis a b\nsq a = 2*a + 14*b\nsq b = 14*a\n", 3),
+    "repeated zero weight (graph)":
+        (GRAPH, "field F7\nvertices a b\nedge a -> a w=2\nedge a -> b w=0\nedge b -> a w=0\n", 4),
     "edge in an algebra file": (ALG, "field F7\nbasis a\nedge a -> a w=1\n", 3),
     "sq in a graph file": (GRAPH, "vertices a\nsq a = 1*a\n", 2),
     "basis in a graph file": (GRAPH, "field F7\nbasis a\n", 2),

@@ -9,6 +9,8 @@ import pytest
 from evoaut.errors import InvariantViolation
 from evoaut.snf import SmithDecomposition, smith_normal_form
 
+from helpers import reference_smith_normal_form
+
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
@@ -211,6 +213,47 @@ def test_transforms_unimodular_property():
         assert mat_mul(mat_mul(u, mat), v) == d
         assert int_det(u) in (1, -1)
         assert int_det(v) in (1, -1)
+
+    check()
+
+
+def test_decompositions_equal_the_reference_elimination():
+    # smith_normal_form swaps entries of a position map where the reference
+    # moves the entries themselves, so its pivot rule must break ties by the
+    # logical column, not by the physical one
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def int_matrices(draw):   # up to 10 x 10, zero rows and columns, scaled to non-unit pivots
+        m, n = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+        scale = draw(st.sampled_from([1, 1, 2, 3, 6]))
+        entry = st.one_of(st.just(0), st.integers(-30, 30))
+        mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0))))
+        zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0))))
+        return [[0 if i in zero_rows or j in zero_cols else scale * x
+                 for j, x in enumerate(row)] for i, row in enumerate(mat)], n
+
+    @st.composite
+    def edge_matrices(draw):   # rows 2 e_u - e_v, one per edge u -> v: up to 40 x 12
+        n = draw(st.integers(1, 12))
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=40, unique=True))
+        rows = []
+        for u, v in edges:
+            row = [0] * n
+            row[u] += 2
+            row[v] -= 1
+            rows.append(row)
+        return rows, n
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.one_of(int_matrices(), edge_matrices()))
+    def check(case):
+        mat, n = case
+        ours, reference = smith_normal_form(mat, n), reference_smith_normal_form(mat, n)
+        assert (ours.U, ours.diagonal, ours.V) == (reference.U, reference.diagonal, reference.V)
 
     check()
 
