@@ -182,7 +182,8 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
     is the weight of the image edge sigma(u) -> sigma(v); a loop contributes
     the linear relation x_u == w / w'.  Rows follow the algebra's edge list.
     """
-    return _edge_system(algebra, edge_quotients(algebra)(tuple(sigma)))
+    quotients = edge_quotients(algebra)(tuple(sigma))
+    return _edge_system(algebra, map(algebra.field.scalar, quotients))
 
 
 def edge_quotients(algebra: EvolutionAlgebra):
@@ -217,13 +218,15 @@ def _quotient_map(algebra: EvolutionAlgebra):
 
 
 def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
-    """One row x_u**2 / x_v == c per edge u -> v, in edge-list order, held by
-    its nonzeros: ((u, 2), (v, -1)) in variable order, ((u, 1),) for a loop."""
+    """One row x_u**2 / x_v == c per edge u -> v, in edge-list order, for the
+    nonzero scalars c of ``rhs``.  Each row is built as ``MonomialSystem``
+    holds it, by its nonzeros in variable order: ((u, 2), (v, -1)), or
+    ((u, 1),) for a loop, so the system takes the rows unread."""
     rows = []
     for (u, v, _), c in zip(algebra.edges, rhs):
         exps = ((u, 1),) if u == v else ((u, 2), (v, -1)) if u < v else ((v, -1), (u, 2))
         rows.append((exps, c))
-    return MonomialSystem(algebra.field, algebra.dim, tuple(rows))
+    return MonomialSystem._of_normal_rows(algebra.field, algebra.dim, rows)
 
 
 def diag_group(algebra: EvolutionAlgebra) -> GroupDescription:

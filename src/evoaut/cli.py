@@ -289,6 +289,8 @@ def cmd_chain(args) -> str:
         exps = [int(e) for e in args.exp.split(",") if e]
     except ValueError as exc:
         raise ParseError(f"bad exponent list {args.exp!r}") from exc
+    if args.depth is not None and args.depth < 1:
+        raise ParseError(f"--depth must be at least 1 (got {args.depth})")
     check_chain_budget(field, len(exps) if args.depth is None else args.depth)
     if args.depth is not None:
         if len(exps) == 1:

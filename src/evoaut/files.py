@@ -71,13 +71,15 @@ def _read(text: str, label_head: str, entry_head: str, entry_edges,
 
     ``label_head`` names the label line and ``entry_head`` the entry lines;
     ``entry_edges(tokens, line_no)`` turns one entry line into (src, dst,
-    literal) edges.  Literals are read after the loop, once the field is
-    known (the ``field`` line, else ``default_field``), each distinct one
-    once, in the order of the edges, so that a bad or zero literal is
-    reported at its first line; the algebra is built from its edge list.
+    literal) edges, each keyed by its pair of basis indices as it is read.
+    Literals are read after the loop, once the field is known (the
+    ``field`` line, else ``default_field``): each distinct one is parsed and
+    checked for zero once, at its first line in file order, which is where
+    a bad or zero literal is reported.  The algebra is built from its edge
+    list.
     """
     field = labels = None
-    edges: dict[tuple[str, str], tuple[str, int]] = {}
+    edges: dict[tuple[int, int], tuple[str, int]] = {}
     for line_no, line in _content_lines(text):
         head, *tokens = line.split()
         if head == "field":
@@ -102,13 +104,15 @@ def _read(text: str, label_head: str, entry_head: str, entry_edges,
                 raise ParseError(f"{entry_head} line before the {label_head} line",
                                  line=line_no)
             for src, dst, literal in entry_edges(tokens, line_no):
-                for label in (src, dst):
-                    if label not in labels:
-                        raise ParseError(f"unknown label {label!r}", line=line_no)
-                if (src, dst) in edges:
+                try:
+                    key = labels[src], labels[dst]
+                except KeyError:
+                    label = dst if src in labels else src
+                    raise ParseError(f"unknown label {label!r}", line=line_no) from None
+                if key in edges:
                     raise ParseError(f"duplicate edge {src} -> {dst} "
                                      "(at most one edge per ordered pair)", line=line_no)
-                edges[(src, dst)] = (literal, line_no)
+                edges[key] = literal, line_no
         else:
             raise ParseError(f"unknown directive {head!r}", line=line_no)
     if labels is None:
@@ -117,15 +121,15 @@ def _read(text: str, label_head: str, entry_head: str, entry_edges,
     if field is None:
         raise ParseError("the file has no field line")
     weighted, scalars = [], {}
-    for (src, dst), (literal, line_no) in edges.items():
+    for (i, j), (literal, line_no) in edges.items():
         if (w := scalars.get(literal)) is None:
             try:
                 w = scalars[literal] = field.parse(literal)
             except EvoautError as exc:
                 raise ParseError(f"bad scalar literal {literal!r}: {exc}", line=line_no) from exc
-        if w.is_zero():
-            raise ParseError("zero coefficients and weights must be omitted", line=line_no)
-        weighted.append((labels[src], labels[dst], w))
+            if w.is_zero():
+                raise ParseError("zero coefficients and weights must be omitted", line=line_no)
+        weighted.append((i, j, w))
     return EvolutionAlgebra(field, len(labels), weighted, labels=list(labels))
 
 

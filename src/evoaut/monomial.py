@@ -37,7 +37,7 @@ from operator import attrgetter, index, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
-from .snf import SmithDecomposition, smith_normal_form
+from .snf import SmithDecomposition, _Rows, smith_normal_form
 from .value import Value
 
 ENUMERATION_CAP = 10**6
@@ -65,6 +65,16 @@ class MonomialSystem(Value):
                 raise ZeroArgument("monomial relations cannot have zero right-hand side")
             frozen.append((exps, rhs))
         self.field, self.n_vars, self.rows = field, n_vars, tuple(frozen)
+
+    @classmethod
+    def _of_normal_rows(cls, field: Field, n_vars: int, rows) -> MonomialSystem:
+        """The system of ``rows`` as the constructor would hold them, taken
+        unread: each exponent row as (v, e) pairs with e a nonzero int, in
+        increasing v within range(n_vars), and each right-hand side a
+        nonzero scalar of ``field``.  For a caller that builds its rows so."""
+        system = cls.__new__(cls)
+        system.field, system.n_vars, system.rows = field, n_vars, tuple(rows)
+        return system
 
     def satisfied_by(self, xs) -> bool:
         xs = [self.field.scalar(x) for x in xs]
@@ -225,7 +235,7 @@ class SolutionCoset(Value):
         return [tuple(map(self.system.field.scalar, vec)) for vec in vectors]
 
 
-def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
+def _generator_logs(decomposition: ExponentDecomposition, free: bool):
     """Log vectors (with orders) generating the homogeneous solution group.
 
     In transformed coordinates the group is the direct product of mu_{d_k}
@@ -233,8 +243,11 @@ def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
     ``modulus`` beyond.  mu_{d_k} is generated by the log modulus / o with
     o = gcd(d_k, modulus); V pushes it to the log vector a * (column k of V)
     mod modulus, and keeps the product structure because it acts as a group
-    automorphism of (Z/modulus)^n.  Factors of order 1 get no generator.
+    automorphism of (Z/modulus)^n.  Factors of order 1 get no generator, so
+    a trivial group never reads V.
     """
+    modulus, rank, diag, n = (decomposition.modulus, decomposition.rank,
+                              decomposition.diagonal, decomposition.n_vars)
     generators = []
     orders = []
     for k in range(n if free else rank):
@@ -242,7 +255,7 @@ def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
         if o > 1:
             a = modulus // o
             gen = [0] * n
-            for i, x in V[k]:
+            for i, x in decomposition.V[k]:
                 gen[i] = a * x % modulus
             generators.append(tuple(gen))
             orders.append(o)
@@ -250,16 +263,19 @@ def _generator_logs(modulus: int, V, rank: int, diag, n: int, free: bool):
 
 
 class ExponentDecomposition:
-    """One Smith normal form of a system's exponent rows: the diagonal, V by
-    sparse columns (replayed from the SNF's column log once, here) and the
-    homogeneous solution group, whose generators are checked against the
-    SNF's sparse copy of the rows once, here.  U's sparse rows are replayed
-    from the row log once, when ``particular`` first reads them for
-    right-hand sides other than all ones, so a caller that only needs the
-    group or the identity lift never builds U.  Every system with the same
-    rows and any right-hand sides (an algebra's diagonal and twisted
-    systems) is solved against it.  The generators' scalars are built once
-    per distinct log.
+    """One Smith normal form of a system's exponent rows: the diagonal and
+    the homogeneous solution group, whose generators are checked against the
+    rows once, here.  The system's rows are already in the SNF's sparse
+    form, so they go to ``smith_normal_form`` as a matrix read at width
+    n_vars, which neither the SNF nor its certificate reads again.  U's
+    sparse rows and V's sparse columns are each replayed from their log
+    once, on first use: U when ``particular`` first reads it for right-hand
+    sides other than all ones, V when a generator or ``particular`` does.
+    So a caller that only needs a trivial group builds neither, and one that
+    only needs the group or the identity lift never builds U.  Every system
+    with the same rows and any right-hand sides (an algebra's diagonal and
+    twisted systems) is solved against it.  The generators' scalars are
+    built once per distinct log.
 
     ``modulus`` is the order of the cyclic group the log coordinates live in:
     p - 1 over F_p (base: the field generator), 2 over Q (base: -1, the sign).
@@ -268,16 +284,19 @@ class ExponentDecomposition:
     def __init__(self, system: MonomialSystem):
         field, n = system.field, system.n_vars
         self.field, self.n_vars = field, n
-        self.exponents = tuple(exps for exps, _ in system.rows)
+        # MonomialSystem holds each row as _sparse_rows would give it
+        self.exponents = _Rows((exps for exps, _ in system.rows), n)
         # no relations: the empty 0 x n decomposition, whose V is the identity
         snf = self._snf = smith_normal_form(self.exponents, n) if self.exponents \
             else SmithDecomposition((), n, (), (), ())
-        rows, self.V, self.rank, self.diagonal = snf.matrix, snf.V, snf.rank, snf.diagonal
+        self.rank, self.diagonal = snf.rank, snf.diagonal
+        self._u = self._v = None
         finite = isinstance(field, PrimeField)
         self.modulus = field.p - 1 if finite else 2
         base = field.scalar(field.generator) if finite else -field.one
-        logs, orders = _generator_logs(self.modulus, self.V, self.rank, self.diagonal, n, finite)
-        if any(sum(e * gen[v] for v, e in row) % self.modulus for gen in logs for row in rows):
+        logs, orders = _generator_logs(self, finite)
+        if any(sum(e * gen[v] for v, e in row) % self.modulus
+               for gen in logs for row in self.exponents):
             raise InvariantViolation("homogeneous generator fails the system")
         powers = {x: base**x for x in set().union(*logs)}
         self.homogeneous = GroupDescription(
@@ -287,7 +306,6 @@ class ExponentDecomposition:
         self._roots: dict[tuple[int, int], int | None] = {}
         self._powers: dict[int, Scalar] = {}
         self._logs: dict[int, int] = {1: 0}   # residue -> its discrete log, over F_p
-        self._u = None
 
     @property
     def U(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -297,6 +315,14 @@ class ExponentDecomposition:
         if self._u is None:
             self._u = self._snf.U
         return self._u
+
+    @property
+    def V(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """V by sparse columns, replayed from the SNF's log on first use and
+        kept in ``_v``, as U is in ``_u``."""
+        if self._v is None:
+            self._v = self._snf.V
+        return self._v
 
     def solve(self, system: MonomialSystem) -> SolutionCoset:
         """Solution coset of a system with this exponent matrix (Infeasible is a value),
@@ -349,7 +375,7 @@ class ExponentDecomposition:
             y = roots[key]
             if y is None:
                 return None
-            for i, e in self.V[k]:
+            for i, e in (self._v or self.V)[k]:
                 xs[i] += e * y
         return tuple(self._power(x % m) for x in xs)
 

@@ -12,13 +12,18 @@ must leave exactly D.
 The exponent matrices of monomial systems (one row 2 e_u - e_v per edge)
 hold a few nonzeros per row and keep that sparsity through elimination, so
 every matrix here is held by its nonzeros, from the input to the consumer.
-The input A is read once, by ``_sparse_rows``, into (column, value) pairs;
-the working matrix holds them as dicts, with an index from each column to
-the rows nonzero in it: clearing a column, and the column operation that
-clears a row, visit only the rows nonzero in the pivot column.  No row or
-column of the working matrix moves during elimination: a swap exchanges
-two entries of a map between logical positions and physical lines.  D is
-held by its diagonal.  U's rows, which transform a right-hand side, and V's
+The input A is read once, where it enters, by ``_sparse_rows``, into
+(column, value) pairs; the result remembers its width, so neither
+``smith_normal_form`` nor ``SmithDecomposition`` reads it again, and a
+caller whose rows are already in that form (``ExponentDecomposition``)
+hands them over unread.  The working matrix holds the rows as dicts, with
+an index from each column to the rows nonzero in it: clearing a column,
+and the column operation that clears a row, visit only the rows nonzero in
+the pivot column.  A unit pivot clears its column outright, and the pivot
+search skips the rows it has found to hold no unit until an operation
+changes them.  No row or column of the working matrix moves during
+elimination: a swap exchanges two entries of a map between logical
+positions and physical lines.  D is held by its diagonal.  U's rows, which transform a right-hand side, and V's
 columns, which map a transformed solution back, are rebuilt from their logs
 on the identity only when a caller reads them.
 Storage sets the cost of each operation, never its result: the pivot rule
@@ -36,7 +41,20 @@ from .value import Value
 SWAP, NEGATE, ADD = "swap", "negate", "add"
 
 
-def _sparse_rows(rows, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+class _Rows(tuple):
+    """A matrix as ``_sparse_rows`` gives it, with the ``width`` it fits:
+    immutable, so ``_sparse_rows`` lets it through unread at that width."""
+
+    def __new__(cls, rows, width: int):
+        self = super().__new__(cls, rows)
+        self.width = width
+        return self
+
+    def __reduce__(self):
+        return _Rows, (tuple(self), self.width)
+
+
+def _sparse_rows(rows, width: int) -> _Rows:
     """Each row as its nonzero (column, value) pairs in column order: the one
     reader of a matrix, for ``smith_normal_form`` and ``SmithDecomposition``
     alike.  A row is a dict {column: value}, a sequence of (column, value)
@@ -44,9 +62,12 @@ def _sparse_rows(rows, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     values; an empty row is the zero row.  Every column must lie in
     range(width) and every value be an int (``type(x) is int``: not a bool,
     a float or a Fraction).  A row that breaks this, or a negative width,
-    raises ValueError."""
+    raises ValueError.  A matrix read before, at the same width, is returned
+    as it is: each matrix is read once, where it enters."""
     if width < 0:
         raise ValueError(f"the width of a matrix cannot be negative ({width})")
+    if type(rows) is _Rows and rows.width == width:
+        return rows
     out = []
     for i, row in enumerate(rows):
         try:
@@ -73,7 +94,7 @@ def _sparse_rows(rows, width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
             raise ValueError(f"row {i} of the matrix, {row!r}, does not fit {width} "
                              "entries") from None
         out.append(tuple(nonzero))
-    return tuple(out)
+    return _Rows(out, width)
 
 
 def replay(ops, lines: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -125,7 +146,8 @@ class SmithDecomposition(Value):
     and the ``V`` property V's sparse columns.  ``diagonal`` holds the
     min(m, width) diagonal entries of D, which is zero elsewhere.  The
     constructor reads ``matrix`` with ``_sparse_rows``, as
-    ``smith_normal_form`` reads its input.  ``__init__`` certifies the
+    ``smith_normal_form`` reads its input, so the matrix that
+    ``smith_normal_form`` read is taken unread.  ``__init__`` certifies the
     decomposition: every matrix entry is an int, every logged operation is
     elementary, replaying the row log on A's rows and then the column log on
     the resulting columns leaves exactly D, and the diagonal is a
@@ -186,9 +208,10 @@ def smith_normal_form(matrix, width) -> SmithDecomposition:
     ``matrix`` is a sequence of rows ``width`` columns wide (any number of
     them, zero rows and columns included), each dense, a dict {column:
     value} or (column, value) pairs, with int values; ``_sparse_rows``
-    reads it once, as ``SmithDecomposition`` does, and a row that does not
-    fit or holds anything but ints (a float, a bool, a string) raises
-    ValueError.  Returns the full decomposition, re-verified.
+    reads it, as ``SmithDecomposition`` does, unless it has read it before
+    at this width, and a row that does not fit or holds anything but ints
+    (a float, a bool, a string) raises ValueError.  Returns the full
+    decomposition, re-verified.
 
     The pivot of each pass is the entry of smallest absolute value, ties
     broken row-major in logical positions.  A unit is the smallest there
@@ -198,9 +221,15 @@ def smith_normal_form(matrix, width) -> SmithDecomposition:
     to U and V.  No line of the working matrix moves: a swap exchanges two
     entries of the maps between logical positions and physical lines, so it
     costs O(1), and clearing a column or a row visits only its nonzeros,
-    through an index of the rows nonzero in each column.  A unit pivot
-    divides every entry, so the search for an entry that breaks the
-    divisibility chain is skipped for it.
+    through an index of the rows nonzero in each column.  The search keeps
+    the physical rows it has found to hold no unit and skips them until an
+    operation changes them; every row a step changes is nonzero in its pivot
+    column, so each step drops that column's rows from the set.  A unit
+    pivot (1 after negation) divides every entry: each row it clears drops
+    its pivot-column entry and takes the rest of the pivot row, the
+    column's index becomes the pivot row alone, one column operation per
+    entry clears the pivot row, and the search for an entry that breaks the
+    divisibility chain is skipped.
     """
     n = index(width)
     a = _sparse_rows(matrix, n)
@@ -220,14 +249,18 @@ def smith_normal_form(matrix, width) -> SmithDecomposition:
     # rest are zero left of logical column t: the operations of step t touch
     # rows and columns from t on
     t, at = 0, None
+    plain = set()   # physical rows found to hold no unit, and changed by no operation since
     while t < min(m, n):
         if at is None:
             # every entry of the rows from t on lies in a column from t on
             for i in range(t, m):
-                row = d[row_at[i]]
+                if (r := row_at[i]) in plain:
+                    continue
+                row = d[r]
                 if 1 in (values := row.values()) or -1 in values:
                     at = i, min(col_pos[j] for j, x in row.items() if x == 1 or x == -1)
                     break
+                plain.add(r)
             else:
                 best = None
                 for i in range(t, m):
@@ -253,6 +286,31 @@ def smith_normal_form(matrix, width) -> SmithDecomposition:
             prow = d[r] = {j: -x for j, x in prow.items()}
             row_ops.append((NEGATE, t))
         pivot = prow[c]
+        # every row that this step changes is nonzero in the pivot column
+        plain -= cols[c]
+        if pivot == 1:
+            # each add clears its row's pivot-column entry outright, and then
+            # one column operation per entry clears the pivot row
+            rest = [(j, y) for j, y in prow.items() if j != c]
+            for i in cols[c]:
+                if i != r:
+                    target = d[i]
+                    q = target.pop(c)
+                    for j, y in rest:
+                        if x := target.get(j, 0) - q * y:
+                            target[j] = x
+                            cols[j].add(i)
+                        else:
+                            del target[j]
+                            cols[j].remove(i)
+                    row_ops.append((ADD, row_pos[i], t, -q))
+            cols[c] = {r}
+            for j, y in rest:
+                cols[j].remove(r)
+                col_ops.append((ADD, col_pos[j], t, -y))
+            d[r] = {c: 1}
+            t, at = t + 1, None
+            continue
         # clear the pivot column and row; a nonzero remainder becomes the
         # new, strictly smaller pivot on the next pass
         for i in cols[c] - {r}:
@@ -281,22 +339,21 @@ def smith_normal_form(matrix, width) -> SmithDecomposition:
         at = None
         if len(cols[c]) > 1 or len(prow) > 1:
             continue
-        if pivot != 1:
-            # force the divisibility chain: drag a non-divisible entry into
-            # the pivot row and keep reducing
-            culprit = next((i for i in range(t + 1, m)
-                            if any(x % pivot for x in d[row_at[i]].values())), None)
-            if culprit is not None:
-                for j, y in d[row_at[culprit]].items():
-                    if x := prow.get(j, 0) + y:
-                        prow[j] = x
-                        cols[j].add(r)
-                    else:
-                        del prow[j]
-                        cols[j].remove(r)
-                row_ops.append((ADD, t, culprit, 1))
-                at = t, t
-                continue
+        # force the divisibility chain: drag a non-divisible entry into the
+        # pivot row and keep reducing
+        culprit = next((i for i in range(t + 1, m)
+                        if any(x % pivot for x in d[row_at[i]].values())), None)
+        if culprit is not None:
+            for j, y in d[row_at[culprit]].items():
+                if x := prow.get(j, 0) + y:
+                    prow[j] = x
+                    cols[j].add(r)
+                else:
+                    del prow[j]
+                    cols[j].remove(r)
+            row_ops.append((ADD, t, culprit, 1))
+            at = t, t
+            continue
         t += 1
 
     return SmithDecomposition(matrix=a, width=n, row_ops=row_ops, col_ops=col_ops,

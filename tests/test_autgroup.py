@@ -422,6 +422,55 @@ def test_log_arithmetic_matches_the_scalar_reference():
     assert feasible == {True, False}
 
 
+def test_edge_systems_equal_the_systems_the_constructor_builds():
+    # diag_system and twisted_system build their rows as MonomialSystem holds
+    # them and hand them over unread; the public constructor, given the same
+    # relations as dense rows, must hold an equal system
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def weights(field):
+        if field is QQ:
+            return st.builds(Fraction, st.integers(-4, 4).filter(lambda x: x != 0),
+                             st.integers(1, 3))
+        return st.integers(1, field.p - 1)
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from([F2, F7, QQ]))
+        n = draw(st.integers(1, 5))
+        edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=2 * n))
+        squares = [[0] * n for _ in range(n)]
+        for u, v in edges:
+            squares[u][v] = draw(weights(field))
+        symmetries = [s for s in itertools.permutations(range(n))
+                      if {(s[u], s[v]) for u, v in edges} == edges]
+        return EvolutionAlgebra.from_squares(field, squares), draw(st.sampled_from(symmetries))
+
+    loops = EvolutionAlgebra.from_squares(F7, [[3, 2, 0], [0, 0, 5], [0, 4, 6]])
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((loops, (0, 1, 2)))
+    def check(case):
+        algebra, sigma = case
+        n, M = algebra.dim, structure_matrix(algebra)
+        dense = []
+        for u, v, _ in algebra.edges:
+            row = [0] * n
+            row[u] += 2
+            row[v] -= 1
+            dense.append(row)
+        twisted = [w / M[sigma[v]][sigma[u]] for u, v, w in algebra.edges]
+        for built, rhs in ((diag_system(algebra), [1] * len(dense)),
+                           (autgroup.twisted_system(algebra, sigma), twisted)):
+            public = MonomialSystem(algebra.field, n, tuple(zip(dense, rhs)))
+            assert built == public and hash(built) == hash(public)
+
+    check()
+
+
 def test_compose_invert_match_matrices():
     rng = random.Random(61)
     z = zero_algebra(F5, 3)  # every monomial map is an automorphism here

@@ -279,6 +279,15 @@ def test_chain_census(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_chain_rejects_a_depth_below_one(capsys, depth):
+    # the error names --depth, not the exponents, and comes before the
+    # budget check, which would read a negative depth as a small census
+    code, out, err = run(capsys, "chain", "--field", "F7", "--exp", "2", "--depth", depth)
+    assert (code, out) == (2, "")
+    assert err == f"error: --depth must be at least 1 (got {depth})\n"
+
+
 def test_chain_refuses_an_oversized_census_before_it_builds(capsys):
     # a depth of 2*10^7 over F_3 is past the budget; the refusal comes before
     # the exponent list is expanded, so it costs no time or memory

@@ -137,6 +137,11 @@ REJECTIONS = {
         (ALG, "field F7\nbasis a b\nsq a = 2*a + 14*b\nsq b = 14*a\n", 3),
     "repeated zero weight (graph)":
         (GRAPH, "field F7\nvertices a b\nedge a -> a w=2\nedge a -> b w=0\nedge b -> a w=0\n", 4),
+    # of two distinct zero literals, the first in file order is reported,
+    # though its edge's pair of basis indices sorts after the other's
+    "two zero literals (algebra)": (ALG, "field Q\nbasis a b\nsq b = 0/3*a\nsq a = 2*a + 0*b\n", 3),
+    "two zero literals (graph)":
+        (GRAPH, "vertices a b\nedge a -> a w=2\nedge b -> a w=0/3\nedge a -> b w=0\n", 3),
     "edge in an algebra file": (ALG, "field F7\nbasis a\nedge a -> a w=1\n", 3),
     "sq in a graph file": (GRAPH, "vertices a\nsq a = 1*a\n", 2),
     "basis in a graph file": (GRAPH, "field F7\nbasis a\n", 2),

@@ -18,6 +18,7 @@ from evoaut.monomial import (
     solve_inhomogeneous,
 )
 from evoaut.scalar import PrimeField, QQ
+from evoaut.snf import SmithDecomposition, smith_normal_form
 
 from helpers import F3, F5, F7
 
@@ -314,6 +315,28 @@ def test_decomposition_rejects_other_exponent_rows():
     empty = ExponentDecomposition(system(F7, 2, []))
     with pytest.raises(InvariantViolation):
         empty.solve(system(F7, 3, []))
+
+
+def test_decomposition_replays_v_only_when_it_is_read(monkeypatch):
+    replays = []
+    real = SmithDecomposition.V
+    monkeypatch.setattr(SmithDecomposition, "V",
+                        property(lambda snf: replays.append(snf) or real.fget(snf)))
+    # the ear's invariant factors are 1, 1, 1, 1, 3, and mu_3(F_5) is trivial:
+    # no generator, and the all-ones lift needs neither U nor V
+    trivial = ExponentDecomposition(system(F5, 5, EAR_ROWS))
+    assert trivial.homogeneous.generators == ()
+    assert trivial.particular([1] * 6) == (F5.one,) * 5
+    assert replays == []
+    # over F_7, mu_3 has a generator, which reads V once
+    ear = ExponentDecomposition(system(F7, 5, EAR_ROWS))
+    assert ear.homogeneous.generators
+    assert len(replays) == 1
+    assert ear.V == real.fget(smith_normal_form([row for row, _ in EAR_ROWS], 5))
+    # a particular solution reads the V already replayed: here the one of
+    # the right-hand sides that x = (3, 1, 1, 1, 1) gives
+    assert ear.particular([2, 1, 1, 5, 2, 5]) is not None
+    assert len(replays) == 1
 
 
 def test_decomposition_checks_its_generators_against_the_rows(monkeypatch):

@@ -248,14 +248,55 @@ def test_decompositions_equal_the_reference_elimination():
             rows.append(row)
         return rows, n
 
-    @hypothesis.settings(max_examples=400, deadline=None, database=None)
-    @hypothesis.given(st.one_of(int_matrices(), edge_matrices()))
-    def check(case):
+    @st.composite
+    def large_edge_matrices(draw):   # the dense benchmark shape: 16-64 columns, 1-5 rows each
+        n, degree = draw(st.integers(16, 64)), draw(st.integers(1, 5))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        rows = []
+        for u in range(n):
+            for v in sorted(rng.sample(range(n), min(degree, n))):   # loops included
+                row = [0] * n
+                row[u] += 2
+                row[v] -= 1
+                rows.append(row)
+        return rows, n
+
+    def agrees(case):
         mat, n = case
         ours, reference = smith_normal_form(mat, n), reference_smith_normal_form(mat, n)
         assert (ours.U, ours.diagonal, ours.V) == (reference.U, reference.diagonal, reference.V)
 
-    check()
+    # the search records the first row, (2, 3, 0), as holding no unit; the
+    # unit pivot of the second row leaves it (0, 1, 0), and it must be
+    # searched again before the third
+    agrees(([[2, 3, 0], [1, 1, 0], [0, 0, 1]], 3))
+    # entries in -3..3, where rows gain and lose units at almost every step
+    rng = random.Random(23)
+    for _ in range(300):
+        m, n = rng.randint(1, 10), rng.randint(1, 10)
+        agrees(([[0 if rng.random() < 0.3 else rng.randint(-3, 3) for _ in range(n)]
+                 for _ in range(m)], n))
+    settings = hypothesis.settings(deadline=None, database=None)
+    hypothesis.settings(settings, max_examples=400)(
+        hypothesis.given(st.one_of(int_matrices(), edge_matrices()))(agrees))()
+    # rows lose and regain units over many steps here, which the search's
+    # record of rows without a unit and the unit pivot's clearing must follow
+    hypothesis.settings(settings, max_examples=25)(
+        hypothesis.given(large_edge_matrices())(agrees))()
+
+
+def test_a_matrix_is_read_again_at_another_width():
+    snf = smith_normal_form([[1, 0, 2]], 3)
+    # at its own width the matrix is let through unread, by both entry points
+    assert smith_normal_form(snf.matrix, 3).matrix is snf.matrix
+    assert SmithDecomposition(snf.matrix, 3, snf.row_ops, snf.col_ops,
+                              snf.diagonal).matrix is snf.matrix
+    # at another it is read again: it fits four columns, but not two
+    assert smith_normal_form(snf.matrix, 4).matrix == (((0, 1), (2, 2)),)
+    with pytest.raises(ValueError, match="does not fit 2 entries"):
+        smith_normal_form(snf.matrix, 2)
+    with pytest.raises(InvariantViolation, match="does not fit 2 entries"):
+        SmithDecomposition(snf.matrix, 2, (), (), (1,))
 
 
 def test_invariant_factors_match_sympy():
