@@ -4,19 +4,23 @@ Subcommands: diag, aut, check, oracle, tate, chain, convert.  Reports are
 byte-deterministic for a fixed input and flag set; on diag, aut, check, tate
 and chain ``--structured`` switches to the ``evoaut/1`` key-value format.
 Exit codes: 0 success, 2 parse or validation failure, 3 resource cap
-exceeded, 4 internal invariant violation.
+exceeded, 4 internal invariant violation.  Each ``cmd_*`` is a generator of
+report lines, without their newlines, and ``main`` is the one writer: it
+writes each line as it comes.  A command raises every error before its first
+line, so an exit of 2, 3 or 4 leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .algebra import EvolutionAlgebra, Naturality, is_natural_vector
 from .autgroup import (
     assemble_aut,
     bruteforce_aut_count,
-    diag_coset,
+    diag_group,
     edge_quotients,
     is_automorphism_matrix,
     BRUTEFORCE_MATRIX_CAP,
@@ -51,7 +55,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -78,86 +82,87 @@ def _vector_text(vec) -> str:
     return ",".join(str(x) for x in vec)
 
 
-def _group_pairs(prefix: str, group) -> list[tuple[str, str]]:
-    pairs = [(prefix, group.describe()), (f"{prefix}_free_rank", str(group.free_rank))]
+def _order_text(order) -> str:
+    return "infinite" if order is None else str(order)
+
+
+def _group_pairs(group, prefix: str):
+    """``diag``, the group's shape, then its free rank, torsion and order, keyed by ``prefix``."""
+    yield "diag", group.describe()
+    yield f"{prefix}free_rank", group.free_rank
     if group.torsion:
-        pairs.append((f"{prefix}_torsion", ",".join(str(d) for d in group.torsion)))
-    order = group.concrete_order()
-    pairs.append((f"{prefix}_order", "infinite" if order is None else str(order)))
-    return pairs
+        yield f"{prefix}torsion", ",".join(str(d) for d in group.torsion)
+    yield f"{prefix}order", _order_text(group.concrete_order())
 
 
 # -- diag -----------------------------------------------------------------
 
-def cmd_diag(args) -> str:
+def cmd_diag(args):
     algebra, _ = _load_algebra(args)
-    coset = diag_coset(algebra)
-    group = coset.homogeneous
+    group = diag_group(algebra)
     order = group.concrete_order()
-    elements = None
-    if isinstance(algebra.field, PrimeField) and order is not None \
-            and order <= ELEMENT_LISTING_CAP:
-        elements = coset.elements()
+    listed = isinstance(algebra.field, PrimeField) and order <= ELEMENT_LISTING_CAP
+    elements = group.elements() if listed else []
     if args.structured:
-        pairs = [("command", "diag"), ("field", field_tag(algebra.field))]
-        pairs += [("diag", group.describe()), ("free_rank", str(group.free_rank))]
-        if group.torsion:
-            pairs.append(("torsion", ",".join(str(d) for d in group.torsion)))
-        pairs.append(("order", "infinite" if order is None else str(order)))
-        if elements is not None:
-            pairs += [("element", _vector_text(vec)) for vec in elements]
-        return structured_lines(pairs)
-    lines = [f"Diag(A;B) = {group.describe()}",
-             f"order = {'infinite' if order is None else order}"]
-    if elements is not None:
-        lines.append("elements:")
-        lines += [f"  {_vector_text(vec)}" for vec in elements]
-    return "\n".join(lines) + "\n"
+        yield from structured_lines(itertools.chain(
+            [("command", "diag"), ("field", field_tag(algebra.field))], _group_pairs(group, ""),
+            (("element", _vector_text(vec)) for vec in elements)))
+        return
+    yield f"Diag(A;B) = {group.describe()}"
+    yield f"order = {_order_text(order)}"
+    if elements:
+        yield "elements:"
+        yield from (f"  {_vector_text(vec)}" for vec in elements)
 
 
 # -- aut ------------------------------------------------------------------
 
-def cmd_aut(args) -> str:
+def cmd_aut(args):
     algebra, _ = _load_algebra(args)
     pres = assemble_aut(algebra)
-    diag_order = pres.diag.concrete_order()
-    group_order = pres.group_order()
-    labels = algebra.labels
-    completeness = "= Aut(A)" if pres.full_automorphism_group else "subgroup of Aut(A)"
+    group_order = _order_text(pres.group_order())
     if args.structured:
-        pairs = [("command", "aut"), ("field", field_tag(algebra.field))]
-        pairs += _group_pairs("diag", pres.diag)
-        for ga, lift in pres.lifted:
-            pairs.append(("lift_sigma", _vector_text(ga.sigma)))
-            pairs.append(("lift_scales", _vector_text(lift.scales)))
-            pairs.append(("lift_matrix", _matrix_text(lift)[1:-1]))
-        for ga in pres.not_lifted:
-            pairs.append(("not_lifted_sigma", _vector_text(ga.sigma)))
-        pairs.append(("quotient_order", str(pres.quotient_order)))
-        pairs.append(("group_order",
-                      "infinite" if group_order is None else str(group_order)))
-        pairs.append(("completeness",
-                      "full" if pres.full_automorphism_group else "subgroup"))
-        return structured_lines(pairs)
-    lines = [f"field: {field_tag(algebra.field)}",
-             f"Diag(A;B) = {pres.diag.describe()}",
-             f"diag order = {'infinite' if diag_order is None else diag_order}"]
+        lifts = (pair for ga, lift in pres.lifted for pair in (
+            ("lift_sigma", _vector_text(ga.sigma)), ("lift_scales", _vector_text(lift.scales)),
+            ("lift_matrix", _matrix_text(lift)[1:-1])))
+        yield from structured_lines(itertools.chain(
+            [("command", "aut"), ("field", field_tag(algebra.field))],
+            _group_pairs(pres.diag, "diag_"), lifts,
+            (("not_lifted_sigma", _vector_text(ga.sigma)) for ga in pres.not_lifted),
+            [("quotient_order", pres.quotient_order), ("group_order", group_order),
+             ("completeness", "full" if pres.full_automorphism_group else "subgroup")]))
+        return
+    yield f"field: {field_tag(algebra.field)}"
+    yield f"Diag(A;B) = {pres.diag.describe()}"
+    yield f"diag order = {_order_text(pres.diag.concrete_order())}"
     for ga, lift in pres.lifted:
-        lines.append(f"lift: {_sigma_text(labels, ga.sigma)}")
-        lines.append(f"  scales: {_vector_text(lift.scales)}")
-        lines.append(f"  matrix: {_matrix_text(lift)}")
+        yield f"lift: {_sigma_text(algebra.labels, ga.sigma)}"
+        yield f"  scales: {_vector_text(lift.scales)}"
+        yield f"  matrix: {_matrix_text(lift)}"
     for ga in pres.not_lifted:
-        lines.append(f"not lifted: {_sigma_text(labels, ga.sigma)} (system infeasible)")
-    lines.append(f"quotient order = {pres.quotient_order}")
-    lines.append(f"group order = {'infinite' if group_order is None else group_order}")
-    lines.append(f"completeness: {completeness}")
-    return "\n".join(lines) + "\n"
+        yield f"not lifted: {_sigma_text(algebra.labels, ga.sigma)} (system infeasible)"
+    yield f"quotient order = {pres.quotient_order}"
+    yield f"group order = {group_order}"
+    yield f"completeness: {'= Aut(A)' if pres.full_automorphism_group else 'subgroup of Aut(A)'}"
 
 
 # -- check ----------------------------------------------------------------
 
-def cmd_check(args) -> str:
+def _naturality(algebra: EvolutionAlgebra, literal: str) -> str:
+    """The verdict on a ``--vector`` literal; ParseError for a bad one."""
+    try:
+        vec = algebra.vector([algebra.field.parse(c) for c in literal.split(",") if c])
+        verdict = is_natural_vector(algebra, vec)  # refuses the zero vector
+    except EvoautError as exc:
+        raise ParseError(f"bad --vector {literal!r}: {exc}") from exc
+    return {Naturality.NATURAL: "true", Naturality.NOT_NATURAL: "false",
+            Naturality.INDETERMINATE: "indeterminate"}[verdict]
+
+
+def cmd_check(args):
     algebra, _ = _load_algebra(args)
+    vectors = [(f"natural({literal})", _naturality(algebra, literal))
+               for literal in args.vector or []]
     witness = algebra.two_li_witness()
     verdicts = [("Sing", "true"),
                 ("2LI", "true" if witness is None else
@@ -165,36 +170,23 @@ def cmd_check(args) -> str:
                  f"sq({algebra.labels[witness[1]]}))"),
                 ("nondegenerate", "true" if algebra.is_nondegenerate() else "false"),
                 ("perfect", "true" if algebra.is_perfect() else "false"),
-                ("invertible", "true" if algebra.is_invertible() else "false")]
-    vector_reports = []
-    for literal in args.vector or []:
-        coords = [c for c in literal.split(",") if c]
-        try:
-            vec = algebra.vector([algebra.field.parse(c) for c in coords])
-            verdict = is_natural_vector(algebra, vec)  # refuses the zero vector
-        except EvoautError as exc:
-            raise ParseError(f"bad --vector {literal!r}: {exc}") from exc
-        text = {Naturality.NATURAL: "true",
-                Naturality.NOT_NATURAL: "false",
-                Naturality.INDETERMINATE: "indeterminate"}[verdict]
-        vector_reports.append((f"natural({literal})", text))
+                ("invertible", "true" if algebra.is_invertible() else "false")] + vectors
     if args.structured:
-        pairs = [("command", "check"), ("field", field_tag(algebra.field))]
-        pairs += [(key.lower(), value) for key, value in verdicts + vector_reports]
-        return structured_lines(pairs)
-    lines = [f"{key}: {value}" for key, value in verdicts + vector_reports]
-    return "\n".join(lines) + "\n"
+        yield from structured_lines([("command", "check"), ("field", field_tag(algebra.field))]
+                                    + [(key.lower(), value) for key, value in verdicts])
+        return
+    yield from (f"{key}: {value}" for key, value in verdicts)
 
 
 # -- oracle ---------------------------------------------------------------
 
-def cmd_oracle(args) -> str:
+def cmd_oracle(args):
     algebra, _ = _load_algebra(args)
     if not isinstance(algebra.field, PrimeField):
         raise NotPrimeField("the oracle command needs a finite field (F_p input)")
     check_scan_cap(algebra.field.p, algebra.dim)  # before the symmetries are listed
     pres = assemble_aut(algebra)
-    lines = []
+    lines = []   # all collected first: a disagreement raises with every one of them
     failures = 0
 
     # in ints mod p: one scan keyed by w(e) * w(sigma e)^-1 serves every sigma, the
@@ -249,7 +241,7 @@ def cmd_oracle(args) -> str:
                          f"{len(assembled)} < {count})")
     if failures:
         raise EvoautError("oracle disagreement:\n" + "\n".join(lines))
-    return "\n".join(lines) + "\n"
+    yield from lines
 
 
 # -- tate and chain -------------------------------------------------------
@@ -260,26 +252,23 @@ def _parse_tate_field(tag: str):
     return parse_field_tag(tag)
 
 
-def cmd_tate(args) -> str:
+def cmd_tate(args):
     if not args.field:
         raise ParseError("tate requires --field")
     field = _parse_tate_field(args.field)
     group = tate_module_2(field)
     index = None if isinstance(field, str) else tate_stationary_index(field)
     if args.structured:
-        pairs = [("command", "tate"), ("field", args.field),
-                 ("tate", group.describe())]
-        if group.symbol is not None:
-            pairs.append(("symbol", group.symbol))
-        if index is not None:
-            pairs.append(("stationary_index", str(index)))
-        return structured_lines(pairs)
-    if index is None:
-        return f"T_2(K^x) = {group.describe()}\n"
-    return f"T_2(K^x) = {group.describe()} (stationary index {index})\n"
+        pairs = [("command", "tate"), ("field", args.field), ("tate", group.describe()),
+                 ("symbol", group.symbol), ("stationary_index", index)]
+        yield from structured_lines((key, value) for key, value in pairs if value is not None)
+    elif index is None:
+        yield f"T_2(K^x) = {group.describe()}"
+    else:
+        yield f"T_2(K^x) = {group.describe()} (stationary index {index})"
 
 
-def cmd_chain(args) -> str:
+def cmd_chain(args):
     if not args.field:
         raise ParseError("chain requires --field")
     if not args.exp:
@@ -297,36 +286,38 @@ def cmd_chain(args) -> str:
             exps = exps * args.depth
         elif len(exps) != args.depth:
             raise ParseError("--depth disagrees with the --exp list length")
-    anchor = field.parse(args.anchor) if args.anchor else None
+    try:
+        anchor = field.parse(args.anchor) if args.anchor else None
+    except EvoautError as exc:
+        raise ParseError(f"bad --anchor {args.anchor!r}: {exc}") from exc
     try:
         spec = ChainSpec(field=field, exponents=tuple(exps), anchor=anchor)
     except (ValueError, EvoautError) as exc:
         raise ParseError(str(exc)) from exc
     limit = truncated_chain(spec)
+    exponents = ",".join(str(e) for e in exps)
     if args.structured:
-        pairs = [("command", "chain"), ("field", args.field),
-                 ("exponents", ",".join(str(e) for e in exps))]
-        if anchor is not None:
-            pairs.append(("anchor", str(anchor)))
-        pairs.append(("tuples", str(len(limit.tuples))))
-        pairs += [("tuple", _vector_text(t)) for t in limit.tuples]
-        pairs.append(("stabilization_depth", str(limit.stabilization_depth)))
-        return structured_lines(pairs)
-    lines = [f"field: {args.field}",
-             f"exponents: {','.join(str(e) for e in exps)}"]
+        yield from structured_lines(itertools.chain(
+            [("command", "chain"), ("field", args.field), ("exponents", exponents)],
+            [] if anchor is None else [("anchor", anchor)],
+            [("tuples", len(limit.tuples))],
+            (("tuple", _vector_text(t)) for t in limit.tuples),
+            [("stabilization_depth", limit.stabilization_depth)]))
+        return
+    yield f"field: {args.field}"
+    yield f"exponents: {exponents}"
     if anchor is not None:
-        lines.append(f"anchor: {anchor}")
-    lines.append(f"tuples = {len(limit.tuples)}")
-    lines += [f"  {_vector_text(t)}" for t in limit.tuples]
-    lines.append(f"stabilization depth = {limit.stabilization_depth}")
-    return "\n".join(lines) + "\n"
+        yield f"anchor: {anchor}"
+    yield f"tuples = {len(limit.tuples)}"
+    yield from (f"  {_vector_text(t)}" for t in limit.tuples)
+    yield f"stabilization depth = {limit.stabilization_depth}"
 
 
 # -- convert ----------------------------------------------------------------
 
-def cmd_convert(args) -> str:
+def cmd_convert(args):
     algebra, fmt = _load_algebra(args)
-    return serialize_graph(algebra) if fmt == "algebra" else serialize_algebra(algebra)
+    yield from (serialize_graph if fmt == "algebra" else serialize_algebra)(algebra).splitlines()
 
 
 # -- driver -----------------------------------------------------------------
@@ -368,7 +359,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sys.stdout.write(args.handler(args))
+        for line in args.handler(args):
+            sys.stdout.write(line + "\n")
         return 0
     except (ParseError, NotPrimeField) as exc:
         sys.stderr.write(f"error: {exc}\n")

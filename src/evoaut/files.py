@@ -179,11 +179,10 @@ def serialize_graph(algebra: EvolutionAlgebra) -> str:
 
 # -- structured report format -------------------------------------------
 
-def structured_lines(pairs) -> str:
-    out = [f"format = {STRUCTURED_FORMAT}"]
-    for key, value in pairs:
-        out.append(f"{key} = {value}")
-    return "\n".join(out) + "\n"
+def structured_lines(pairs):
+    """The format tag, then one ``key = value`` line per pair of the iterable ``pairs``."""
+    yield f"format = {STRUCTURED_FORMAT}"
+    yield from (f"{key} = {value}" for key, value in pairs)
 
 
 def parse_structured(text: str) -> list[tuple[str, str]]:

@@ -174,26 +174,33 @@ class GroupDescription(Value):
     def coset(self, shift) -> list[tuple]:
         """shift * g for every g in the group (g itself when the scalar vector
         ``shift`` is None), sorted, as tuples of residues over F_p and of Fractions
-        over Q.  Each generator adds cosets of what is listed until its powers cycle back."""
+        over Q: shift * prod g_k**a_k, once for each a with 0 <= a_k < o_k, the
+        order of the k-th generator.  Each g_k**o_k must bring shift back, and
+        the listing must hold exactly ``order`` distinct vectors."""
         order = self.concrete_order()
         if order is None:
             raise TooLarge(f"monomial: cannot list an infinite or symbolic group ({self})")
         if order > ENUMERATION_CAP:
             raise TooLarge(f"monomial: group order exceeds the listing cap {ENUMERATION_CAP} "
                            f"(order {order})")
+        if (listed := math.prod(self.generator_orders)) != order:
+            raise InvariantViolation(f"would list {listed} elements, expected order {order}")
         if isinstance(self.field, PrimeField):
             p = self.field.p
             value, times = attrgetter("residue"), lambda x, y: x * y % p
         else:
             value, times = attrgetter("fraction"), mul
-        out = {tuple(map(value, shift or (self.field.one,) * self.n_vars))}
-        for gen in self.generators:
-            gen, layer = tuple(map(value, gen)), out
-            while layer := {tuple(map(times, vec, gen)) for vec in layer} - out:
-                out |= layer
-        if len(out) != order:
-            raise InvariantViolation(f"generated {len(out)} elements, expected order {order}")
-        return sorted(out)
+        out = [tuple(map(value, shift or (self.field.one,) * self.n_vars))]
+        for gen, gen_order in zip(self.generators, self.generator_orders):
+            gen, power = tuple(map(value, gen)), out
+            for _ in range(gen_order - 1):   # out times g**1, ..., g**(gen_order - 1)
+                power = [tuple(map(times, vec, gen)) for vec in power]
+                out.extend(power)
+            if tuple(map(times, power[0], gen)) != out[0]:
+                raise InvariantViolation(f"generator {gen} does not have order {gen_order}")
+        if len(distinct := set(out)) != order:
+            raise InvariantViolation(f"generated {len(distinct)} elements, expected order {order}")
+        return sorted(distinct)
 
 
 class SolutionCoset(Value):

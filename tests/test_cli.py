@@ -20,6 +20,8 @@ REPORT_PEAK = ("import sys\nfrom evoaut.cli import main\ncode = main(sys.argv[1:
                "                      if line.startswith('VmHWM')))\nsys.exit(code)")
 # sha256 of the stdout of `chain --field F3 --exp 1 --depth 500000`
 CHAIN_AT_BUDGET_SHA256 = "6a56663a0ab7fe91e6d4e7fcdd3cf3af440ec1c86dfa84189eb213841b6bfd22"
+# sha256 of the stdout of `aut` on six disjoint 2-cycles over F_7
+CYCLES_AUT_SHA256 = "4f36d8b008aa7eaca87942a89703a6bc468b14364d1a922ee6663d7f5d1e7c07"
 
 
 def run(capsys, *argv):
@@ -322,6 +324,45 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def write_file(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+NOT_UTF8 = "latin.alg: 'utf-8' codec can't decode byte 0xff in position 0"
+
+
+@pytest.mark.parametrize("make_argv, exit_code, message", [
+    pytest.param(lambda tmp: ("diag", write_file(tmp / "bad.alg",
+                                                 b"field F7\nbasis a\nsq a = x*a\n")),
+                 2, "bad scalar literal 'x'", id="diag-bad-literal"),
+    pytest.param(lambda tmp: ("check", SAMPLES / "star_spokes.alg", "--vector", "1,2"),
+                 2, "bad --vector '1,2'", id="check-short-vector"),
+    pytest.param(lambda tmp: ("chain", "--field", "F7", "--exp", "2", "--anchor", "abc"),
+                 2, "bad --anchor 'abc'", id="chain-bad-anchor"),
+    pytest.param(lambda tmp: ("chain", "--field", "F7", "--exp", "2", "--anchor", "1/7"),
+                 2, "bad --anchor '1/7'", id="chain-anchor-with-a-vanishing-denominator"),
+    *(pytest.param(lambda tmp, command=command: (command, write_file(tmp / "latin.alg",
+                                                                     b"\xff\xfe")),
+                   2, NOT_UTF8, id=f"{command}-not-utf8")
+      for command in ("diag", "aut", "check", "oracle", "convert")),
+    pytest.param(lambda tmp: ("aut", star_file(tmp / "star9.alg", 7, 9)),
+                 3, "more than 100000 graph automorphisms", id="aut-nine-spokes"),
+    pytest.param(lambda tmp: ("chain", "--field", "F3", "--exp", "1", "--depth", "500001"),
+                 3, "chain census exceeds the budget", id="chain-past-the-budget"),
+    pytest.param(lambda tmp: ("oracle", star_file(tmp / "star.alg", 5, 3)),
+                 4, "lifted sigmas are not closed", id="oracle-dropped-lift"),
+])
+def test_a_refused_command_writes_nothing_to_stdout(capsys, monkeypatch, tmp_path,
+                                                    make_argv, exit_code, message):
+    # every command raises before its first report line
+    if exit_code == 4:
+        drop_lift(monkeypatch, (1, 2, 0, 3))
+    code, out, err = run(capsys, *make_argv(tmp_path))
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_bad_vector_is_a_validation_error(capsys):
     code, _, err = run(capsys, "check", SAMPLES / "char2_equal_squares.alg",
                        "--vector", "1,1")
@@ -576,3 +617,16 @@ def test_diag_and_check_on_large_q_coefficients_property(tmp_path):
             assert time.perf_counter() - start < 2.0
 
     check()
+
+
+def test_aut_on_six_two_cycles_writes_as_it_goes(tmp_path):
+    # 46,080 lifts print 20 MB; written line by line, the process peaks near
+    # the size of the presentation itself, not of the report
+    if not Path("/proc/self/status").exists():
+        pytest.skip("peak memory is read from /proc/self/status")
+    (tmp_path / "cycles.alg").write_text(serialize_algebra(two_cycles_algebra(PrimeField(7), 6)))
+    done = run_python(["-c", REPORT_PEAK, "aut", "cycles.alg"], timeout=60, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == CYCLES_AUT_SHA256
+    peak_kb = int(done.stderr.split("VmHWM:")[1].split()[0])
+    assert peak_kb < 80 * 1024

@@ -202,12 +202,12 @@ def test_detect_format():
 
 def test_structured_round_trip():
     group = GroupDescription(free_rank=1, torsion=(2, 2), field=F5)
-    text = structured_lines([
+    text = "\n".join(structured_lines([
         ("command", "diag"),
         ("diag", group.describe()),
         ("free_rank", str(group.free_rank)),
         ("torsion", ",".join(str(d) for d in group.torsion)),
-    ])
+    ])) + "\n"
     pairs = parse_structured(text)
     rebuilt = group_from_structured(pairs, field=F5)
     assert rebuilt.free_rank == group.free_rank
@@ -217,7 +217,7 @@ def test_structured_round_trip():
 
 
 def test_structured_symbolic_round_trip():
-    text = structured_lines([("command", "tate"), ("symbol", "Z_2")])
+    text = "\n".join(structured_lines([("command", "tate"), ("symbol", "Z_2")])) + "\n"
     rebuilt = group_from_structured(parse_structured(text))
     assert rebuilt.describe() == "Z_2"
 

@@ -277,6 +277,33 @@ def test_group_residues_are_the_elements_residues():
     assert group.coset(group.elements()[1]) == group.coset(None)
 
 
+def _mu3_over_f7(generators, orders, torsion=(3,)):
+    # mu_3(F_7) on two coordinates: g = (2, 4) has order 3
+    return GroupDescription(free_rank=0, torsion=torsion, field=F7, n_vars=2,
+                            generators=tuple(tuple(map(F7.scalar, gen)) for gen in generators),
+                            generator_orders=orders)
+
+
+def test_coset_lists_one_product_per_element():
+    group = _mu3_over_f7([(2, 4)], (3,))
+    assert group.coset(None) == [(1, 1), (2, 4), (4, 2)]
+    assert group.coset((F7.scalar(3), F7.scalar(3))) == [(3, 3), (5, 6), (6, 5)]
+
+
+@pytest.mark.parametrize("generators, orders, torsion, message", [
+    ([(2, 4), (2, 4)], (3, 3), (3,), "would list 9 elements"),   # a repeated generator
+    ([(2, 4)], (6,), (3,), "would list 6 elements"),     # a multiple of the true order
+    ([(2, 4), (2, 4)], (3, 1), (3,), "does not have order 1"),
+    ([(2, 4), (4, 2)], (3, 3), (3, 3), "generated 3 elements, expected order 9"),
+], ids=["repeated", "multiple-order", "short-order", "dependent"])
+def test_coset_refuses_generators_that_do_not_give_the_order(generators, orders, torsion,
+                                                             message):
+    # the closure listing of earlier versions accepted the first three, as it
+    # read neither the orders nor how often an element was reached
+    with pytest.raises(InvariantViolation, match=message):
+        _mu3_over_f7(generators, orders, torsion).coset(None)
+
+
 def test_shared_scan_matches_a_direct_check_of_each_system():
     rng = random.Random(59)
     for _ in range(60):
