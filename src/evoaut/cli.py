@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from .algebra import EvolutionAlgebra, Naturality, is_natural_vector
@@ -49,6 +50,8 @@ from .monomial import bruteforce_solution_sets, check_scan_cap
 from .scalar import PrimeField
 
 ELEMENT_LISTING_CAP = 256
+# the exit code of each error class, the first that matches counting
+EXIT_CODES = ((ParseError, 2), (NotPrimeField, 2), (TooLarge, 3), (EvoautError, 4))
 
 
 def _read_file(path: str) -> str:
@@ -362,15 +365,14 @@ def main(argv=None) -> int:
         for line in args.handler(args):
             sys.stdout.write(line + "\n")
         return 0
-    except (ParseError, NotPrimeField) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except TooLarge as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does: the rest of the report, and the
+        # flush at exit, go to the null device, so the interpreter raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except EvoautError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 4
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -561,6 +564,18 @@ def test_largest_field_prime_runs_in_little_time_and_memory(tmp_path, command):
     assert elapsed < 5
     peak_kb = int(done.stderr.split("VmHWM:")[1].split()[0])
     assert peak_kb < 100 * 1024
+
+
+def test_a_reader_that_stops_early_ends_the_report_quietly():
+    # as in `evoaut chain ... | head -1`: once the reader has gone, the command stops
+    # writing and exits 0 with nothing on stderr, not with a BrokenPipeError traceback
+    env = dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src"))
+    argv = ["chain", "--field", "F3", "--exp", "1", "--depth", "100000"]   # two 200 KB lines
+    with subprocess.Popen([sys.executable, "-m", "evoaut.cli"] + argv, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"field: F3\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=30), proc.stderr.read()) == (0, b"")
 
 
 def test_chain_at_the_budget_runs_in_little_time_and_memory(tmp_path):
