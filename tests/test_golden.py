@@ -4,8 +4,10 @@
 ``aut``, ``check``, ``oracle`` and ``convert`` for every file in
 ``samples/``, and of the first three with ``--structured`` as well.
 ``oracle`` and ``convert`` have no structured report, so the flag is a usage
-error there (exit 2, nothing on stdout).  Internal rewrites must leave every
-entry unchanged; a deliberate change of output regenerates the fixture with
+error there (exit 2, nothing on stdout).  ``tate`` and ``chain`` read no
+file; a fixed list of their command lines is pinned plain and with
+``--structured``.  Internal rewrites must leave every entry unchanged; a
+deliberate change of output regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -26,6 +28,19 @@ FIXTURE = Path(__file__).resolve().parent / "golden" / "cli_outputs.json"
 COMMANDS = ("diag", "aut", "check", "oracle", "convert")
 STRUCTURED = ("diag", "aut", "check")
 USAGE_ERROR = {"exit": 2, "stdout": ""}
+# tate over each kind of field; chain unanchored, anchored with and without
+# tuples, and one --exp repeated by --depth
+FILELESS = (
+    ("tate", "--field", "F2"),
+    ("tate", "--field", "F13"),
+    ("tate", "--field", "Q"),
+    ("tate", "--field", "acl-not2"),
+    ("tate", "--field", "Q-zeta2inf"),
+    ("chain", "--field", "F7", "--exp", "2,3"),
+    ("chain", "--field", "F13", "--exp", "2,2", "--anchor", "9"),
+    ("chain", "--field", "F7", "--exp", "2,2", "--anchor", "3"),
+    ("chain", "--field", "F5", "--exp", "2", "--depth", "3"),
+)
 
 
 def golden_cases() -> list[tuple[str, ...]]:
@@ -33,7 +48,8 @@ def golden_cases() -> list[tuple[str, ...]]:
             for path in sorted(SAMPLES.iterdir())
             for command in COMMANDS
             for flags in ((), ("--structured",))
-            if not flags or command in STRUCTURED]
+            if not flags or command in STRUCTURED] + [
+        argv + flags for argv in FILELESS for flags in ((), ("--structured",))]
 
 
 def refused_cases() -> list[tuple[str, ...]]:
