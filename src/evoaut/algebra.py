@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from operator import attrgetter, index
+from operator import index
 
 from .errors import (
     DimensionMismatch,
@@ -111,7 +111,7 @@ class EvolutionAlgebra:
 
     def _squares(self) -> list[dict]:
         """Each square e_i**2 as {j: raw value} in j order, from the edges."""
-        raw = _raw(self.field)
+        raw = self.field.raw
         squares = [{} for _ in range(self.dim)]
         for i, j, w in self.edges:
             squares[i][j] = raw(w)
@@ -122,7 +122,7 @@ class EvolutionAlgebra:
         else None: a zero square, or two squares with the same direction.
         A zero e_j**2 gives (0, j), or (0, 1) for j = 0, and a direction met
         before gives (its first square, j); the least pair is the answer."""
-        p = self.field.p if isinstance(self.field, PrimeField) else 0
+        p = self.field.characteristic
         first, pairs = {}, []
         for j, square in enumerate(self._squares()):
             if not square:
@@ -176,12 +176,6 @@ class EvolutionAlgebra:
         return f"EvolutionAlgebra(dim={self.dim}, field={self.field})"
 
 
-def _raw(field: Field):
-    """The raw value of a scalar of ``field``: its residue over F_p, its
-    Fraction over Q."""
-    return attrgetter("residue" if isinstance(field, PrimeField) else "fraction")
-
-
 def _monic(row: dict, p: int) -> dict:
     """A nonzero sparse row of raw values scaled so that its entry in the
     least column is 1: mod p when p, over Q when p is 0."""
@@ -194,13 +188,14 @@ def _monic(row: dict, p: int) -> dict:
 
 def _eliminate(field: Field, rows, width: int) -> tuple[int, Scalar]:
     """Forward elimination over ``field`` on sparse rows of raw values, each
-    an iterable of (column, value) pairs: ints, read mod p, over F_p; ints
-    or Fractions over Q.  The rank and, for a square matrix, its determinant
-    (zero for any other shape).  Each row is reduced by the monic rows kept
-    so far, keyed by their least column, until its least column has none;
-    what is left, unless zero, is kept.  Sorted by least column the kept
-    rows are triangular, with the determinant up to the sign of that sort."""
-    p = field.p if isinstance(field, PrimeField) else 0
+    an iterable of (column, value) pairs: ints read mod the characteristic p
+    over F_p, ints or Fractions over Q.  The rank and, for a square matrix,
+    its determinant (zero for any other shape).  Each row is reduced by the
+    monic rows kept so far, keyed by their least column, until its least
+    column has none; what is left, unless zero, is kept.  Sorted by least
+    column the kept rows are triangular, with the determinant up to the sign
+    of that sort."""
+    p = field.characteristic
     pivots, det, m = {}, 1, 0   # pivots: least column -> monic row, in row order
     for m, pairs in enumerate(rows, 1):
         row = {j: x % p if p else x for j, x in pairs}
@@ -226,8 +221,7 @@ def _eliminate(field: Field, rows, width: int) -> tuple[int, Scalar]:
 
 def _rank(field: Field, vectors) -> int:
     """The rank of a nonempty list of vectors of scalars, all of one length."""
-    raw = _raw(field)
-    return _eliminate(field, (enumerate(map(raw, v)) for v in vectors), len(vectors[0]))[0]
+    return _eliminate(field, (enumerate(map(field.raw, v)) for v in vectors), len(vectors[0]))[0]
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -269,7 +263,7 @@ def is_natural_vector(algebra: EvolutionAlgebra, u) -> Naturality:
         return Naturality.NOT_NATURAL
     if algebra.field.characteristic != 2:
         return Naturality.NATURAL
-    if isinstance(algebra.field, PrimeField) and algebra.field.p == 2 and algebra.dim <= 4:
+    if algebra.dim <= 4:   # characteristic 2 is F_2's
         found = any(u in basis for basis in _natural_bases(algebra))
         return Naturality.NATURAL if found else Naturality.NOT_NATURAL
     return Naturality.INDETERMINATE

@@ -189,22 +189,18 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
 def edge_quotients(algebra: EvolutionAlgebra):
     """The map sigma -> [w(e) / w(sigma e) for every edge e, in edge-list
     order], the right-hand sides of sigma's twisted system for the solver,
-    ``twisted_system`` and the oracle alike: over F_p as residues, from the
-    edge residues and their inverses, with no discrete log; over Q as
-    scalars.  It is built once per algebra, which keeps it."""
+    ``twisted_system`` and the oracle alike, as raw values (residues over
+    F_p, Fractions over Q) from the edges' raw weights and their inverses,
+    with no discrete log.  It is built once per algebra, which keeps it."""
     if algebra._quotients is None:
         algebra._quotients = _quotient_map(algebra)
     return algebra._quotients
 
 
 def _quotient_map(algebra: EvolutionAlgebra):
-    weights = algebra.weights
-    if isinstance(algebra.field, PrimeField):
-        p = algebra.field.p
-        edges = [(u, v, w.residue) for u, v, w in algebra.edges]
-        inverses = {e: pow(w.residue, -1, p) for e, w in weights.items()}
-    else:
-        p, edges, inverses = 0, algebra.edges, {e: w.inv() for e, w in weights.items()}
+    weights, raw, p = algebra.weights, algebra.field.raw, algebra.field.characteristic
+    edges = [(u, v, raw(w)) for u, v, w in algebra.edges]
+    inverses = {e: raw(w.inv()) for e, w in weights.items()}
 
     def quotients(sigma) -> list:
         try:

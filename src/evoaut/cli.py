@@ -63,12 +63,19 @@ def _read_file(path: str) -> str:
 
 
 def _load_algebra(args) -> tuple[EvolutionAlgebra, str]:
-    """The input file's algebra and its format, ``algebra`` or ``graph``."""
+    """The input file's algebra and its format, ``algebra`` or ``graph``.
+    ``--field`` is the field of a graph file without a ``field`` line and
+    must name the field of any other file."""
     text = _read_file(args.file)
-    default_field = parse_field_tag(args.field) if args.field else None
+    field = parse_field_tag(args.field) if args.field else None
     if (fmt := detect_format(text)) == "algebra":
-        return parse_algebra(text), fmt
-    return parse_graph(text, default_field=default_field), fmt
+        algebra = parse_algebra(text)
+    else:
+        algebra = parse_graph(text, default_field=field)
+    if field is not None and algebra.field != field:
+        raise ParseError(f"--field {args.field} disagrees with the file's field "
+                         f"{field_tag(algebra.field)}")
+    return algebra, fmt
 
 
 def _sigma_text(labels, sigma) -> str:

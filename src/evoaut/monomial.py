@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import attrgetter, index, mul
+from operator import index, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
@@ -185,14 +185,11 @@ class GroupDescription(Value):
                            f"(order {order})")
         if (listed := math.prod(self.generator_orders)) != order:
             raise InvariantViolation(f"would list {listed} elements, expected order {order}")
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            value, times = attrgetter("residue"), lambda x, y: x * y % p
-        else:
-            value, times = attrgetter("fraction"), mul
-        out = [tuple(map(value, shift or (self.field.one,) * self.n_vars))]
+        raw, p = self.field.raw, self.field.characteristic
+        times = (lambda x, y: x * y % p) if p else mul
+        out = [tuple(map(raw, shift or (self.field.one,) * self.n_vars))]
         for gen, gen_order in zip(self.generators, self.generator_orders):
-            gen, power = tuple(map(value, gen)), out
+            gen, power = tuple(map(raw, gen)), out
             for _ in range(gen_order - 1):   # out times g**1, ..., g**(gen_order - 1)
                 power = [tuple(map(times, vec, gen)) for vec in power]
                 out.extend(power)
@@ -337,16 +334,15 @@ class ExponentDecomposition:
         if (system.field, system.n_vars) != (self.field, self.n_vars) \
                 or tuple(exps for exps, _ in system.rows) != self.exponents:
             raise InvariantViolation("system's exponent rows differ from the decomposition's")
-        finite = isinstance(self.field, PrimeField)
-        rhs = [c.residue if finite else c for _, c in system.rows]
+        rhs = [self.field.raw(c) for _, c in system.rows]
         return SolutionCoset(system=system, particular=self.particular(rhs),
                              homogeneous=self.homogeneous)
 
     def particular(self, rhs) -> tuple[Scalar, ...] | None:
         """The canonical solution for right-hand sides ``rhs`` (one per exponent
-        row, in row order), or None when there is none.  Over F_p ``rhs``
-        holds their residues, over Q the scalars.  Unchecked: ``solve``
-        certifies it, and a caller that uses it directly checks it itself.
+        row, in row order, as raw values: residues over F_p, Fractions over
+        Q), or None when there is none.  Unchecked: ``solve`` certifies it,
+        and a caller that uses it directly checks it itself.
 
         The right-hand sides are transformed by U; the system is solvable iff
         every zero row yields 1 and every diagonal equation y**d == c' has a

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic over prime finite fields F_p and the rationals Q.
 
 Scalars are immutable.  Elements of F_p are canonical residues in [0, p);
-rational scalars are a sign and a normalized ``Fraction``.  Rationals are never
+rational scalars hold a normalized ``Fraction``.  Loops elsewhere run on these
+raw values: a field's ``raw`` reads them and its ``characteristic`` (p, or 0
+over Q) is their modulus.  Rationals are never
 factored: a reduced p/q has a rational n-th root exactly when |p| and q are
 perfect n-th powers, which integer roots decide.  Zero is representable but is
 rejected by every multiplicative-group operation (dlog, roots, inversion).
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     DivisionByZero,
@@ -82,15 +85,14 @@ class Field:
     """Common interface of the two supported coefficient fields."""
 
     characteristic: int
+    raw: attrgetter   # a scalar of this field -> its raw value
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, string, or same-field Scalar."""
+        """Coerce an int, Fraction, or same-field Scalar; ``parse`` reads strings."""
         if isinstance(value, Scalar):
             if value.field is not self and value.field != self:
                 raise FieldMismatch(f"scalar of {value.field} given to {self}")
             return value
-        if isinstance(value, str):
-            return self.parse(value)
         return self._from_number(value)
 
     def parse(self, text: str) -> "Scalar":
@@ -127,6 +129,8 @@ class PrimeField(Field):
     use.  Instances are immutable apart from that idempotent cache, so sharing
     across threads is safe.
     """
+
+    raw = attrgetter("residue")
 
     def __init__(self, p: int):
         # the cap comes first: trial division of a huge p would never end
@@ -198,6 +202,7 @@ class RationalField(Field):
     """The field Q; a stateless singleton-by-equality."""
 
     characteristic = 0
+    raw = attrgetter("fraction")
 
     def _from_number(self, value) -> "QScalar":
         if isinstance(value, (int, Fraction)):
@@ -242,24 +247,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
 
 class FpScalar(Scalar):
@@ -327,17 +314,16 @@ class FpScalar(Scalar):
 
 
 class QScalar(Scalar):
-    """Rational scalar: a sign and a normalized Fraction."""
+    """Rational scalar: a normalized Fraction."""
 
-    __slots__ = ("field", "sign", "fraction")
+    __slots__ = ("field", "fraction")
 
     def __init__(self, field: RationalField, fraction: Fraction):
         self.field = field
         self.fraction = fraction
-        self.sign = (fraction > 0) - (fraction < 0)
 
     def is_zero(self) -> bool:
-        return self.sign == 0
+        return not self.fraction
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -363,14 +349,14 @@ class QScalar(Scalar):
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if self.sign == 0:
+        if not self.fraction:
             if exponent < 0:
                 raise DivisionByZero("0 has no negative powers")
             return QScalar(self.field, Fraction(1 if exponent == 0 else 0))
         return QScalar(self.field, self.fraction**exponent)
 
     def inv(self) -> "QScalar":
-        if self.sign == 0:
+        if not self.fraction:
             raise DivisionByZero("0 is not invertible in Q")
         return QScalar(self.field, 1 / self.fraction)
 
@@ -424,8 +410,8 @@ def nth_roots(field: Field, n: int, a) -> list[Scalar]:
         return []
     magnitude = QScalar(field, Fraction(num, den))
     if n % 2 == 1:
-        return [magnitude if a.sign > 0 else -magnitude]
-    if a.sign < 0:
+        return [magnitude if a.fraction > 0 else -magnitude]
+    if a.fraction < 0:
         return []
     return [-magnitude, magnitude]
 

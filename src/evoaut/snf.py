@@ -50,9 +50,6 @@ class _Rows(tuple):
         self.width = width
         return self
 
-    def __reduce__(self):
-        return _Rows, (tuple(self), self.width)
-
 
 def _sparse_rows(rows, width: int) -> _Rows:
     """Each row as its nonzero (column, value) pairs in column order: the one
@@ -340,17 +337,14 @@ def smith_normal_form(matrix, width) -> SmithDecomposition:
         if len(cols[c]) > 1 or len(prow) > 1:
             continue
         # force the divisibility chain: drag a non-divisible entry into the
-        # pivot row and keep reducing
+        # pivot row and keep reducing.  The pivot row is {c: pivot} and column
+        # c holds nothing else, so adding the culprit row copies its entries
         culprit = next((i for i in range(t + 1, m)
                         if any(x % pivot for x in d[row_at[i]].values())), None)
         if culprit is not None:
             for j, y in d[row_at[culprit]].items():
-                if x := prow.get(j, 0) + y:
-                    prow[j] = x
-                    cols[j].add(r)
-                else:
-                    del prow[j]
-                    cols[j].remove(r)
+                prow[j] = y
+                cols[j].add(r)
             row_ops.append((ADD, t, culprit, 1))
             at = t, t
             continue

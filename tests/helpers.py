@@ -2,7 +2,8 @@
 dense views of an algebra's structure matrix, scalar references for the
 solver's log arithmetic, references for the structural predicates, the
 natural-basis and 2-power-tower oracles and the Smith normal form's
-elimination, and monkeypatch probes into the solver."""
+elimination, monkeypatch probes into the solver, and an exact check of a
+raised error."""
 
 import itertools
 import math
@@ -503,6 +504,17 @@ def drop_lift(monkeypatch, dropped):
 
     monkeypatch.setattr(autgroup, "edge_quotients", edge_quotients)
     monkeypatch.setattr(monomial.ExponentDecomposition, "particular", particular)
+
+
+def assert_raises_exactly(call, error, message):
+    """``call()`` raises an instance of ``error`` itself, not of a subclass,
+    whose text is ``message``."""
+    try:
+        call()
+    except Exception as exc:   # the class itself is compared, not a base
+        assert (type(exc), str(exc)) == (error, message)
+    else:
+        raise AssertionError(f"no {error.__name__} raised")
 
 
 def run_python(args, timeout, cwd=None):

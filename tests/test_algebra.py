@@ -10,6 +10,7 @@ from evoaut.algebra import (
     Naturality,
     _natural_bases,
     _scalar_multiple,
+    check_natural_basis,
     is_natural_vector,
     same_orbit,
     vec_is_zero,
@@ -25,6 +26,7 @@ from evoaut.scalar import QQ
 
 from helpers import (
     F2,
+    assert_raises_exactly,
     F3,
     F5,
     F7,
@@ -362,3 +364,15 @@ def test_predicates_match_the_references_at_scale(field, n, seed):
             verdicts.add(verdict)
     assert reference_two_li_witness(algebra) == (late, n - 1)
     assert len(verdicts) >= 2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: EvolutionAlgebra(F2, 0, []), DimensionMismatch,
+                 "an evolution algebra needs at least one basis element", id="dimension-0"),
+    pytest.param(lambda: check_natural_basis(EvolutionAlgebra(F3, 2, []), [[1, 0]]),
+                 NotANaturalBasis, "expected 2 vectors, got 1", id="basis-too-short"),
+    pytest.param(lambda: check_natural_basis(EvolutionAlgebra(F3, 2, []), [[1, 0], [2, 0]]),
+                 NotANaturalBasis, "vectors are linearly dependent", id="basis-dependent"),
+])
+def test_bad_algebras_and_bases_are_refused(call, error, message):
+    assert_raises_exactly(call, error, message)

@@ -10,6 +10,7 @@ import pytest
 
 from evoaut import EvolutionAlgebra, autgroup, monomial
 from evoaut.autgroup import (
+    AutPresentation,
     MonomialAutomorphism,
     assemble_aut,
     bruteforce_aut,
@@ -33,12 +34,13 @@ from evoaut.errors import (
     TooLarge,
 )
 from evoaut.monomial import ExponentDecomposition, GroupDescription, MonomialSystem
-from evoaut.scalar import PrimeField, QQ
+from evoaut.scalar import FpScalar, PrimeField, QQ
 from evoaut.snf import SmithDecomposition
-from evoaut.wgraph import enumerate_graph_automorphisms, tree_of
+from evoaut.wgraph import GraphAutomorphism, enumerate_graph_automorphisms, tree_of
 
 from helpers import (
     F2,
+    assert_raises_exactly,
     F3,
     F5,
     F7,
@@ -217,14 +219,13 @@ def test_edge_quotients_read_the_weights():
 
 
 def test_twisted_systems_of_one_algebra_share_one_quotient_map(monkeypatch):
-    inverted = []
+    inverted, inv = [], FpScalar.inv
 
-    def counting_pow(base, exp, mod=None):
-        if exp == -1:
-            inverted.append(base)
-        return pow(base, exp, mod)
+    def counting_inv(x):
+        inverted.append(x)
+        return inv(x)
 
-    monkeypatch.setattr(autgroup, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(FpScalar, "inv", counting_inv)
     algebra = two_loop_algebra(F7)
     for k in range(100):
         autgroup.twisted_system(algebra, ((0, 1), (1, 0))[k % 2])
@@ -890,3 +891,28 @@ def test_closure_check_catches_a_dropped_lift(monkeypatch, dropped, message):
     drop_lift(monkeypatch, dropped)
     with pytest.raises(InvariantViolation, match=message):
         assemble_aut(algebra)
+
+
+def swapped_identity_presentation():
+    """An ``AutPresentation`` whose one lift, the identity, is paired with the swap."""
+    algebra = EvolutionAlgebra.from_squares(F5, [[1, 0], [0, 1]])
+    identity = MonomialAutomorphism(algebra, (0, 1), (1, 1))
+    return AutPresentation(algebra, assemble_aut(algebra).decomposition,
+                           ((GraphAutomorphism((1, 0)), identity),), (), True)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: MonomialAutomorphism(two_loop_algebra(F5), (0, 0), (1, 1)),
+                 NotAnAutomorphism, "(0, 0) is not a permutation of the basis",
+                 id="sigma-not-a-permutation"),
+    pytest.param(lambda: MonomialAutomorphism(two_loop_algebra(QQ), (0, 1), (1, 1))
+                 .residue_matrix(), NotPrimeField, "residue matrices exist over F_p only",
+                 id="residue-matrix-over-q"),
+    pytest.param(lambda: is_automorphism_matrix(two_loop_algebra(QQ), [[1, 0], [0, 1]]),
+                 NotPrimeField, "residue matrices exist over F_p only",
+                 id="membership-over-q"),
+    pytest.param(swapped_identity_presentation, InvariantViolation,
+                 "lift does not project back onto its sigma", id="lift-of-another-sigma"),
+])
+def test_bad_lifts_and_matrices_are_refused(call, error, message):
+    assert_raises_exactly(call, error, message)

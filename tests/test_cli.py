@@ -72,6 +72,13 @@ def test_field_flag_supplies_graph_default(capsys, tmp_path):
     assert "order = 1" in out  # loop forces the scale to 1 over F_5
 
 
+@pytest.mark.parametrize("command", ["diag", "aut", "check", "oracle", "convert"])
+@pytest.mark.parametrize("name", ["cycle_with_ear_f7.alg", "cubic_root_lift_f7.graph"])
+def test_field_flag_naming_the_file_field_changes_nothing(capsys, command, name):
+    assert run(capsys, command, SAMPLES / name, "--field", "F7") == \
+        run(capsys, command, SAMPLES / name)
+
+
 def test_aut_three_cycle_matrices(capsys):
     code, out, _ = run(capsys, "aut", SAMPLES / "three_cycle_loops.alg")
     assert code == 0
@@ -349,6 +356,22 @@ NOT_UTF8 = "latin.alg: 'utf-8' codec can't decode byte 0xff in position 0"
                                                                      b"\xff\xfe")),
                    2, NOT_UTF8, id=f"{command}-not-utf8")
       for command in ("diag", "aut", "check", "oracle", "convert")),
+    pytest.param(lambda tmp: ("diag", SAMPLES / "cycle_with_ear_f7.alg", "--field", "F5"),
+                 2, "--field F5 disagrees with the file's field F7",
+                 id="diag-field-other-than-the-algebra-file's"),
+    pytest.param(lambda tmp: ("aut", SAMPLES / "cubic_root_lift_f7.graph", "--field", "Q"),
+                 2, "--field Q disagrees with the file's field F7",
+                 id="aut-field-other-than-the-graph-file's"),
+    pytest.param(lambda tmp: ("tate",), 2, "tate requires --field", id="tate-without-field"),
+    pytest.param(lambda tmp: ("chain", "--exp", "2"), 2, "chain requires --field",
+                 id="chain-without-field"),
+    pytest.param(lambda tmp: ("chain", "--field", "F7"), 2, "chain requires --exp",
+                 id="chain-without-exp"),
+    pytest.param(lambda tmp: ("chain", "--field", "F7", "--exp", "2,3", "--depth", "3"),
+                 2, "--depth disagrees with the --exp list length", id="chain-depth-disagrees"),
+    pytest.param(lambda tmp: ("chain", "--field", "F7", "--exp", "0"), 2,
+                 "exponents must be a nonempty sequence of positive integers",
+                 id="chain-exp-0"),
     pytest.param(lambda tmp: ("aut", star_file(tmp / "star9.alg", 7, 9)),
                  3, "more than 100000 graph automorphisms", id="aut-nine-spokes"),
     pytest.param(lambda tmp: ("chain", "--field", "F3", "--exp", "1", "--depth", "500001"),

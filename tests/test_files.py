@@ -26,7 +26,15 @@ from evoaut.monomial import ExponentDecomposition, GroupDescription
 from evoaut.scalar import PrimeField, QQ
 from evoaut.snf import smith_normal_form
 
-from helpers import F2, F5, F7, dense_exponent_rows, square_of, structure_matrix
+from helpers import (
+    F2,
+    F5,
+    F7,
+    assert_raises_exactly,
+    dense_exponent_rows,
+    square_of,
+    structure_matrix,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -312,3 +320,8 @@ def test_parsed_algebra_equals_the_one_built_from_its_squares():
             (dense.row_ops, dense.col_ops, dense.diagonal)
 
     check()
+
+
+def test_structured_line_without_an_equals_sign_is_refused():
+    assert_raises_exactly(lambda: parse_structured("format = evoaut/1\ndiag 1\n"), ParseError,
+                          "expected 'key = value' (line 2)")

@@ -20,7 +20,7 @@ from evoaut.limits import (
 from evoaut.monomial import enumerate_solutions_bruteforce
 from evoaut.scalar import PrimeField, QQ
 
-from helpers import F2, F3, F5, F7, reference_stationary_collapse, square_of
+from helpers import F2, F3, F5, F7, assert_raises_exactly, reference_stationary_collapse, square_of
 
 F13 = PrimeField(13)
 F17 = PrimeField(17)
@@ -182,3 +182,15 @@ def test_loop_chain_algebra_shape():
     assert square_of(a, 2) == a.basis_vector(1)
     assert not a.is_2li()
     assert not a.is_invertible()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: TruncatedLimit(ChainSpec(F7, (2, 2)), ((F7.one,),), 1), EvoautError,
+                 "tuple depth mismatch", id="tuple-of-the-wrong-depth"),
+    pytest.param(lambda: tate_module_2(7), EvoautError, "unsupported field 7",
+                 id="tate-of-an-int"),
+    pytest.param(lambda: loop_chain_algebra(F7, 0), ValueError, "dimension must be positive",
+                 id="loop-chain-of-dimension-0"),
+])
+def test_bad_chains_and_fields_are_refused(call, error, message):
+    assert_raises_exactly(call, error, message)

@@ -11,6 +11,7 @@ from evoaut.monomial import (
     ExponentDecomposition,
     GroupDescription,
     MonomialSystem,
+    SolutionCoset,
     bruteforce_solution_sets,
     enumerate_solutions_bruteforce,
     power_product,
@@ -20,7 +21,7 @@ from evoaut.monomial import (
 from evoaut.scalar import PrimeField, QQ
 from evoaut.snf import SmithDecomposition, smith_normal_form
 
-from helpers import F3, F5, F7
+from helpers import F3, F5, F7, assert_raises_exactly
 
 
 def system(field, n, rows):
@@ -377,3 +378,22 @@ def test_decomposition_checks_its_generators_against_the_rows(monkeypatch):
     monkeypatch.setattr(monomial, "_generator_logs", corrupted)
     with pytest.raises(InvariantViolation):
         ExponentDecomposition(system(F7, 5, EAR_ROWS))
+
+
+def coset_with_a_zero_entry():
+    relation = system(F7, 2, [([1, 1], 1)])
+    return SolutionCoset(relation, (F7.zero, F7.one), solve_homogeneous(relation))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: GroupDescription(1, field=QQ).coset(None), TooLarge,
+                 "monomial: cannot list an infinite or symbolic group ((K^x)^1)",
+                 id="infinite-group"),
+    pytest.param(lambda: GroupDescription(2, field=PrimeField(1009)).coset(None), TooLarge,
+                 "monomial: group order exceeds the listing cap 1000000 (order 1016064)",
+                 id="group-past-the-listing-cap"),
+    pytest.param(coset_with_a_zero_entry, InvariantViolation,
+                 "particular solution must lie in (K^x)^n", id="particular-with-a-zero"),
+])
+def test_unlistable_groups_and_bad_cosets_are_refused(call, error, message):
+    assert_raises_exactly(call, error, message)

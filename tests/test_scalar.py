@@ -22,7 +22,7 @@ from evoaut.scalar import (
     nth_roots,
 )
 
-from helpers import F2, F5, F7
+from helpers import F2, F5, F7, assert_raises_exactly
 
 PRIMES_TO_100 = [p for p in range(2, 101) if is_prime(p)]
 
@@ -289,3 +289,23 @@ def test_parse_matches_the_fraction_route(field, literal):
     else:
         got = field.parse(literal)
         assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: factorize(0), ValueError, "factorize expects a positive integer, got 0",
+                 id="factorize-0"),
+    pytest.param(lambda: nth_roots(F7, 0, 1), ValueError, "root index must be >= 1, got 0",
+                 id="0th-roots"),
+    pytest.param(lambda: mu_order(F7, 0), ValueError, "root index must be >= 1, got 0",
+                 id="mu-0"),
+    pytest.param(lambda: F7.scalar(1.5), EvoautError, "cannot coerce 1.5 into F_7",
+                 id="float-into-F7"),
+    pytest.param(lambda: QQ.scalar(1.5), EvoautError, "cannot coerce 1.5 into Q",
+                 id="float-into-Q"),
+    pytest.param(lambda: F7.scalar("3"), EvoautError, "cannot coerce '3' into F_7",
+                 id="string-into-F7"),   # strings go through parse
+    pytest.param(lambda: F7.zero ** -1, DivisionByZero, "0 has no negative powers",
+                 id="zero-to-a-negative-power"),
+])
+def test_out_of_range_arguments_are_refused(call, error, message):
+    assert_raises_exactly(call, error, message)
