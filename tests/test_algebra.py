@@ -26,10 +26,10 @@ from evoaut.scalar import QQ
 
 from helpers import (
     F2,
-    assert_raises_exactly,
     F3,
     F5,
     F7,
+    assert_raises_exactly,
     chain_2li_algebra,
     ear_algebra,
     random_algebra,

@@ -40,10 +40,10 @@ from evoaut.wgraph import GraphAutomorphism, enumerate_graph_automorphisms, tree
 
 from helpers import (
     F2,
-    assert_raises_exactly,
     F3,
     F5,
     F7,
+    assert_raises_exactly,
     count_snf_calls,
     drop_lift,
     ear_algebra,
