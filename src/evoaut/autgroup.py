@@ -7,8 +7,11 @@ exactly when the twisted system x_u**2 / x_v == w(u,v) / w(sigma u, sigma v)
 is solvable; the union of all lifted cosets is a group, a semidirect product
 of the diagonal subgroup by the lifted graph symmetries.  The systems are
 read off the algebra's edge list and share one exponent decomposition per
-algebra; closure is checked by generators, on the permutation tuples.  Every
-sigma's right-hand sides come from ``edge_quotients``, over F_p as residues
+algebra; closure is checked by generators, on the permutation tuples.  The
+sigmas that do not lift come in whole cosets of the lifted group L, so
+``assemble_aut`` solves once per coset it meets and skips the rest of it,
+then solves each failed sigma once more, moved by a lift, to confirm that it
+fails.  Every sigma's right-hand sides come from ``edge_quotients``, over F_p as residues
 w(e) * w(sigma e)**-1 mod p; ``ExponentDecomposition.particular`` takes
 their discrete logs, each once per algebra, solves in logs and builds scalars
 only for its answer.  Each lift is checked once, by the
@@ -258,9 +261,11 @@ class AutPresentation(Value):
 
     ``decomposition`` solves the diagonal and every twisted system; ``diag`` is
     its homogeneous group.  ``lifted`` pairs each liftable graph automorphism
-    with its canonical particular lift (the section of the quotient map); the
-    lifted sigmas are checked by generators to form a group, and their
-    composition ``table``, indexed like ``lifted``, is computed on demand.
+    with its canonical particular lift (the section of the quotient map), and
+    ``not_lifted`` holds the others, each solved or in the coset of a failed
+    one under the lifted group; the lifted sigmas are checked by generators
+    to form a group, and their composition ``table``, indexed like
+    ``lifted``, is computed on demand.
     ``full_automorphism_group`` is True when the algebra is 2LI or its structure
     matrix is invertible, so that U is all of Aut(A); otherwise U may be proper.
     """
@@ -324,21 +329,50 @@ class AutPresentation(Value):
 
 
 def assemble_aut(algebra: EvolutionAlgebra) -> AutPresentation:
-    """Enumerate graph symmetries, keep the liftable ones, verify closure."""
+    """Enumerate graph symmetries, keep the liftable ones, verify closure.
+
+    The lifted sigmas form a group L, so a sigma that does not lift takes its
+    whole coset with it: once tau has failed its solve and h is a verified
+    lift, tau . h cannot lift, and its solve is skipped.  A wrong "no
+    solution" could hide behind such skips, so after the closure check each
+    failed tau is solved once more as tau . h for one non-identity lift h,
+    which must fail too.
+    """
     autos = enumerate_graph_automorphisms(algebra)
     decomposition = ExponentDecomposition(diag_system(algebra))
     quotients = edge_quotients(algebra)
     lifted = []
     not_lifted = []
+    # barred holds each tau . h, for a failed tau and a verified lift h, that
+    # the walk has yet to reach: the sigmas come in sorted order, so a product
+    # behind sigma is never looked up.  itemgetter(*h)(tau) is tau . h; a
+    # failed tau and a lift h are two sigmas, so n >= 2 and it is a tuple
+    failed = []     # the sigmas whose solve failed
+    barred = set()
     for ga in autos:
-        scales = decomposition.particular(quotients(ga.sigma))
+        sigma = ga.sigma
+        if sigma in barred:
+            barred.remove(sigma)
+            not_lifted.append(ga)
+            continue
+        scales = decomposition.particular(quotients(sigma))
         if scales is not None:
-            lifted.append((ga, MonomialAutomorphism(algebra, ga.sigma, scales)))
+            lifted.append((ga, MonomialAutomorphism(algebra, sigma, scales)))
+            if failed:
+                barred.update([x for x in map(itemgetter(*sigma), failed) if x > sigma])
         else:
             not_lifted.append(ga)
+            failed.append(sigma)
+            products = (tuple(map(sigma.__getitem__, h.sigma)) for h, _ in lifted)
+            barred.update([x for x in products if x > sigma])
     full = algebra.is_2li() or algebra.is_invertible()
-    return AutPresentation(algebra=algebra, decomposition=decomposition, lifted=tuple(lifted),
-                           not_lifted=tuple(not_lifted), full_automorphism_group=full)
+    presentation = AutPresentation(algebra=algebra, decomposition=decomposition,
+                                   lifted=tuple(lifted), not_lifted=tuple(not_lifted),
+                                   full_automorphism_group=full)
+    h = next((itemgetter(*ga.sigma) for ga, _ in lifted if not ga.is_identity()), None)
+    if h and any(decomposition.particular(quotients(h(tau))) is not None for tau in failed):
+        raise InvariantViolation("lifted sigmas are not closed under composition")
+    return presentation
 
 
 # -- brute-force oracle over F_p ----------------------------------------

@@ -7,11 +7,16 @@ one edge per ordered pair, each of nonzero weight.  That is exactly
 its edge list; a vertex is a basis index, or a label where ``tree_of`` takes
 seeds.  Only adjacency matters here, never weights.
 ``enumerate_graph_automorphisms`` lists the adjacency-preserving permutations
-by backtracking on a plain adjacency table and rechecks each one against the
-edge list.
+from a stabilizer chain: one first-leaf search on a plain adjacency table per
+candidate image of each base vertex gives a transversal per level, whose
+elements are checked against the edge list, and the group is their products.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from math import prod
+from operator import itemgetter, lt
 
 from .algebra import EvolutionAlgebra
 from .errors import DimensionMismatch, InvariantViolation, TooLarge, UnknownVertex
@@ -94,13 +99,21 @@ def is_unweighted_automorphism(algebra: EvolutionAlgebra, sigma) -> bool:
 def enumerate_graph_automorphisms(algebra: EvolutionAlgebra) -> list[GraphAutomorphism]:
     """All adjacency-preserving permutations, identity first.
 
-    Backtracking over vertices ordered by (out-degree, in-degree, loop flag,
-    label); candidates are pruned by that same invariant signature, and the
-    output is sorted lexicographically by permutation word.  The search reads
-    adjacency from a local n x n table, and every permutation it yields is
-    checked once more against the edge list.  ``MAX_AUTOMORPHISMS``
-    guards pathological near-symmetric graphs whose group would not fit in
-    memory anyway.
+    The group is listed from a stabilizer chain.  Vertices are ordered by
+    (out-degree, in-degree, loop flag, label), and candidates are pruned by
+    that same invariant signature.  At base level k, with ``order[:k]`` fixed
+    pointwise, one first-leaf search per candidate image w of ``order[k]``
+    finds an automorphism that fixes them and maps ``order[k]`` to w, if there
+    is one; the identity answers for ``order[k]`` itself.  Those searches give
+    a transversal T_k of the level's stabilizer, and they explore disjoint
+    parts of the full backtracking tree.  So |Aut| = prod |T_k| is known
+    before any element is listed, which lets ``MAX_AUTOMORPHISMS`` refuse
+    near-symmetric graphs whose group would not fit in memory at once.  The
+    group is the products T_0 . T_1 ... (each term applied after the next),
+    sorted lexicographically by permutation word.  The search reads
+    adjacency from a local n x n table; every transversal element is checked
+    against the edge list, which makes every product an automorphism, and
+    the listing must hold exactly prod |T_k| distinct permutations.
     """
     n = algebra.dim
     if n > DEFAULT_VERTEX_CAP:
@@ -113,21 +126,21 @@ def enumerate_graph_automorphisms(algebra: EvolutionAlgebra) -> list[GraphAutomo
     signature = [(sum(adjacent[v]), sum(entering[v]), adjacent[v][v]) for v in range(n)]
     order = sorted(range(n), key=lambda v: (signature[v], algebra.labels[v]))
     candidates = [[w for w in range(n) if signature[w] == signature[v]] for v in range(n)]
+    options = [candidates[v] for v in order] + [()]   # the images tried at each level
     assigned: list[tuple[int, int]] = []
-    image = [0] * n
+    image = list(range(n))
     used = [False] * n
-    found: list[tuple[int, ...]] = []
 
-    def backtrack(k: int):
+    def first_leaf(k: int, images, found=None) -> bool:
+        """At the node where order[:k] is assigned, try order[k] -> w for each
+        w of ``images``, depth first, and stop at the first full assignment
+        below, left in ``image``.  Given a list ``found``, append the first
+        full assignment below each w to it instead, and go on to the next w."""
         if k == n:
-            if len(found) >= MAX_AUTOMORPHISMS:
-                raise TooLarge(f"wgraph: more than {MAX_AUTOMORPHISMS} graph automorphisms "
-                               f"({n} vertices)")
-            found.append(tuple(image))
-            return
+            return True
         v = order[k]
         into_v, out_of_v = entering[v], adjacent[v]
-        for w in candidates[v]:
+        for w in images:
             if used[w]:
                 continue
             into_w, out_of_w = entering[w], adjacent[w]
@@ -138,16 +151,42 @@ def enumerate_graph_automorphisms(algebra: EvolutionAlgebra) -> list[GraphAutomo
                 assigned.append((v, w))
                 image[v] = w
                 used[w] = True
-                backtrack(k + 1)
+                if first_leaf(k + 1, options[k + 1]):
+                    if found is None:
+                        return True
+                    found.append(tuple(image))
+                    for _, img in assigned[k + 1:]:
+                        used[img] = False
+                    del assigned[k + 1:]
                 used[w] = False
                 assigned.pop()
+        return False
 
-    backtrack(0)
-    sigmas = sorted(found)
+    identity = tuple(range(n))
     edges = algebra.weights.keys()
-    for sigma in sigmas:
-        if {(sigma[u], sigma[v]) for u, v in edges} != edges:
-            raise InvariantViolation(f"search produced a non-automorphism {sigma}")
+    transversals = []
+    for k, v in enumerate(order):
+        found = []
+        first_leaf(k, [w for w in options[k] if w != v], found)
+        for sigma in found:
+            if {(sigma[a], sigma[b]) for a, b in edges} != edges:
+                raise InvariantViolation(f"search produced a non-automorphism {sigma}")
+        transversals.append([identity] + found)
+        assigned.append((v, v))
+        image[v] = v
+        used[v] = True
+    size = prod(map(len, transversals))
+    if size > MAX_AUTOMORPHISMS:
+        raise TooLarge(f"wgraph: more than {MAX_AUTOMORPHISMS} graph automorphisms "
+                       f"({n} vertices)")
+    sigmas = [identity]
+    for level in transversals:
+        if len(level) > 1:   # itemgetter(*t)(s) is s after t; n >= 2 here, so it is a tuple
+            after = [itemgetter(*t) for t in level]
+            sigmas = [product(s) for s in sigmas for product in after]
+    sigmas.sort()
+    if not all(map(lt, sigmas, islice(sigmas, 1, None))):
+        raise InvariantViolation("stabilizer chain listed an automorphism twice")
     result = [GraphAutomorphism(sigma) for sigma in sigmas]
     if not result or not result[0].is_identity():
         raise InvariantViolation("identity automorphism missing from enumeration")

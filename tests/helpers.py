@@ -1,9 +1,10 @@
 """Shared builders for the test suite: named algebras, the random corpus,
 dense views of an algebra's structure matrix, scalar references for the
 solver's log arithmetic, references for the structural predicates, the
-natural-basis and 2-power-tower oracles and the Smith normal form's
-elimination, monkeypatch probes into the solver, and an exact check of a
-raised error."""
+natural-basis and 2-power-tower oracles, the Smith normal form's
+elimination, the graph-symmetry backtracking and the solve-every-sigma
+assembly, monkeypatch and profiling probes into the solver and the listing,
+and an exact check of a raised error."""
 
 import itertools
 import math
@@ -14,11 +15,13 @@ import sys
 from operator import index
 from pathlib import Path
 
-from evoaut import EvolutionAlgebra, autgroup, monomial
-from evoaut.monomial import power_product
+from evoaut import EvolutionAlgebra, autgroup, monomial, wgraph
+from evoaut.autgroup import AutPresentation
+from evoaut.monomial import ExponentDecomposition, power_product
 from evoaut.scalar import PrimeField, QQ, mu_order, nth_roots
 from evoaut.snf import ADD, NEGATE, SWAP, SmithDecomposition, _sparse_rows
 from evoaut.limits import tate_stationary_index
+from evoaut.wgraph import GraphAutomorphism
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -61,23 +64,47 @@ def chain_2li_algebra(field, n):
     return EvolutionAlgebra.from_squares(field, squares)
 
 
-def star_algebra(field, spokes=3):
-    """spokes vertices squaring to a common sink w with w^2 = 0."""
+def star_algebra(field, spokes=3, weights=None):
+    """spokes vertices squaring to a common sink w with w^2 = 0: spoke i to
+    weights[i] * w, or to w itself."""
     n = spokes + 1
     squares = []
     for i in range(spokes):
         col = [0] * n
-        col[n - 1] = 1
+        col[n - 1] = 1 if weights is None else weights[i]
         squares.append(col)
     squares.append([0] * n)
     return EvolutionAlgebra.from_squares(field, squares)
 
 
-def two_cycles_algebra(field, k):
-    """k disjoint 2-cycles u^2 = v, v^2 = u, weights 1."""
+def split_star_algebra(field, minority, majority):
+    """The star whose first ``minority`` spokes weigh a non-square of the
+    field and the other ``majority`` weigh 1: only the sigmas that keep the
+    two classes, or swap them when they are equal in size, lift."""
+    non_square = next(x for x in range(2, field.p) if pow(x, (field.p - 1) // 2, field.p) != 1)
+    return star_algebra(field, minority + majority, [non_square] * minority + [1] * majority)
+
+
+def two_cycles_algebra(field, k, weights=(1, 1)):
+    """k disjoint 2-cycles u^2 = a v, v^2 = b u, with (a, b) = ``weights``."""
     squares = [[0] * (2 * k) for _ in range(2 * k)]
     for b in range(k):
-        squares[2 * b][2 * b + 1] = squares[2 * b + 1][2 * b] = 1
+        squares[2 * b][2 * b + 1], squares[2 * b + 1][2 * b] = weights
+    return EvolutionAlgebra.from_squares(field, squares)
+
+
+def block_union_algebra(field, blocks, perm=None):
+    """The direct sum of algebras given by their square rows, with basis
+    element i of the sum relabelled perm[i]."""
+    n = sum(map(len, blocks))
+    perm = perm or list(range(n))
+    squares = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, w in enumerate(row):
+                squares[perm[at + i]][perm[at + j]] = w
+        at += len(block)
     return EvolutionAlgebra.from_squares(field, squares)
 
 
@@ -465,6 +492,108 @@ def reference_smith_normal_form(matrix, width) -> SmithDecomposition:
 
     return SmithDecomposition(matrix=a, width=n, row_ops=row_ops, col_ops=col_ops,
                               diagonal=[d[k].get(k, 0) for k in range(min(m, n))])
+
+
+def reference_graph_automorphisms(algebra, nodes=None) -> list[tuple[int, ...]]:
+    """Reference listing of the graph symmetries, sorted: plain backtracking
+    over the vertices ordered by (out-degree, in-degree, loop flag, label),
+    each candidate pruned by that signature and by its adjacency to the
+    vertices already assigned, collecting every leaf.  Given a list,
+    ``nodes`` gets the number of consistent partial assignments visited,
+    the empty one and the leaves included."""
+    n = algebra.dim
+    adjacent = [[False] * n for _ in range(n)]
+    for u, v, _ in algebra.edges:
+        adjacent[u][v] = True
+    entering = list(zip(*adjacent))
+    signature = [(sum(adjacent[v]), sum(entering[v]), adjacent[v][v]) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (signature[v], algebra.labels[v]))
+    candidates = [[w for w in range(n) if signature[w] == signature[v]] for v in range(n)]
+    assigned, image, used, found = [], [0] * n, [False] * n, []
+    visited = 0
+
+    def backtrack(k):
+        nonlocal visited
+        visited += 1
+        if k == n:
+            found.append(tuple(image))
+            return
+        v = order[k]
+        into_v, out_of_v = entering[v], adjacent[v]
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            into_w, out_of_w = entering[w], adjacent[w]
+            for u, img in assigned:
+                if into_v[u] != into_w[img] or out_of_v[u] != out_of_w[img]:
+                    break
+            else:
+                assigned.append((v, w))
+                image[v] = w
+                used[w] = True
+                backtrack(k + 1)
+                used[w] = False
+                assigned.pop()
+
+    backtrack(0)
+    if nodes is not None:
+        nodes.append(visited)
+    return sorted(found)
+
+
+def reference_assemble_aut(algebra) -> AutPresentation:
+    """``assemble_aut`` as it was before coset skipping: one solve for every
+    sigma of the reference listing."""
+    decomposition = ExponentDecomposition(autgroup.diag_system(algebra))
+    quotients = autgroup.edge_quotients(algebra)
+    lifted, not_lifted = [], []
+    for sigma in reference_graph_automorphisms(algebra):
+        scales = decomposition.particular(quotients(sigma))
+        if scales is None:
+            not_lifted.append(GraphAutomorphism(sigma))
+        else:
+            lifted.append((GraphAutomorphism(sigma),
+                           autgroup.MonomialAutomorphism(algebra, sigma, scales)))
+    return AutPresentation(algebra, decomposition, tuple(lifted), tuple(not_lifted),
+                           algebra.is_2li() or algebra.is_invertible())
+
+
+# the code of the listing's search from one node, which calls itself per child
+FIRST_LEAF = next(c for c in wgraph.enumerate_graph_automorphisms.__code__.co_consts
+                  if getattr(c, "co_name", None) == "first_leaf")
+
+
+def count_search_nodes(call) -> tuple:
+    """``call()``'s result and the number of nodes the stabilizer-chain
+    listing visited meanwhile: its calls of ``first_leaf``, the search from one
+    node of the backtracking tree."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is FIRST_LEAF:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def count_particular_calls(monkeypatch) -> list:
+    """Record the right-hand sides of every ``particular`` solve."""
+    calls = []
+    real = monomial.ExponentDecomposition.particular
+
+    def counting(self, rhs):
+        calls.append(rhs)
+        return real(self, rhs)
+
+    monkeypatch.setattr(monomial.ExponentDecomposition, "particular", counting)
+    return calls
 
 
 def count_snf_calls(monkeypatch) -> list:

@@ -44,6 +44,8 @@ from helpers import (
     F5,
     F7,
     assert_raises_exactly,
+    block_union_algebra,
+    count_particular_calls,
     count_snf_calls,
     drop_lift,
     ear_algebra,
@@ -51,7 +53,9 @@ from helpers import (
     run_python,
     scalar_generators,
     scalar_generators_hold,
+    reference_assemble_aut,
     scalar_particular,
+    split_star_algebra,
     square_relations_hold,
     star_algebra,
     structure_matrix,
@@ -899,6 +903,73 @@ def swapped_identity_presentation():
     identity = MonomialAutomorphism(algebra, (0, 1), (1, 1))
     return AutPresentation(algebra, assemble_aut(algebra).decomposition,
                            ((GraphAutomorphism((1, 0)), identity),), (), True)
+
+
+# weights of each field in more than one square class, where it has two
+CLASS_WEIGHTS = {F2: [1], F3: [1, 2], F5: [1, 2, 3, 4], F7: [1, 2, 3, 4, 5, 6],
+                 QQ: [1, 2, 3, -1, 4, Fraction(1, 2), -2]}
+
+
+def structured_algebras(field, rng):
+    """Split stars, disjoint 2-cycles with unequal weights and shuffled block
+    unions of small stars, cycles and loops: the families where the lifted
+    group L is nontrivial and yet some sigmas do not lift."""
+    weight = lambda: rng.choice(CLASS_WEIGHTS[field])
+    for spokes in (3, 4, 5, 6):
+        yield star_algebra(field, spokes, [weight() for _ in range(spokes)])
+    for k in (2, 3):
+        yield two_cycles_algebra(field, k, (weight(), weight()))
+    blocks = {"star": lambda: [[0, 0, weight()], [0, 0, weight()], [0, 0, 0]],
+              "2-cycle": lambda: [[0, weight()], [weight(), 0]],
+              "3-cycle": lambda: [[0, weight(), 0], [0, 0, weight()], [weight(), 0, 0]],
+              "loop": lambda: [[weight()]]}
+    for _ in range(10):
+        chosen = [blocks[kind]() for kind in rng.choices(sorted(blocks), k=4)]
+        n = sum(map(len, chosen))
+        yield block_union_algebra(field, chosen, rng.sample(range(n), n))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7, QQ], ids=str)
+def test_coset_skipping_equals_solving_every_sigma(field):
+    rng = random.Random(f"assembly-{field}")
+    mixed = 0
+    for algebra in structured_algebras(field, rng):
+        pres, expected = assemble_aut(algebra), reference_assemble_aut(algebra)
+        assert [(ga.sigma, lift.scales) for ga, lift in pres.lifted] == \
+            [(ga.sigma, lift.scales) for ga, lift in expected.lifted]
+        assert pres.not_lifted == expected.not_lifted
+        assert pres.full_automorphism_group == expected.full_automorphism_group
+        mixed += len(pres.lifted) > 1 and len(pres.not_lifted) > 0
+    # F_2 has one square class, so there every sigma lifts
+    assert mixed == 0 if field == F2 else mixed >= 5
+
+
+@pytest.mark.parametrize("algebra, sigmas, lifts, bound", [
+    # |L| solves that lift, and two per failed coset of L (its first sigma
+    # and the re-solve) when the walk meets the rest of the coset after the
+    # lifts that carry the failed sigma there
+    pytest.param(split_star_algebra(F7, 3, 4), 5040, 144, 212, id="F7-star-3+4"),
+    pytest.param(split_star_algebra(F7, 4, 4), 40320, 1152, 1288, id="F7-star-4+4"),
+    pytest.param(two_cycles_algebra(F7, 6, (1, 3)), 46080, 720, 846, id="F7-six-2-cycles"),
+])
+def test_assembly_solves_once_per_failed_coset(monkeypatch, algebra, sigmas, lifts, bound):
+    calls = count_particular_calls(monkeypatch)
+    pres = assemble_aut(algebra)
+    assert (len(pres.lifted), len(pres.lifted) + len(pres.not_lifted)) == (lifts, sigmas)
+    assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("algebra", [split_star_algebra(F7, 2, 3), split_star_algebra(F7, 3, 4)],
+                         ids=["F7-star-2+3", "F7-star-3+4"])
+def test_every_dropped_lift_is_caught_despite_coset_skipping(monkeypatch, algebra):
+    # a wrong "no solution" bars tau . h for every lift h, so the closure
+    # check alone may see a subgroup; the re-solve of tau . h then lifts
+    lifted = [ga.sigma for ga, _ in assemble_aut(algebra).lifted]
+    for dropped in lifted:
+        with monkeypatch.context() as patch:
+            drop_lift(patch, dropped)
+            with pytest.raises(InvariantViolation, match="lifted sigmas"):
+                assemble_aut(algebra)
 
 
 @pytest.mark.parametrize("call, error, message", [

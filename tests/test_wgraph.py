@@ -1,8 +1,12 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 
+from evoaut import wgraph
+from evoaut.algebra import EvolutionAlgebra
 from evoaut.errors import TooLarge, UnknownVertex
 from evoaut.files import parse_algebra, parse_graph, serialize_algebra, serialize_graph
 from evoaut.scalar import QQ
@@ -17,11 +21,17 @@ from evoaut.wgraph import (
 from helpers import (
     F5,
     F7,
+    assert_raises_exactly,
+    block_union_algebra,
+    count_search_nodes,
     ear_algebra,
     random_algebra,
     random_rational_algebra,
+    reference_graph_automorphisms,
     square_of,
+    star_algebra,
     structure_matrix,
+    two_cycles_algebra,
     two_loop_algebra,
     zero_algebra,
     zero_square_algebra,
@@ -138,6 +148,75 @@ def test_enumeration_matches_brute_force_and_is_a_group():
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
         enumerate_graph_automorphisms(zero_algebra(QQ, 13))
+
+
+def circulant_algebra(n, steps):
+    """The circulant digraph i -> i + s (mod n), s in ``steps``: vertex-transitive,
+    with the rotations in its group."""
+    return EvolutionAlgebra.from_squares(F5, [[1 if (j - i) % n in steps else 0
+                                               for j in range(n)] for i in range(n)])
+
+
+def regular_algebra(rng, n, degree):
+    """A random digraph in which every vertex has out- and in-degree ``degree``:
+    the union of ``degree`` random permutations that share no pair."""
+    while True:
+        squares = [[0] * n for _ in range(n)]
+        for _ in range(degree):
+            perm = rng.sample(range(n), n)
+            for i, j in enumerate(perm):
+                squares[i][j] += 1
+        if all(w <= 1 for row in squares for w in row):
+            return EvolutionAlgebra.from_squares(F5, squares)
+
+
+def structured_graphs():
+    rng = random.Random(59)
+    cycle = lambda k: [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
+    yield from (star_algebra(F7, k) for k in range(1, 8))
+    yield from (zero_algebra(F5, n) for n in range(1, 8))
+    yield two_cycles_algebra(F5, 4)
+    yield block_union_algebra(F5, [cycle(3), cycle(3), cycle(2)], rng.sample(range(8), 8))
+    yield block_union_algebra(F5, [cycle(4), cycle(4), [[1]]], rng.sample(range(9), 9))
+    for steps in ({1}, {1, 3}, {1, 2, 5}, {1, 4, 5}, {1, 2, 5, 7}):
+        yield circulant_algebra(12, steps)
+    for degree in (2, 3, 4):
+        yield from (regular_algebra(rng, 12, degree) for _ in range(3))
+
+
+def random_graphs():
+    rng = random.Random(61)
+    for _ in range(600):
+        yield random_algebra(rng, F5, rng.randint(1, 9),
+                             density=rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+
+
+@pytest.mark.parametrize("graphs", [structured_graphs, random_graphs])
+def test_chain_listing_equals_the_reference_backtracking(graphs):
+    # the stabilizer chain's searches are disjoint subtrees of the reference's
+    # one backtracking tree, and it never visits the fixed prefix's leaf, so
+    # it visits fewer nodes
+    for algebra in graphs():
+        nodes = []
+        expected = reference_graph_automorphisms(algebra, nodes)
+        listed, visited = count_search_nodes(lambda: enumerate_graph_automorphisms(algebra))
+        assert [ga.sigma for ga in listed] == expected
+        assert 0 < visited < nodes[0]
+
+
+def test_eleven_spokes_are_refused_before_any_sigma_is_listed(monkeypatch):
+    # the transversals give |Aut| = 11! before a product is formed
+    built = []
+    monkeypatch.setattr(wgraph, "GraphAutomorphism", lambda sigma: built.append(sigma))
+    algebra = star_algebra(F7, 11)
+    start = time.perf_counter()
+    _, visited = count_search_nodes(lambda: assert_raises_exactly(
+        lambda: enumerate_graph_automorphisms(algebra), TooLarge,
+        "wgraph: more than 100000 graph automorphisms (12 vertices)"))
+    elapsed = time.perf_counter() - start
+    assert built == [] and elapsed < 0.5
+    # one search per pair of spokes, each one node per level below it
+    assert visited < 12 * math.comb(11, 2)
 
 
 def test_cross_graph_isomorphism():
