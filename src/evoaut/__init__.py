@@ -24,11 +24,9 @@ from .autgroup import (
     bruteforce_aut,
     bruteforce_aut_count,
     compose,
-    diag_coset,
     diag_group,
     diag_system,
     invert,
-    twisted_limit,
     twisted_system,
 )
 from .errors import EvoautError
@@ -78,7 +76,6 @@ __all__ = [
     "bruteforce_aut",
     "bruteforce_aut_count",
     "compose",
-    "diag_coset",
     "diag_group",
     "diag_system",
     "loop_chain_algebra",
@@ -98,7 +95,6 @@ __all__ = [
     "tate_stationary_index",
     "tree_of",
     "truncated_chain",
-    "twisted_limit",
     "twisted_system",
     "verify_stationary_collapse",
     "verify_unique_basis_up_to_scaling",

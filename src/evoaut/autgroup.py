@@ -16,8 +16,8 @@ w(e) * w(sigma e)**-1 mod p; ``ExponentDecomposition.particular`` takes
 their discrete logs, each once per algebra, solves in logs and builds scalars
 only for its answer.  Each lift is checked once, by the
 ``MonomialAutomorphism`` built from it, on residues mod p: that check is the
-twisted system itself, so ``assemble_aut`` builds no ``SolutionCoset`` to
-repeat it.
+twisted system itself, so ``assemble_aut`` does not also certify the
+solution as ``solve_inhomogeneous`` does.
 
 ``bruteforce_aut`` is the independent oracle: it finds every invertible
 algebra homomorphism over F_p from the definition alone, assigning the image
@@ -49,17 +49,11 @@ from .monomial import (
     ExponentDecomposition,
     GroupDescription,
     MonomialSystem,
-    SolutionCoset,
     solve_homogeneous,
-    solve_inhomogeneous,
 )
 from .scalar import PrimeField, Scalar
 from .value import Value
-from .wgraph import (
-    GraphAutomorphism,
-    enumerate_graph_automorphisms,
-    is_unweighted_automorphism,
-)
+from .wgraph import GraphAutomorphism, enumerate_graph_automorphisms
 
 BRUTEFORCE_MATRIX_CAP = 10**8
 
@@ -184,8 +178,14 @@ def twisted_system(algebra: EvolutionAlgebra, sigma) -> MonomialSystem:
     Each edge u -> v of weight w contributes x_u**2 / x_v == w / w', where w'
     is the weight of the image edge sigma(u) -> sigma(v); a loop contributes
     the linear relation x_u == w / w'.  Rows follow the algebra's edge list.
+    A sigma that is not a permutation of the basis, or that maps an edge to a
+    non-edge, is NotAGraphAutomorphism; a permutation that maps every edge to
+    an edge maps the edge set onto itself, so that is a full adjacency check.
     """
-    quotients = edge_quotients(algebra)(tuple(sigma))
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(algebra.dim)):
+        raise NotAGraphAutomorphism(f"{sigma} is not a permutation of the basis")
+    quotients = edge_quotients(algebra)(sigma)
     return _edge_system(algebra, map(algebra.field.scalar, quotients))
 
 
@@ -231,29 +231,6 @@ def _edge_system(algebra: EvolutionAlgebra, rhs) -> MonomialSystem:
 def diag_group(algebra: EvolutionAlgebra) -> GroupDescription:
     """Structure of the diagonal automorphism group of (A, B)."""
     return solve_homogeneous(diag_system(algebra))
-
-
-def diag_coset(algebra: EvolutionAlgebra) -> SolutionCoset:
-    """The diagonal group as the coset of the identity lift."""
-    return solve_inhomogeneous(diag_system(algebra))
-
-
-def twisted_limit(algebra: EvolutionAlgebra, sigma) -> SolutionCoset:
-    """Solution coset of the lifting system for a graph automorphism sigma."""
-    if isinstance(sigma, GraphAutomorphism):
-        sigma = sigma.sigma
-    sigma = tuple(sigma)
-    if not is_unweighted_automorphism(algebra, sigma):
-        raise NotAGraphAutomorphism(f"{sigma} does not preserve the graph")
-    return solve_inhomogeneous(twisted_system(algebra, sigma))
-
-
-def coset_automorphisms(algebra: EvolutionAlgebra, sigma,
-                        coset: SolutionCoset) -> list[MonomialAutomorphism]:
-    """Materialize every automorphism in a feasible twisted coset (finite case)."""
-    if isinstance(sigma, GraphAutomorphism):
-        sigma = sigma.sigma
-    return [MonomialAutomorphism(algebra, sigma, xs) for xs in coset.elements()]
 
 
 class AutPresentation(Value):

@@ -158,10 +158,19 @@ def cmd_aut(args):
 
 # -- check ----------------------------------------------------------------
 
+def _items(option: str, literal: str) -> list[str]:
+    """The comma-separated items of a list option; an empty item is a ParseError."""
+    items = literal.split(",")
+    if "" in items:
+        raise ParseError(f"bad {option} {literal!r}: empty item")
+    return items
+
+
 def _naturality(algebra: EvolutionAlgebra, literal: str) -> str:
     """The verdict on a ``--vector`` literal; ParseError for a bad one."""
+    items = _items("--vector", literal)
     try:
-        vec = algebra.vector([algebra.field.parse(c) for c in literal.split(",") if c])
+        vec = algebra.vector([algebra.field.parse(c) for c in items])
         verdict = is_natural_vector(algebra, vec)  # refuses the zero vector
     except EvoautError as exc:
         raise ParseError(f"bad --vector {literal!r}: {exc}") from exc
@@ -284,8 +293,9 @@ def cmd_chain(args):
     if not args.exp:
         raise ParseError("chain requires --exp")
     field = parse_field_tag(args.field)
+    items = _items("--exp", args.exp)
     try:
-        exps = [int(e) for e in args.exp.split(",") if e]
+        exps = [int(e) for e in items]
     except ValueError as exc:
         raise ParseError(f"bad exponent list {args.exp!r}") from exc
     if args.depth is not None and args.depth < 1:

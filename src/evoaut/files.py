@@ -31,13 +31,15 @@ STRUCTURED_FORMAT = "evoaut/1"
 
 
 def parse_field_tag(tag: str) -> Field:
-    """``F<p>`` or ``Q`` into a field object."""
+    """``F<p>`` or ``Q`` into a field object; p is written in the ASCII
+    digits 0-9 only."""
     tag = tag.strip()
     if tag == "Q":
         return QQ
-    if tag.startswith("F") and tag[1:].isdigit():
+    digits = tag[1:]
+    if tag.startswith("F") and digits.isascii() and digits.isdigit():
         try:
-            return PrimeField(int(tag[1:]))
+            return PrimeField(int(digits))
         except EvoautError as exc:
             raise ParseError(f"bad field tag {tag!r}: {exc}") from exc
     raise ParseError(f"bad field tag {tag!r} (expected F<p> or Q)")

@@ -8,8 +8,9 @@ coordinates: the solution group of the homogeneous system is
 and an inhomogeneous system is either infeasible or a coset of that group.
 Systems that differ only in their right-hand sides share one
 ``ExponentDecomposition``: one per algebra serves all of its systems.  Its
-``solve`` returns a ``SolutionCoset``, which checks itself against the
-system; ``particular`` is the bare solution, for a caller that checks it.
+``particular`` is the bare solution, for a caller that checks it;
+``solve_inhomogeneous`` wraps it in a ``SolutionCoset``, which checks it
+against every row of the system in raw values.
 
 Over F_p everything runs in integers; scalars are built only where a public
 function returns them.  F_p^x is cyclic of order m = p - 1, so in discrete
@@ -76,10 +77,6 @@ class MonomialSystem(Value):
         system.field, system.n_vars, system.rows = field, n_vars, tuple(rows)
         return system
 
-    def satisfied_by(self, xs) -> bool:
-        xs = [self.field.scalar(x) for x in xs]
-        return all(power_product(self.field, xs, exps) == rhs for exps, rhs in self.rows)
-
 
 def _exponent_pairs(exps, n_vars: int) -> tuple[tuple[int, int], ...]:
     """An exponent row, as (v, e) pairs in increasing v order or dense, as
@@ -104,14 +101,6 @@ def _exponent_pairs(exps, n_vars: int) -> tuple[tuple[int, int], ...]:
     if len(dense) != n_vars:
         raise ValueError(f"exponent row {dense} does not have {n_vars} entries")
     return tuple((v, e) for v, e in enumerate(dense) if e)
-
-
-def power_product(field: Field, xs, exps) -> Scalar:
-    """prod xs[v] ** e over the (v, e) pairs of ``exps``; negative exponents invert."""
-    acc = field.one
-    for v, e in exps:
-        acc = acc * xs[v]**e
-    return acc
 
 
 class GroupDescription(Value):
@@ -205,7 +194,9 @@ class SolutionCoset(Value):
 
     ``particular`` is None exactly when the system is infeasible; the
     homogeneous description is meaningful either way.  ``__init__`` checks
-    ``particular`` against every relation, so each ``solve`` is certified.
+    ``particular`` against every relation in raw values, prod x_v**e as
+    ``pow(x, e, p)`` over F_p and as a Fraction power over Q, so each
+    ``solve_inhomogeneous`` is certified.
     """
 
     __slots__ = ("system", "particular", "homogeneous")
@@ -217,8 +208,15 @@ class SolutionCoset(Value):
                 raise InvariantViolation("particular solution has the wrong length")
             if any(x.is_zero() for x in particular):
                 raise InvariantViolation("particular solution must lie in (K^x)^n")
-            if not system.satisfied_by(particular):
-                raise InvariantViolation("particular solution fails the system")
+            field = system.field
+            raw, p = field.raw, field.characteristic
+            xs = [raw(field.scalar(x)) for x in particular]   # FieldMismatch for another field
+            for exps, rhs in system.rows:
+                value = 1
+                for v, e in exps:
+                    value = value * pow(xs[v], e, p) % p if p else value * xs[v] ** e
+                if value != raw(rhs):
+                    raise InvariantViolation("particular solution fails the system")
         self.system, self.particular, self.homogeneous = system, particular, homogeneous
 
     @property
@@ -278,8 +276,8 @@ class ExponentDecomposition:
     So a caller that only needs a trivial group builds neither, and one that
     only needs the group or the identity lift never builds U.  Every system
     with the same rows and any right-hand sides (an algebra's diagonal and
-    twisted systems) is solved against it.  The generators' scalars are
-    built once per distinct log.
+    twisted systems) is solved against it, by ``particular``.  The
+    generators' scalars are built once per distinct log.
 
     ``modulus`` is the order of the cyclic group the log coordinates live in:
     p - 1 over F_p (base: the field generator), 2 over Q (base: -1, the sign).
@@ -328,21 +326,12 @@ class ExponentDecomposition:
             self._v = self._snf.V
         return self._v
 
-    def solve(self, system: MonomialSystem) -> SolutionCoset:
-        """Solution coset of a system with this exponent matrix (Infeasible is a value),
-        certified by ``SolutionCoset`` against every relation of the system."""
-        if (system.field, system.n_vars) != (self.field, self.n_vars) \
-                or tuple(exps for exps, _ in system.rows) != self.exponents:
-            raise InvariantViolation("system's exponent rows differ from the decomposition's")
-        rhs = [self.field.raw(c) for _, c in system.rows]
-        return SolutionCoset(system=system, particular=self.particular(rhs),
-                             homogeneous=self.homogeneous)
-
     def particular(self, rhs) -> tuple[Scalar, ...] | None:
         """The canonical solution for right-hand sides ``rhs`` (one per exponent
         row, in row order, as raw values: residues over F_p, Fractions over
-        Q), or None when there is none.  Unchecked: ``solve`` certifies it,
-        and a caller that uses it directly checks it itself.
+        Q), or None when there is none.  Unchecked: ``solve_inhomogeneous``
+        certifies it through ``SolutionCoset``, and ``assemble_aut`` through
+        the lift it builds.
 
         The right-hand sides are transformed by U; the system is solvable iff
         every zero row yields 1 and every diagonal equation y**d == c' has a
@@ -421,8 +410,12 @@ def solve_homogeneous(system: MonomialSystem) -> GroupDescription:
 
 
 def solve_inhomogeneous(system: MonomialSystem) -> SolutionCoset:
-    """Full solution coset of a monomial system; see ``ExponentDecomposition.solve``."""
-    return ExponentDecomposition(system).solve(system)
+    """Full solution coset of a monomial system (Infeasible is a value): the
+    canonical ``particular`` solution for the system's raw right-hand sides,
+    certified by ``SolutionCoset`` against every relation."""
+    decomposition = ExponentDecomposition(system)
+    particular = decomposition.particular([system.field.raw(c) for _, c in system.rows])
+    return SolutionCoset(system, particular, decomposition.homogeneous)
 
 
 def check_scan_cap(p: int, n_vars: int) -> None:

@@ -91,11 +91,6 @@ def is_graph_isomorphism(algebra: EvolutionAlgebra, other: EvolutionAlgebra, sig
     return {(sigma[u], sigma[v]) for u, v, _ in algebra.edges} == other.weights.keys()
 
 
-def is_unweighted_automorphism(algebra: EvolutionAlgebra, sigma) -> bool:
-    """Does sigma preserve adjacency of the graph (both directions)?"""
-    return is_graph_isomorphism(algebra, algebra, sigma)
-
-
 def enumerate_graph_automorphisms(algebra: EvolutionAlgebra) -> list[GraphAutomorphism]:
     """All adjacency-preserving permutations, identity first.
 

@@ -1,10 +1,10 @@
 """Shared builders for the test suite: named algebras, the random corpus,
 dense views of an algebra's structure matrix, scalar references for the
-solver's log arithmetic, references for the structural predicates, the
-natural-basis and 2-power-tower oracles, the Smith normal form's
-elimination, the graph-symmetry backtracking and the solve-every-sigma
-assembly, monkeypatch and profiling probes into the solver and the listing,
-and an exact check of a raised error."""
+solver's log arithmetic, the scalar-certified solve chain, references for
+the structural predicates, the natural-basis and 2-power-tower oracles, the
+Smith normal form's elimination, the graph-symmetry backtracking and the
+solve-every-sigma assembly, monkeypatch and profiling probes into the
+solver and the listing, and an exact check of a raised error."""
 
 import itertools
 import math
@@ -17,7 +17,8 @@ from pathlib import Path
 
 from evoaut import EvolutionAlgebra, autgroup, monomial, wgraph
 from evoaut.autgroup import AutPresentation
-from evoaut.monomial import ExponentDecomposition, power_product
+from evoaut.errors import InvariantViolation, NotAGraphAutomorphism
+from evoaut.monomial import ExponentDecomposition
 from evoaut.scalar import PrimeField, QQ, mu_order, nth_roots
 from evoaut.snf import ADD, NEGATE, SWAP, SmithDecomposition, _sparse_rows
 from evoaut.limits import tate_stationary_index
@@ -238,6 +239,69 @@ def scalar_generators_hold(decomposition) -> bool:
     return all(power_product(field, gen, exps) == field.one
                for gen in decomposition.homogeneous.generators
                for exps in decomposition.exponents)
+
+
+# -- the scalar-certified solve chain, kept as a reference ---------------------
+
+def power_product(field, xs, exps):
+    """prod xs[v] ** e over the (v, e) pairs of ``exps``, in scalars;
+    negative exponents invert."""
+    acc = field.one
+    for v, e in exps:
+        acc = acc * xs[v]**e
+    return acc
+
+
+def satisfied_by(system, xs) -> bool:
+    """Reference check of a solution vector against every row of ``system``,
+    in scalar arithmetic: the independent oracle for the raw-value check in
+    ``SolutionCoset``."""
+    xs = [system.field.scalar(x) for x in xs]
+    return all(power_product(system.field, xs, exps) == rhs for exps, rhs in system.rows)
+
+
+def solve(decomposition, system):
+    """The solution coset of a system with ``decomposition``'s exponent rows,
+    as ``ExponentDecomposition.solve`` once gave it: other rows, another field
+    or width are InvariantViolation, and a particular solution must also
+    pass the scalar ``satisfied_by``."""
+    if (system.field, system.n_vars) != (decomposition.field, decomposition.n_vars) \
+            or tuple(exps for exps, _ in system.rows) != decomposition.exponents:
+        raise InvariantViolation("system's exponent rows differ from the decomposition's")
+    particular = decomposition.particular([system.field.raw(c) for _, c in system.rows])
+    coset = monomial.SolutionCoset(system, particular, decomposition.homogeneous)
+    assert particular is None or satisfied_by(system, particular)
+    return coset
+
+
+def diag_coset(algebra):
+    """The diagonal group as the coset of the identity lift."""
+    system = autgroup.diag_system(algebra)
+    return solve(ExponentDecomposition(system), system)
+
+
+def is_unweighted_automorphism(algebra, sigma) -> bool:
+    """Does sigma preserve adjacency of the graph (both directions)?"""
+    return wgraph.is_graph_isomorphism(algebra, algebra, sigma)
+
+
+def twisted_limit(algebra, sigma):
+    """Solution coset of the lifting system for a graph automorphism sigma
+    (a tuple or a ``GraphAutomorphism``), which must preserve the graph."""
+    if isinstance(sigma, GraphAutomorphism):
+        sigma = sigma.sigma
+    sigma = tuple(sigma)
+    if not is_unweighted_automorphism(algebra, sigma):
+        raise NotAGraphAutomorphism(f"{sigma} does not preserve the graph")
+    system = autgroup.twisted_system(algebra, sigma)
+    return solve(ExponentDecomposition(system), system)
+
+
+def coset_automorphisms(algebra, sigma, coset):
+    """Every automorphism of a feasible twisted coset (finite case)."""
+    if isinstance(sigma, GraphAutomorphism):
+        sigma = sigma.sigma
+    return [autgroup.MonomialAutomorphism(algebra, sigma, xs) for xs in coset.elements()]
 
 
 def dense_exponent_rows(algebra):

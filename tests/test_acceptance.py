@@ -18,12 +18,9 @@ from evoaut.autgroup import (
     bruteforce_aut,
     bruteforce_aut_count,
     compose,
-    coset_automorphisms,
-    diag_coset,
     diag_system,
     invert,
     is_automorphism_matrix,
-    twisted_limit,
     twisted_system,
 )
 from evoaut.cli import main
@@ -43,10 +40,13 @@ from helpers import (
     F3,
     F5,
     F7,
+    coset_automorphisms,
+    diag_coset,
     ear_algebra,
     random_algebra,
     random_rational_algebra,
     three_cycle_algebra,
+    twisted_limit,
     two_loop_algebra,
     zero_square_algebra,
 )

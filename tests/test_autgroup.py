@@ -16,13 +16,10 @@ from evoaut.autgroup import (
     bruteforce_aut,
     bruteforce_aut_count,
     compose,
-    coset_automorphisms,
-    diag_coset,
     diag_group,
     diag_system,
     invert,
     is_automorphism_matrix,
-    twisted_limit,
 )
 from evoaut.errors import (
     AlgebraMismatch,
@@ -33,6 +30,7 @@ from evoaut.errors import (
     NotPrimeField,
     TooLarge,
 )
+from evoaut.files import parse_algebra
 from evoaut.monomial import ExponentDecomposition, GroupDescription, MonomialSystem
 from evoaut.scalar import FpScalar, PrimeField, QQ
 from evoaut.snf import SmithDecomposition
@@ -45,8 +43,10 @@ from helpers import (
     F7,
     assert_raises_exactly,
     block_union_algebra,
+    coset_automorphisms,
     count_particular_calls,
     count_snf_calls,
+    diag_coset,
     drop_lift,
     ear_algebra,
     random_algebra,
@@ -55,15 +55,19 @@ from helpers import (
     scalar_generators_hold,
     reference_assemble_aut,
     scalar_particular,
+    solve,
     split_star_algebra,
     square_relations_hold,
     star_algebra,
     structure_matrix,
     three_cycle_algebra,
+    twisted_limit,
     two_cycles_algebra,
     two_loop_algebra,
     zero_algebra,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def det_mod(T, p, n):
@@ -220,6 +224,17 @@ def test_edge_quotients_read_the_weights():
             autgroup.edge_quotients(a)((1, 0))
         with pytest.raises(NotAGraphAutomorphism):
             autgroup.twisted_system(a, (1, 0))
+
+
+@pytest.mark.parametrize("sigma", [(0, 0), (1, 0, 2), (0,), (1, 2)],
+                         ids=["repeated", "too-long", "too-short", "out-of-range"])
+def test_twisted_system_refuses_a_sigma_that_is_no_permutation(sigma):
+    # the two loops and the swap of samples/two_loops_swap_f5.alg; these once
+    # gave a system, or raised IndexError
+    algebra = parse_algebra((SAMPLES / "two_loops_swap_f5.alg").read_text())
+    assert algebra.dim == 2
+    assert_raises_exactly(lambda: autgroup.twisted_system(algebra, sigma),
+                          NotAGraphAutomorphism, f"{sigma} is not a permutation of the basis")
 
 
 def test_twisted_systems_of_one_algebra_share_one_quotient_map(monkeypatch):
@@ -420,7 +435,7 @@ def test_log_arithmetic_matches_the_scalar_reference():
         expected = scalar_particular(decomposition, rhs)
         system = MonomialSystem(algebra.field, algebra.dim,
                                 tuple(zip(decomposition.exponents, rhs)))
-        assert decomposition.solve(system).particular == expected
+        assert solve(decomposition, system).particular == expected
         feasible.add(expected is not None)
 
     check()
@@ -838,7 +853,7 @@ def test_assemble_runs_one_snf_per_algebra(monkeypatch):
     assert calls == [4]
     # the kept decomposition serves later solves without another SNF
     for ga, lift in pres.lifted:
-        coset = pres.decomposition.solve(autgroup.twisted_system(pres.algebra, ga.sigma))
+        coset = solve(pres.decomposition, autgroup.twisted_system(pres.algebra, ga.sigma))
         assert coset.particular == lift.scales
     assert len(pres.monomial_elements()) == pres.group_order()
     assert calls == [4]

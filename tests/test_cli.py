@@ -406,6 +406,39 @@ def test_zero_vector_is_a_validation_error(capsys):
     assert err == "error: bad --vector '0,0,0': the zero vector is never natural\n"
 
 
+EAR = SAMPLES / "cycle_with_ear.alg"   # a 5-dimensional algebra over Q
+
+
+@pytest.mark.parametrize("argv, message", [
+    # an empty item was once dropped: the first read as 1,0,0,0,0 and answered
+    (("check", EAR, "--vector", "1,,0,0,0,0"), "bad --vector '1,,0,0,0,0': empty item"),
+    (("check", EAR, "--vector", "1,,0,0,0"), "bad --vector '1,,0,0,0': empty item"),
+    (("check", EAR, "--vector", "1,0,0,0,0,"), "bad --vector '1,0,0,0,0,': empty item"),
+    (("check", EAR, "--vector", ""), "bad --vector '': empty item"),
+    (("chain", "--field", "F7", "--exp", "2,,3"), "bad --exp '2,,3': empty item"),
+    (("chain", "--field", "F7", "--exp", ",2"), "bad --exp ',2': empty item"),
+    # str.isdigit accepts these digits, and int() raised or read F\u0663 as F3
+    (("tate", "--field", "F\u00b2"), "bad field tag 'F\u00b2' (expected F<p> or Q)"),
+    (("chain", "--field", "F\u00b2", "--exp", "2"), "bad field tag 'F\u00b2' (expected F<p> or Q)"),
+    (("chain", "--field", "F\u0663", "--exp", "2"), "bad field tag 'F\u0663' (expected F<p> or Q)"),
+    (("diag", EAR, "--field", "F\u00b2"), "bad field tag 'F\u00b2' (expected F<p> or Q)"),
+], ids=["vector-inner", "vector-inner-short", "vector-trailing", "vector-empty", "exp-inner",
+        "exp-leading", "tate-superscript", "chain-superscript", "chain-arabic-indic",
+        "diag-superscript"])
+def test_empty_list_items_and_non_ascii_field_digits_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_field_line_in_non_ascii_digits_is_refused(capsys, tmp_path):
+    path = tmp_path / "superscript.alg"
+    path.write_text("field F\u00b2\nbasis a\nsq a = 1*a\n", encoding="utf-8")
+    for command in ("diag", "aut", "check", "oracle", "convert"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (
+            2, "", "error: bad field tag 'F\u00b2' (expected F<p> or Q) (line 1)\n")
+
+
 @pytest.mark.parametrize("command", ["aut", "oracle"])
 def test_vertex_cap_refuses_thirteen_vertices(capsys, tmp_path, command):
     path = tmp_path / "zero13.alg"

@@ -1,5 +1,24 @@
 import evoaut
 
+# The public API, name for name and in order: adding, removing or renaming an
+# export is a deliberate edit of this list.
+EXPORTS = [
+    "AutPresentation", "BasisChange", "ChainSpec", "EvolutionAlgebra", "EvoautError",
+    "GraphAutomorphism", "GroupDescription", "MonomialAutomorphism", "MonomialSystem",
+    "Naturality", "PrimeField", "QQ", "RationalField", "Scalar", "SmithDecomposition",
+    "SolutionCoset", "TruncatedLimit", "assemble_aut", "bruteforce_aut",
+    "bruteforce_aut_count", "compose", "diag_group", "diag_system", "loop_chain_algebra",
+    "loop_chain_diag_group", "dlog", "enumerate_graph_automorphisms",
+    "enumerate_solutions_bruteforce", "invert", "is_natural_vector", "mu_order", "nth_roots",
+    "same_orbit", "smith_normal_form", "solve_homogeneous", "solve_inhomogeneous",
+    "tate_module_2", "tate_stationary_index", "tree_of", "truncated_chain", "twisted_system",
+    "verify_stationary_collapse", "verify_unique_basis_up_to_scaling",
+]
+
+
+def test_public_api_is_pinned():
+    assert evoaut.__all__ == EXPORTS
+
 
 def test_every_export_resolves():
     assert [name for name in evoaut.__all__ if not hasattr(evoaut, name)] == []

@@ -50,6 +50,20 @@ def test_parse_field_tag():
         parse_field_tag("GF(7)")
 
 
+@pytest.mark.parametrize("tag", ["F\u00b2", "F\u0663", "F\uff17"],
+                         ids=["superscript-two", "arabic-indic-three", "fullwidth-seven"])
+def test_field_tag_digits_are_ascii(tag):
+    # str.isdigit accepts each of these, and int() reads the last two as 3
+    # and 7; a tag is refused as malformed instead, in a field line too
+    assert_raises_exactly(lambda: parse_field_tag(tag), ParseError,
+                          f"bad field tag {tag!r} (expected F<p> or Q)")
+    for parser, text in ((parse_algebra, f"field {tag}\nbasis a\n"),
+                         (parse_graph, f"vertices a\nfield {tag}\n")):
+        line = text.splitlines().index(f"field {tag}") + 1
+        assert_raises_exactly(lambda: parser(text), ParseError,
+                              f"bad field tag {tag!r} (expected F<p> or Q) (line {line})")
+
+
 def test_sample_files_round_trip():
     for path in sorted(SAMPLES.iterdir()):
         text = path.read_text()

@@ -6,7 +6,9 @@
 ``oracle`` and ``convert`` have no structured report, so the flag is a usage
 error there (exit 2, nothing on stdout).  ``tate`` and ``chain`` read no
 file; a fixed list of their command lines is pinned plain and with
-``--structured``.  Internal rewrites must leave every entry unchanged; a
+``--structured``.  A few malformed command lines, a field tag in non-ASCII
+digits and a list option with an empty item, are pinned as refusals (exit
+2, nothing on stdout).  Internal rewrites must leave every entry unchanged; a
 deliberate change of output regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -41,6 +43,13 @@ FILELESS = (
     ("chain", "--field", "F7", "--exp", "2,2", "--anchor", "3"),
     ("chain", "--field", "F5", "--exp", "2", "--depth", "3"),
 )
+REFUSED = (
+    ("tate", "--field", "F\u00b2"),
+    ("chain", "--field", "F\u0663", "--exp", "2"),
+    ("diag", "samples/cycle_with_ear.alg", "--field", "F\u00b2"),
+    ("chain", "--field", "F7", "--exp", "2,,3"),
+    ("check", "samples/cycle_with_ear.alg", "--vector", "1,,0,0,0,0"),
+)
 
 
 def golden_cases() -> list[tuple[str, ...]]:
@@ -49,7 +58,7 @@ def golden_cases() -> list[tuple[str, ...]]:
             for command in COMMANDS
             for flags in ((), ("--structured",))
             if not flags or command in STRUCTURED] + [
-        argv + flags for argv in FILELESS for flags in ((), ("--structured",))]
+        argv + flags for argv in FILELESS for flags in ((), ("--structured",))] + list(REFUSED)
 
 
 def refused_cases() -> list[tuple[str, ...]]:

@@ -14,14 +14,13 @@ from evoaut.monomial import (
     SolutionCoset,
     bruteforce_solution_sets,
     enumerate_solutions_bruteforce,
-    power_product,
     solve_homogeneous,
     solve_inhomogeneous,
 )
 from evoaut.scalar import PrimeField, QQ
 from evoaut.snf import SmithDecomposition, smith_normal_form
 
-from helpers import F3, F5, F7, assert_raises_exactly
+from helpers import F2, F3, F5, F7, assert_raises_exactly, power_product, satisfied_by, solve
 
 
 def system(field, n, rows):
@@ -315,10 +314,62 @@ def test_shared_scan_matches_a_direct_check_of_each_system():
                             for _ in range(rng.randint(0, 5))]
         systems.append(rng.choice(systems))  # equal right-hand sides share one list
         points = list(itertools.product(range(1, field.p), repeat=n))
-        expected = [[x for x in points if s.satisfied_by(x)] for s in systems]
+        expected = [[x for x in points if satisfied_by(s, x)] for s in systems]
         rights = (tuple(c.residue for _, c in s.rows) for s in systems)
         exponents = [e for e, _ in base.rows]
         assert bruteforce_solution_sets(field.p, n, exponents, rights) == expected
+
+
+def test_raw_certificate_accepts_what_the_scalar_check_accepts():
+    # SolutionCoset checks a particular solution in raw values: pow(x, e, p)
+    # over F_p, Fraction powers over Q.  The reference check evaluates each
+    # row in scalars; the two must agree on every vector, feasible or not
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    verdicts = set()
+
+    @st.composite
+    def cases(draw):
+        field = draw(st.sampled_from([F2, F3, F7, QQ]))
+        n = draw(st.integers(1, 4))
+
+        def unit():
+            if field is QQ:
+                return QQ.scalar(Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 5])),
+                                          draw(st.integers(1, 4))))
+            return field.scalar(draw(st.integers(1, field.p - 1)))
+
+        xs = tuple(unit() for _ in range(n))
+        rows = []
+        for _ in range(draw(st.integers(0, 4))):
+            exps = [0] * n
+            kind = draw(st.sampled_from(["random", "edge", "loop", "zero"]))
+            if kind == "random":
+                exps = [draw(st.integers(-3, 3)) for _ in range(n)]
+            elif kind == "edge" and n > 1:   # x_u**2 / x_v, as an algebra's edge gives it
+                u, v = draw(st.permutations(range(n)))[:2]
+                exps[u], exps[v] = 2, -1
+            elif kind != "zero":
+                exps[draw(st.integers(0, n - 1))] = 1
+            met = power_product(field, xs, enumerate(exps))
+            rows.append((exps, met if draw(st.booleans()) else unit()))
+        return system(field, n, rows), xs
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        s, xs = case
+        try:
+            SolutionCoset(s, xs, GroupDescription(free_rank=0))
+            accepted = True
+        except InvariantViolation as exc:
+            assert str(exc) == "particular solution fails the system"
+            accepted = False
+        assert accepted == satisfied_by(s, xs)
+        verdicts.add(accepted)
+
+    check()
+    assert verdicts == {True, False}
 
 
 def test_decomposition_solves_every_right_hand_side():
@@ -326,8 +377,8 @@ def test_decomposition_solves_every_right_hand_side():
     rng = random.Random(11)
     for _ in range(20):
         s = system(F7, 5, [(e, rng.randrange(1, 7)) for e, _ in EAR_ROWS])
-        assert decomposition.solve(s).elements() == enumerate_solutions_bruteforce(s)
-        assert decomposition.solve(s) == solve_inhomogeneous(s)
+        assert solve(decomposition, s).elements() == enumerate_solutions_bruteforce(s)
+        assert solve(decomposition, s) == solve_inhomogeneous(s)
 
 
 def test_decomposition_rejects_other_exponent_rows():
@@ -339,10 +390,10 @@ def test_decomposition_rejects_other_exponent_rows():
               system(F7, 6, [(e + [0], c) for e, c in EAR_ROWS])]
     for other in others:
         with pytest.raises(InvariantViolation):
-            decomposition.solve(other)
+            solve(decomposition, other)
     empty = ExponentDecomposition(system(F7, 2, []))
     with pytest.raises(InvariantViolation):
-        empty.solve(system(F7, 3, []))
+        solve(empty, system(F7, 3, []))
 
 
 def test_decomposition_replays_v_only_when_it_is_read(monkeypatch):

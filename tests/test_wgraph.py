@@ -14,7 +14,6 @@ from evoaut.wgraph import (
     GraphAutomorphism,
     enumerate_graph_automorphisms,
     is_graph_isomorphism,
-    is_unweighted_automorphism,
     tree_of,
 )
 
@@ -25,6 +24,7 @@ from helpers import (
     block_union_algebra,
     count_search_nodes,
     ear_algebra,
+    is_unweighted_automorphism,
     random_algebra,
     random_rational_algebra,
     reference_graph_automorphisms,
