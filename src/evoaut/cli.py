@@ -8,14 +8,23 @@ exceeded, 4 internal invariant violation.  Each ``cmd_*`` is a generator of
 report lines, without their newlines, and ``main`` is the one writer: it
 writes each line as it comes.  A command raises every error before its first
 line, so an exit of 2, 3 or 4 leaves stdout empty.
+
+The command line is read by one table, ``COMMANDS`` (each command's handler,
+whether it reads a file, and its options from ``OPTIONS``), and a short loop
+over argv that accepts what argparse accepted: options before or after the
+file, ``--opt value`` and ``--opt=value``, unique prefixes, negative numbers
+as values, a ``--`` before positionals, the last of a repeated option (every
+``--vector``).  ``-h`` prints the commands and options and exits 0; a usage
+error exits 2 with a usage line and an ``error:`` line on stderr.  So no
+command loads argparse, gettext or locale.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import os
 import sys
+import types
 
 from .algebra import EvolutionAlgebra, Naturality, is_natural_vector
 from .autgroup import (
@@ -293,11 +302,9 @@ def cmd_chain(args):
     if not args.exp:
         raise ParseError("chain requires --exp")
     field = parse_field_tag(args.field)
-    items = _items("--exp", args.exp)
-    try:
-        exps = [int(e) for e in items]
-    except ValueError as exc:
-        raise ParseError(f"bad exponent list {args.exp!r}") from exc
+    exps = [_ascii_int(e) for e in _items("--exp", args.exp)]
+    if None in exps:
+        raise ParseError(f"bad exponent list {args.exp!r}")
     if args.depth is not None and args.depth < 1:
         raise ParseError(f"--depth must be at least 1 (got {args.depth})")
     check_chain_budget(field, len(exps) if args.depth is None else args.depth)
@@ -342,37 +349,169 @@ def cmd_convert(args):
 
 # -- driver -----------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="evoaut",
-        description="automorphism groups of finite-dimensional evolution algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+# every option: its kind (a value, a flag, a repeatable list or an integer) and help
+OPTIONS = {
+    "--field": ("value", "field tag (F<p> or Q; graph-file default or tate/chain field)"),
+    "--vector": ("list", "comma-separated coordinates to test for naturality (repeatable)"),
+    "--exp": ("value", "comma-separated exponent sequence"),
+    "--depth": ("int", "chain depth (with a single --exp)"),
+    "--anchor": ("value", "anchor value for x_1**n_1"),
+    "--structured": ("flag", f"emit the {STRUCTURED_FORMAT} key-value format"),
+}
+# every command: its handler, whether it reads a file, its options and its help
+COMMANDS = {
+    "diag": (cmd_diag, True, ("--field", "--structured"), "diagonal automorphism group"),
+    "aut": (cmd_aut, True, ("--field", "--structured"), "full monomial automorphism presentation"),
+    "check": (cmd_check, True, ("--field", "--vector", "--structured"),
+              "structural predicate report"),
+    "oracle": (cmd_oracle, True, ("--field",), "brute-force cross-check report"),
+    "tate": (cmd_tate, False, ("--field", "--structured"),
+             "2-power inverse limit of roots of unity"),
+    "chain": (cmd_chain, False, ("--field", "--exp", "--depth", "--anchor", "--structured"),
+              "truncated power-map chain census"),
+    "convert": (cmd_convert, True, ("--field",), "algebra <-> graph conversion"),
+}
+HELP = ("-h", "--help")
 
-    def add(name, handler, needs_file, help_text):
-        p = sub.add_parser(name, help=help_text)
-        if needs_file:
-            p.add_argument("file", help="algebra or graph input file")
-        p.add_argument("--field", help="field tag (F<p> or Q; graph-file default "
-                                       "or tate/chain field)")
-        p.set_defaults(handler=handler)
-        return p
 
-    diag = add("diag", cmd_diag, True, "diagonal automorphism group")
-    aut = add("aut", cmd_aut, True, "full monomial automorphism presentation")
-    check = add("check", cmd_check, True, "structural predicate report")
-    check.add_argument("--vector", action="append",
-                       help="comma-separated coordinates to test for naturality")
-    add("oracle", cmd_oracle, True, "brute-force cross-check report")
-    tate = add("tate", cmd_tate, False, "2-power inverse limit of roots of unity")
-    chain = add("chain", cmd_chain, False, "truncated power-map chain census")
-    chain.add_argument("--exp", help="comma-separated exponent sequence")
-    chain.add_argument("--depth", type=int, help="chain depth (with a single --exp)")
-    chain.add_argument("--anchor", help="anchor value for x_1**n_1")
-    add("convert", cmd_convert, True, "algebra <-> graph conversion")
-    for p in (diag, aut, check, tate, chain):  # the commands with a structured report
-        p.add_argument("--structured", action="store_true",
-                       help=f"emit the {STRUCTURED_FORMAT} key-value format")
-    return parser
+def _ascii_int(text: str) -> int | None:
+    """``text`` as an int if it is ``-?[0-9]+`` in ASCII digits, else None."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
+def _usage(command=None) -> str:
+    if command is None:
+        return f"evoaut [-h] {{{','.join(COMMANDS)}}} ..."
+    _, reads_file, names, _ = COMMANDS[command]
+    words = [name if OPTIONS[name][0] == "flag" else f"{name} {name[2:].upper()}"
+             for name in names]
+    return " ".join([f"evoaut {command} [-h]"] + [f"[{word}]" for word in words]
+                    + ["file"] * reads_file)
+
+
+def _refuse(message: str, command=None):
+    """A usage error: the usage line and the message on stderr, and exit 2."""
+    sys.stderr.write(f"usage: {_usage(command)}\nerror: {message}\n")
+    raise SystemExit(2)
+
+
+def _help():
+    """The commands and options on stdout, and exit 0."""
+    lines = [f"usage: {_usage()}", "",
+             "automorphism groups of finite-dimensional evolution algebras", "", "commands:"]
+    for command, (_, _, _, text) in COMMANDS.items():
+        lines += [f"  {_usage(command)}", f"      {text}"]
+    lines += ["", "options, before or after the file, as --opt value or --opt=value, "
+              "or by a unique prefix:", f"  {'-h, --help':<17} show this help and exit"]
+    lines += [f"  {name if kind == 'flag' else f'{name} {name[2:].upper()}':<17} {text}"
+              for name, (kind, text) in OPTIONS.items()]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _option(token: str, names, command=None):
+    """``token`` as an option among ``names``: (name or None if unknown, the value
+    after "=" or None), or None for a positional.  A negative number and a token
+    with a space are positionals, as in argparse."""
+    if token in names:
+        return token, None
+    if not token.startswith("-") or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token.startswith("--"):
+        found = [option for option in names if option.startswith(name)]
+        if len(found) > 1:
+            _refuse(f"ambiguous option: {token} could match {', '.join(found)}", command)
+        if found:
+            return found[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    number, dot, fraction = token[1:].partition(".")
+    if (number + fraction).isdecimal() and (fraction.isdecimal() or not dot) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_command(command: str, tokens: list[str], extras: list[str]):
+    """The namespace of ``command`` from the tokens after it; unknown tokens go to ``extras``."""
+    handler, reads_file, names, _ = COMMANDS[command]
+    args = types.SimpleNamespace(command=command, handler=handler)
+    for name in names:
+        setattr(args, name[2:], False if OPTIONS[name][0] == "flag" else None)
+    # the first "--" ends the options; it goes with the file when it touches it
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, HELP + names, command) for token in tokens[:cut]]
+    kinds += ["--"] + [None] * (len(tokens) - cut - 1)
+    pending, i = reads_file, 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is None and pending:
+            args.file, pending = token, False
+            i += kinds[i:i + 1] == ["--"]
+        elif kind == "--" and pending and i < len(tokens):
+            args.file, pending = tokens[i], False
+            i += 1
+        elif kind is None or kind == "--" or kind[0] is None:
+            extras.append(token)
+        elif kind[1] is not None and (kind[0] in HELP or OPTIONS[kind[0]][0] == "flag"):
+            _refuse(f"argument {'-h/--help' if kind[0] in HELP else kind[0]}: "
+                    f"ignored explicit argument {kind[1]!r}", command)
+        elif kind[0] in HELP:
+            _help()
+        else:
+            name, value = kind
+            option_kind, dest = OPTIONS[name][0], name[2:]
+            if option_kind == "flag":
+                value = True
+            elif value is None:
+                if i == len(tokens) or kinds[i] is not None:
+                    _refuse(f"argument {name}: expected one argument", command)
+                value, i = tokens[i], i + 1
+            if option_kind == "int":
+                if (number := _ascii_int(value)) is None:
+                    _refuse(f"argument {name}: invalid int value: {value!r}", command)
+                value = number
+            elif option_kind == "list":
+                value = (getattr(args, dest) or []) + [value]
+            setattr(args, dest, value)
+    if pending:
+        _refuse("the following arguments are required: file", command)
+    return args
+
+
+def parse_args(argv=None):
+    """The attributes every ``cmd_*`` reads, from ``argv`` or the process's arguments.
+    A usage error exits 2 with nothing on stdout; ``-h`` prints the help and exits 0."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    extras = []   # the unknown options before the command, then those after it
+    for i, token in enumerate(tokens):
+        if token == "--" and i + 1 == len(tokens):   # a last "--" leaves no command;
+            break                                     # any other is read as one
+        kind = None if token == "--" else _option(token, HELP)
+        if kind is None:
+            if token not in COMMANDS:
+                _refuse(f"argument command: invalid choice: {token!r} "
+                        f"(choose from {', '.join(map(repr, COMMANDS))})")
+            args = _parse_command(token, tokens[i + 1:], extras)
+            if extras:
+                _refuse(f"unrecognized arguments: {' '.join(extras)}")
+            return args
+        if kind[0] is None:
+            extras.append(token)
+        elif kind[1] is not None:
+            _refuse(f"argument -h/--help: ignored explicit argument {kind[1]!r}")
+        else:
+            _help()
+    _refuse("the following arguments are required: command")
+
+
+def build_parser():
+    """The command-line parser: an object whose ``parse_args(argv)`` reads the command line."""
+    return types.SimpleNamespace(parse_args=parse_args)
 
 
 def main(argv=None) -> int:

@@ -717,3 +717,105 @@ def run_python(args, timeout, cwd=None):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable] + args, env=env, capture_output=True, text=True,
                           timeout=timeout, cwd=cwd)
+
+
+def reference_parser():
+    """The argparse parser the command line had before its own command table:
+    the reference that ``evoaut.cli.build_parser`` must agree with."""
+    import argparse
+
+    from evoaut import cli
+
+    parser = argparse.ArgumentParser(
+        prog="evoaut",
+        description="automorphism groups of finite-dimensional evolution algebras")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, needs_file, help_text):
+        p = sub.add_parser(name, help=help_text)
+        if needs_file:
+            p.add_argument("file", help="algebra or graph input file")
+        p.add_argument("--field", help="field tag (F<p> or Q; graph-file default "
+                                       "or tate/chain field)")
+        p.set_defaults(handler=handler)
+        return p
+
+    diag = add("diag", cli.cmd_diag, True, "diagonal automorphism group")
+    aut = add("aut", cli.cmd_aut, True, "full monomial automorphism presentation")
+    check = add("check", cli.cmd_check, True, "structural predicate report")
+    check.add_argument("--vector", action="append",
+                       help="comma-separated coordinates to test for naturality")
+    add("oracle", cli.cmd_oracle, True, "brute-force cross-check report")
+    tate = add("tate", cli.cmd_tate, False, "2-power inverse limit of roots of unity")
+    chain = add("chain", cli.cmd_chain, False, "truncated power-map chain census")
+    chain.add_argument("--exp", help="comma-separated exponent sequence")
+    chain.add_argument("--depth", type=int, help="chain depth (with a single --exp)")
+    chain.add_argument("--anchor", help="anchor value for x_1**n_1")
+    add("convert", cli.cmd_convert, True, "algebra <-> graph conversion")
+    for p in (diag, aut, check, tate, chain):  # the commands with a structured report
+        p.add_argument("--structured", action="store_true",
+                       help=f"emit the {cli.STRUCTURED_FORMAT} key-value format")
+    return parser
+
+
+# The command lines on which the parser and the reference must agree: up to
+# two units before the command, the command (an unknown one, or none), then
+# units in any order.  A unit is one option with its value, or one token.
+# "-hx" is left out: argparse reads it as -h from Python 3.13 on and refused
+# it before.
+PARITY_HEADS = ("diag", "aut", "check", "oracle", "tate", "chain", "convert", "frob", None)
+PARITY_UNITS = (("samples/star_spokes.alg",), ("extra",), ("--field", "F7"), ("--field=F7",),
+                ("--fi", "F7"), ("--field",), ("--structured",), ("--struct",),
+                ("--vector", "1,1,1"), ("--exp", "2,3"), ("--depth", "3"), ("--depth", "x"),
+                ("--depth",), ("--anchor", "-1"), ("--cap", "1"), ("--",), ("-h",))
+PARITY_ATTRIBUTES = ("command", "file", "field", "structured", "vector", "exp", "depth",
+                     "anchor", "handler")
+
+
+def parity_argv(prefix, head, units) -> list[str]:
+    return [t for unit in prefix for t in unit] + ([head] if head else []) + \
+        [t for unit in units for t in unit]
+
+
+def parse_outcome(parser, argv) -> tuple:
+    """(("exit", code) or the parsed attributes, stdout, stderr) of ``parser`` on ``argv``."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+            outcome = tuple(getattr(args, name, None) for name in PARITY_ATTRIBUTES)
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+    return outcome, out.getvalue(), err.getvalue()
+
+
+def parity_corpus(seed=CORPUS_SEED, count=4000):
+    """Every head with up to two units, then ``count`` seeded lines with a prefix."""
+    rng = random.Random(seed)
+    for size in range(3):
+        for head in PARITY_HEADS:
+            for units in itertools.product(PARITY_UNITS, repeat=size):
+                yield parity_argv((), head, units)
+    for _ in range(count):
+        yield parity_argv(rng.choices(PARITY_UNITS, k=rng.randint(0, 2)),
+                          rng.choice(PARITY_HEADS),
+                          rng.choices(PARITY_UNITS, k=rng.randint(0, 6)))
+
+
+def parity_differences(corpus) -> list[str]:
+    """The command lines of ``corpus`` on which the two parsers disagree, or on
+    which a refusal writes to stdout or lacks its error line."""
+    from evoaut.cli import build_parser
+
+    reference, parser = reference_parser(), build_parser()
+    differences = []
+    for argv in corpus:
+        expected = parse_outcome(reference, argv)[0]
+        outcome, out, err = parse_outcome(parser, argv)
+        if outcome != expected or outcome == ("exit", 2) and (out or "\nerror: " not in err) \
+                or outcome == ("exit", 0) and not out:
+            differences.append(f"{' '.join(argv)!r}: {outcome} against {expected}")
+    return differences

@@ -14,7 +14,8 @@ from evoaut.cli import main
 from evoaut.files import group_from_structured, parse_algebra, parse_structured, serialize_algebra
 from evoaut.scalar import PrimeField
 
-from helpers import count_snf_calls, drop_lift, run_python, two_cycles_algebra
+from helpers import (PARITY_HEADS, PARITY_UNITS, count_snf_calls, drop_lift,
+                     parity_argv, parity_differences, run_python, two_cycles_algebra)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 # runs the CLI on its arguments, then writes the process's peak RSS line to stderr
@@ -480,6 +481,66 @@ def test_cap_is_a_usage_error_where_nothing_reads_it(capsys, argv):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+CHAIN_USAGE = ("usage: evoaut chain [-h] [--field FIELD] [--exp EXP] [--depth DEPTH] "
+               "[--anchor ANCHOR] [--structured]\n")
+
+
+@pytest.mark.parametrize("exp", ["\u0663", "1_0", "\u0663,1_0", " 3", "+3", "3 ", "\u00b2"])
+def test_chain_reads_exponents_in_ascii_digits_only(capsys, exp):
+    # int() read these as 3, 10, "3,10", 3, 3, 3 and raised on the superscript
+    code, out, err = run(capsys, "chain", "--field", "F7", "--exp", exp)
+    assert (code, out, err) == (2, "", f"error: bad exponent list {exp!r}\n")
+
+
+@pytest.mark.parametrize("depth", ["\u0663", " 3", "1_0", "+3", "x", ""])
+def test_chain_depth_in_other_than_ascii_digits_is_a_usage_error(capsys, depth):
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "--field", "F7", "--exp", "2", "--depth", depth])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", CHAIN_USAGE +
+                                   f"error: argument --depth: invalid int value: {depth!r}\n")
+
+
+def test_help_lists_every_command_and_option(capsys):
+    from evoaut.cli import COMMANDS, OPTIONS
+
+    for argv in (["-h"], ["--help"], ["chain", "--he"], ["diag", "x.alg", "-h", "--cap"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for command, (_, _, _, text) in COMMANDS.items():
+            assert f"\n  evoaut {command} [-h]" in out and f"\n      {text}\n" in out
+        for name, (_, text) in OPTIONS.items():
+            assert f"\n  {name}" in out and f" {text}\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("diag", "--field", "F7", str(SAMPLES / "cycle_with_ear_f7.alg")),
+    ("diag", "--fi=F7", "--", str(SAMPLES / "cycle_with_ear_f7.alg")),
+    ("diag", str(SAMPLES / "cycle_with_ear_f7.alg"), "--fie", "F7"),
+])
+def test_options_go_before_or_after_the_file(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, "diag", SAMPLES / "cycle_with_ear_f7.alg")
+
+
+def test_parser_agrees_with_the_argparse_reference_property():
+    # the reference is the argparse parser the command line had; on every
+    # drawn command line both exit with one code or give the same attributes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    units = st.lists(st.sampled_from(PARITY_UNITS), max_size=6)
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.sampled_from(PARITY_UNITS), max_size=2),
+                      st.sampled_from(PARITY_HEADS), units)
+    def check(prefix, head, after):
+        assert parity_differences([parity_argv(prefix, head, after)]) == []
+
+    check()
+
+
 def test_oracle_refuses_an_oversized_scan_before_it_assembles(capsys, tmp_path):
     # Aut(graph) of six disjoint 2-cycles has 46,080 symmetries, all inside
     # the vertex cap; (p-1)^n = 6^12 is past the scan cap, so oracle refuses
@@ -576,7 +637,7 @@ def test_cli_loads_neither_dataclasses_nor_inspect(code):
     assert done.returncode == 0, done.stderr
     loaded = set(done.stderr.split())
     assert "evoaut.autgroup" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "argparse", "gettext", "locale"})
 
 
 LARGE_PRIME_Q = ("field Q\nbasis u1 u2\n"

@@ -7,8 +7,8 @@
 error there (exit 2, nothing on stdout).  ``tate`` and ``chain`` read no
 file; a fixed list of their command lines is pinned plain and with
 ``--structured``.  A few malformed command lines, a field tag in non-ASCII
-digits and a list option with an empty item, are pinned as refusals (exit
-2, nothing on stdout).  Internal rewrites must leave every entry unchanged; a
+digits, a list option with an empty item and a chain integer in other than
+ASCII digits, are pinned as refusals (exit 2, nothing on stdout).  Internal rewrites must leave every entry unchanged; a
 deliberate change of output regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -49,6 +49,9 @@ REFUSED = (
     ("diag", "samples/cycle_with_ear.alg", "--field", "F\u00b2"),
     ("chain", "--field", "F7", "--exp", "2,,3"),
     ("check", "samples/cycle_with_ear.alg", "--vector", "1,,0,0,0,0"),
+    ("chain", "--field", "F7", "--exp", "\u0663"),
+    ("chain", "--field", "F7", "--exp", "1_0"),
+    ("chain", "--field", "F7", "--exp", "2", "--depth", "\u0663"),
 )
 
 
@@ -72,7 +75,7 @@ def run_case(argv) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main([str(ROOT / a) if a.startswith("samples/") else a for a in argv])
-        except SystemExit as exc:  # argparse refuses the command line
+        except SystemExit as exc:  # the parser refuses the command line
             code = exc.code
     return {"exit": code, "stdout": out.getvalue()}
 
