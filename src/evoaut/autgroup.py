@@ -63,11 +63,11 @@ class MonomialAutomorphism:
 
     f(e_i)**2 == f(e_i**2) reads x_i**2 * w(sigma i -> sigma j) == w(i -> j) * x_j
     for all i, j, a missing edge weighing 0.  Construction checks this on every
-    edge, where a missing image edge fails it; over F_p it compares the two
-    sides as integers mod p, which is equality in F_p.  As sigma permutes the
-    ordered pairs, a map of the edges into the edges also maps non-edges to
-    non-edges: no graph symmetry is assumed, and an instance is an
-    automorphism by fiat.
+    edge, where a missing image edge fails it, comparing the two sides in raw
+    values: as integers mod p over F_p, and as Fractions over Q.  As sigma
+    permutes the ordered pairs, a map of the edges into the edges also maps
+    non-edges to non-edges: no graph symmetry is assumed, and an instance is
+    an automorphism by fiat.
     """
 
     def __init__(self, algebra: EvolutionAlgebra, sigma, scales):
@@ -92,8 +92,10 @@ class MonomialAutomorphism:
                       if (r[i] * r[i] * weights.get((sigma[i], sigma[j]), zero).residue
                           - w.residue * r[j]) % p]
         else:
+            f = [v.fraction for v in x]
             failed = [(i, j) for i, j, w in self.algebra.edges
-                      if x[i] * x[i] * weights.get((sigma[i], sigma[j]), zero) != w * x[j]]
+                      if f[i] * f[i] * weights.get((sigma[i], sigma[j]), zero).fraction
+                      != w.fraction * f[j]]
         if failed:
             raise NotAnAutomorphism(
                 f"sigma={self.sigma}, scales fail the square relation on edge "

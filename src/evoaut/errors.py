@@ -70,15 +70,11 @@ class DepthTooSmall(EvoautError):
 
 
 class ParseError(EvoautError):
-    """Input text is malformed; carries 1-based line/column when known."""
+    """Input text is malformed; carries the 1-based line when known."""
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.column = column
 
 
 class InvariantViolation(EvoautError):

@@ -25,15 +25,16 @@ sum_v a[v]*l[v] == 0 (mod m), which is the scalar check itself as the base
 has order exactly m.  ``GroupDescription.coset`` lists every finite group
 and coset, here, in the oracle and in the monomial automorphisms; it and the
 brute-force scan give sorted tuples of residues until ``elements`` or
-``enumerate_solutions_bruteforce`` wraps them.  Over Q the sign and each
-prime exponent give integer conditions solved in scalars; free factors stay
-symbolic, and only the finite sign part is listed.
+``enumerate_solutions_bruteforce`` wraps them.  Over Q ``particular`` works
+in Fractions and takes exact n-th roots; free factors stay symbolic, and only
+the finite sign part is listed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from operator import index, mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
@@ -379,14 +380,15 @@ class ExponentDecomposition:
         return x
 
     def _particular_rational(self, rhs) -> tuple[Scalar, ...] | None:
-        one = self.field.one
+        """``particular`` over Q, in Fractions: scalars only for the answer."""
+        one = Fraction(1)
         ys = [one] * self.n_vars
         for k, u_row in enumerate(self.U):
             c = one
             for j, e in u_row:
-                c = c * rhs[j] ** e
+                c *= rhs[j] ** e
             if k < self.rank:
-                roots = nth_roots(self.field, self.diagonal[k], c)
+                roots = [r.fraction for r in nth_roots(self.field, self.diagonal[k], c)]
                 if not roots:
                     return None
                 ys[k] = one if one in roots else roots[0]
@@ -395,8 +397,8 @@ class ExponentDecomposition:
         xs = [one] * self.n_vars
         for y, column in zip(ys, self.V):
             for i, e in column:
-                xs[i] = xs[i] * y**e
-        return tuple(xs)
+                xs[i] *= y**e
+        return tuple(map(self.field.scalar, xs))
 
 
 def solve_homogeneous(system: MonomialSystem) -> GroupDescription:

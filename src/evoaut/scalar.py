@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter, mul, sub
 
 from .errors import (
     DivisionByZero,
@@ -164,6 +164,9 @@ class PrimeField(Field):
             return FpScalar(self, num * pow(den, -1, self.p) % self.p)
         raise EvoautError(f"cannot coerce {value!r} into F_{self.p}")
 
+    def _from_raw(self, residue: int) -> "FpScalar":
+        return FpScalar(self, residue)   # the constructor reduces mod p
+
     def _log(self, x: int) -> int:
         """log_g(x) for a residue x in F_p^x, by baby-step giant-step.  With
         m = ceil(sqrt(p - 1)) baby steps g**j (j < m), the log is i*m + j for
@@ -209,6 +212,9 @@ class RationalField(Field):
             return QScalar(self, Fraction(value))
         raise EvoautError(f"cannot coerce {value!r} into Q")
 
+    def _from_raw(self, fraction: Fraction) -> "QScalar":
+        return QScalar(self, fraction)
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -223,30 +229,64 @@ QQ = RationalField()
 
 
 class Scalar:
-    """Base class; concrete scalars support +, -, *, /, ** and inv()."""
+    """Base class of the two fields' scalars.  +, -, * and / (by a scalar of
+    the same field, an int or a Fraction), unary -, ** (by an int) and inv()
+    are written once, here, on raw values: the field's ``raw`` reads each
+    operand, its ``characteristic`` chooses arithmetic mod p or in Fractions,
+    and its ``_from_raw`` builds the result."""
 
     field: Field
 
     def is_zero(self) -> bool:
         raise NotImplementedError
 
-    def inv(self) -> "Scalar":
-        raise NotImplementedError
-
-    def _coerce(self, other) -> "Scalar":
+    def _combine(self, other, op):
+        """op on the raw values of self and ``other``, a scalar of this field,
+        an int or a Fraction, as a scalar; NotImplemented for any other type."""
         if isinstance(other, Scalar):
             if other.field != self.field:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
-        return NotImplemented
+        elif isinstance(other, (int, Fraction)):
+            other = self.field.scalar(other)
+        else:
+            return NotImplemented
+        return self.field._from_raw(op(self.field.raw(self), self.field.raw(other)))
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __mul__(self, other):
+        return self._combine(other, mul)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        return self._combine(other, lambda x, y: x * self._inverse(y))
+
+    def __neg__(self):
+        return self.field._from_raw(-self.field.raw(self))
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
             return NotImplemented
-        return self * other.inv()
+        x, p = self.field.raw(self), self.field.characteristic
+        if not x and exponent < 0:
+            raise DivisionByZero("0 has no negative powers")
+        return self.field._from_raw(pow(x, exponent, p) if p else x**exponent)
+
+    def inv(self) -> "Scalar":
+        return self.field._from_raw(self._inverse(self.field.raw(self)))
+
+    def __repr__(self):
+        return f"{self.field!r}({self})"
+
+    def _inverse(self, x):
+        """The inverse of x, a raw value of this scalar's field."""
+        if not x:
+            raise DivisionByZero(f"0 is not invertible in {self.field}")
+        p = self.field.characteristic
+        return pow(x, -1, p) if p else 1 / x
 
 
 class FpScalar(Scalar):
@@ -261,41 +301,6 @@ class FpScalar(Scalar):
     def is_zero(self) -> bool:
         return self.residue == 0
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.field, self.residue + other.residue)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.field, self.residue - other.residue)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.field, self.residue * other.residue)
-
-    def __neg__(self):
-        return FpScalar(self.field, -self.residue)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if self.residue == 0:
-            if exponent < 0:
-                raise DivisionByZero("0 has no negative powers")
-            return FpScalar(self.field, 0 if exponent else 1)
-        return FpScalar(self.field, pow(self.residue, exponent, self.field.p))
-
-    def inv(self) -> "FpScalar":
-        if self.residue == 0:
-            raise DivisionByZero(f"0 is not invertible in {self.field}")
-        return FpScalar(self.field, pow(self.residue, -1, self.field.p))
-
     def __eq__(self, other):
         if isinstance(other, FpScalar):
             return self.field == other.field and self.residue == other.residue
@@ -308,9 +313,6 @@ class FpScalar(Scalar):
 
     def __str__(self):
         return str(self.residue)
-
-    def __repr__(self):
-        return f"F{self.field.p}({self.residue})"
 
 
 class QScalar(Scalar):
@@ -325,41 +327,6 @@ class QScalar(Scalar):
     def is_zero(self) -> bool:
         return not self.fraction
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QScalar(self.field, self.fraction + other.fraction)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QScalar(self.field, self.fraction - other.fraction)
-
-    def __neg__(self):
-        return QScalar(self.field, -self.fraction)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QScalar(self.field, self.fraction * other.fraction)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if not self.fraction:
-            if exponent < 0:
-                raise DivisionByZero("0 has no negative powers")
-            return QScalar(self.field, Fraction(1 if exponent == 0 else 0))
-        return QScalar(self.field, self.fraction**exponent)
-
-    def inv(self) -> "QScalar":
-        if not self.fraction:
-            raise DivisionByZero("0 is not invertible in Q")
-        return QScalar(self.field, 1 / self.fraction)
-
     def __eq__(self, other):
         if isinstance(other, QScalar):
             return self.fraction == other.fraction
@@ -372,9 +339,6 @@ class QScalar(Scalar):
 
     def __str__(self):
         return str(self.fraction)
-
-    def __repr__(self):
-        return f"Q({self.fraction})"
 
 
 def dlog(field: Field, x: Scalar) -> int:

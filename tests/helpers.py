@@ -12,13 +12,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from operator import index
 from pathlib import Path
 
 from evoaut import EvolutionAlgebra, autgroup, monomial, wgraph
 from evoaut.autgroup import AutPresentation
 from evoaut.errors import InvariantViolation, NotAGraphAutomorphism
-from evoaut.monomial import ExponentDecomposition
+from evoaut.monomial import ExponentDecomposition, MonomialSystem
 from evoaut.scalar import PrimeField, QQ, mu_order, nth_roots
 from evoaut.snf import ADD, NEGATE, SWAP, SmithDecomposition, _sparse_rows
 from evoaut.limits import tate_stationary_index
@@ -250,6 +251,21 @@ def power_product(field, xs, exps):
     for v, e in exps:
         acc = acc * xs[v]**e
     return acc
+
+
+def planted_rational_systems(seed=83, count=200):
+    """(system, planted) pairs over Q: 1-4 variables, 1-4 rows of exponents in
+    [-3, 3], each right-hand side the planted solution's value on its row."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        planted = [QQ.scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                      rng.choice([1, 2, 3]))) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(-3, 3) for _ in range(n))
+            rows.append((exps, power_product(QQ, planted, enumerate(exps))))
+        yield MonomialSystem(QQ, n, tuple(rows)), planted
 
 
 def satisfied_by(system, xs) -> bool:

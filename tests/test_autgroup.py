@@ -31,8 +31,13 @@ from evoaut.errors import (
     TooLarge,
 )
 from evoaut.files import parse_algebra
-from evoaut.monomial import ExponentDecomposition, GroupDescription, MonomialSystem
-from evoaut.scalar import FpScalar, PrimeField, QQ
+from evoaut.monomial import (
+    ExponentDecomposition,
+    GroupDescription,
+    MonomialSystem,
+    solve_inhomogeneous,
+)
+from evoaut.scalar import FpScalar, PrimeField, QQ, Scalar
 from evoaut.snf import SmithDecomposition
 from evoaut.wgraph import GraphAutomorphism, enumerate_graph_automorphisms, tree_of
 
@@ -49,6 +54,7 @@ from helpers import (
     diag_coset,
     drop_lift,
     ear_algebra,
+    planted_rational_systems,
     random_algebra,
     run_python,
     scalar_generators,
@@ -985,6 +991,35 @@ def test_every_dropped_lift_is_caught_despite_coset_skipping(monkeypatch, algebr
             drop_lift(patch, dropped)
             with pytest.raises(InvariantViolation, match="lifted sigmas"):
                 assemble_aut(algebra)
+
+
+def refuse_scalar_arithmetic(monkeypatch):
+    """Make +, -, * and / of every scalar class raise.  inv, ** and unary -
+    stay: the quotient map takes each weight's inverse once, and the
+    decomposition raises its base to each distinct log once."""
+    def refused(name):
+        def operator(self, other):
+            raise AssertionError(f"scalar {name} inside the solver")
+        return operator
+
+    for cls in (Scalar, *Scalar.__subclasses__()):
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, refused(name))
+
+
+def test_solver_does_no_scalar_arithmetic(monkeypatch):
+    # the solve and the lift check run on raw values over both fields:
+    # scalars are built for answers, never computed with
+    q_star = star_algebra(QQ, 5, [1, 4, 9, 1, 4])
+    f7_star = split_star_algebra(F7, 2, 3)
+    planted = list(planted_rational_systems())
+    refuse_scalar_arithmetic(monkeypatch)
+    pres = assemble_aut(q_star)
+    assert (len(pres.lifted), len(pres.not_lifted)) == (120, 0)
+    pres = assemble_aut(f7_star)
+    assert (len(pres.lifted), len(pres.not_lifted)) == (12, 108)
+    assert all(solve_inhomogeneous(system).is_feasible for system, _ in planted)
 
 
 @pytest.mark.parametrize("call, error, message", [

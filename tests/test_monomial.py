@@ -20,7 +20,17 @@ from evoaut.monomial import (
 from evoaut.scalar import PrimeField, QQ
 from evoaut.snf import SmithDecomposition, smith_normal_form
 
-from helpers import F2, F3, F5, F7, assert_raises_exactly, power_product, satisfied_by, solve
+from helpers import (
+    F2,
+    F3,
+    F5,
+    F7,
+    assert_raises_exactly,
+    planted_rational_systems,
+    power_product,
+    satisfied_by,
+    solve,
+)
 
 
 def system(field, n, rows):
@@ -193,16 +203,8 @@ def test_rational_systems_with_planted_solutions():
     # the solver can never claim feasibility wrongly (the particular solution
     # is substituted back by the coset constructor), so the failure mode to
     # guard against over Q is a false Infeasible: plant a known solution
-    rng = random.Random(83)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        planted = [QQ.scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
-                                      rng.choice([1, 2, 3]))) for _ in range(n)]
-        rows = []
-        for _ in range(rng.randint(1, 4)):
-            exps = [rng.randint(-3, 3) for _ in range(n)]
-            rows.append((exps, power_product(QQ, planted, enumerate(exps))))
-        coset = solve_inhomogeneous(system(QQ, n, rows))
+    for planted_system, planted in planted_rational_systems():
+        coset = solve_inhomogeneous(planted_system)
         assert coset.is_feasible
         if coset.count() is not None:
             # finite coset: the planted solution must literally appear

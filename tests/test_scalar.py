@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import partial
+from operator import add, mul, sub, truediv
 
 import pytest
 
@@ -12,8 +14,10 @@ from evoaut.errors import (
 )
 from evoaut.scalar import (
     PRIME_CAP,
+    FpScalar,
     PrimeField,
     QQ,
+    QScalar,
     dlog,
     exact_root,
     factorize,
@@ -182,7 +186,7 @@ def test_factored_form_tracks_fractions():
         assert (a + b).fraction == x + y
         if y != 0:
             assert (a / b).fraction == x / y
-        # the factored invariant is re-checked inside every constructor call
+        # a rational scalar holds its normalized Fraction and nothing else
 
 
 def test_factorize():
@@ -306,6 +310,115 @@ def test_parse_matches_the_fraction_route(field, literal):
                  id="string-into-F7"),   # strings go through parse
     pytest.param(lambda: F7.zero ** -1, DivisionByZero, "0 has no negative powers",
                  id="zero-to-a-negative-power"),
+    pytest.param(lambda: QQ.zero ** -3, DivisionByZero, "0 has no negative powers",
+                 id="zero-to-a-negative-power-Q"),
+    pytest.param(lambda: F7.zero.inv(), DivisionByZero, "0 is not invertible in F7",
+                 id="inv-0-F7"),
+    pytest.param(lambda: QQ.zero.inv(), DivisionByZero, "0 is not invertible in Q",
+                 id="inv-0-Q"),
+    pytest.param(lambda: F7.one / 0, DivisionByZero, "0 is not invertible in F7",
+                 id="by-int-0-F7"),
+    pytest.param(lambda: F7.one / 14, DivisionByZero, "0 is not invertible in F7",
+                 id="by-multiple-of-7"),
+    pytest.param(lambda: QQ.one / QQ.zero, DivisionByZero, "0 is not invertible in Q",
+                 id="by-0-Q"),
+    pytest.param(lambda: QQ.one / Fraction(0), DivisionByZero, "0 is not invertible in Q",
+                 id="by-fraction-0-Q"),
+    pytest.param(lambda: F7.one + Fraction(1, 7), DivisionByZero,
+                 "denominator of 1/7 vanishes mod 7", id="fraction-into-F7"),
 ])
 def test_out_of_range_arguments_are_refused(call, error, message):
     assert_raises_exactly(call, error, message)
+
+
+ARITHMETIC_FIELDS = [F2, F7, PrimeField(2**31 - 1), QQ]
+
+
+def reduced(field, value):
+    """``value`` (an int or a Fraction) as a raw value of ``field``: the
+    Fraction itself over Q, its residue mod p over F_p, or None when its
+    denominator vanishes mod p."""
+    value, p = Fraction(value), field.characteristic
+    if not p:
+        return value
+    if value.denominator % p == 0:
+        return None
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def random_number(rng, p):
+    """An int or a Fraction, zero and multiples of p included."""
+    num = rng.choice([0, 1, -1, p, -p, rng.randint(-3 * p - 5, 3 * p + 5), rng.getrandbits(80)])
+    if rng.random() < 0.5:
+        return num
+    return Fraction(num, rng.choice([1, 2, 3, p or 7, rng.randint(1, 2 * p + 9)]))
+
+
+def raw_quotient(field, x, y):
+    if not y:
+        return DivisionByZero(f"0 is not invertible in {field}")
+    p = field.characteristic
+    return x * pow(y, -1, p) % p if p else x / y
+
+
+def raw_power(field, x, e):
+    if not x and e < 0:
+        return DivisionByZero("0 has no negative powers")
+    p = field.characteristic
+    return pow(x, e, p) if p else x**e
+
+
+@pytest.mark.parametrize("field", ARITHMETIC_FIELDS, ids=repr)
+def test_operators_equal_raw_arithmetic(field):
+    # every operator against the same operation on raw values, reduced mod p
+    # over F_p, with a scalar, an int or a Fraction on the right
+    rng, p = random.Random(field.characteristic + 23), field.characteristic
+    binary = [(add, add), (sub, sub), (mul, mul), (truediv, partial(raw_quotient, field))]
+    for _ in range(300):
+        left = field.scalar(reduced(field, random_number(rng, p)) or 0)
+        x = field.raw(left)
+        number = random_number(rng, p)
+        y = reduced(field, number)
+        rights = [number] if y is None else [number, field.scalar(y)]
+        for right in rights:
+            for operator, raw_operator in binary:
+                if y is None:   # the right operand has no value in F_p
+                    expected = DivisionByZero(f"denominator of {number} vanishes mod {p}")
+                else:
+                    expected = raw_operator(x, y)
+                    if p and not isinstance(expected, Exception):
+                        expected %= p
+                check_result(lambda: operator(left, right), field, expected)
+        check_result(lambda: -left, field, -x % p if p else -x)
+        for e in (-7, -2, -1, 0, 1, 2, 3, rng.randint(4, 10**6 if p else 12)):
+            check_result(lambda: left**e, field, raw_power(field, x, e))
+        check_result(left.inv, field, raw_quotient(field, 1, x))
+
+
+def check_result(call, field, expected):
+    """``call()`` gives the scalar of ``field`` with raw value ``expected``,
+    or raises exactly the error ``expected``."""
+    if isinstance(expected, Exception):
+        assert_raises_exactly(call, type(expected), str(expected))
+    else:
+        got = call()
+        assert type(got) is (QScalar if field is QQ else FpScalar) and got.field is field
+        assert field.raw(got) == expected and type(field.raw(got)) is type(expected)
+
+
+@pytest.mark.parametrize("apply", [add, sub, mul, truediv])
+def test_operands_of_two_fields_are_refused(apply):
+    assert_raises_exactly(lambda: apply(F7.one, F5.one), FieldMismatch, "F7 vs F5")
+    assert_raises_exactly(lambda: apply(QQ.one, F7.zero), FieldMismatch, "Q vs F7")
+    assert_raises_exactly(lambda: apply(F7.one, QQ.zero), FieldMismatch, "F7 vs Q")
+    with pytest.raises(TypeError):
+        apply(F7.one, 1.5)
+    with pytest.raises(TypeError):
+        apply(2, F7.one)   # no reflected operators
+
+
+def test_repr_and_str():
+    assert (repr(F7.scalar(3)), str(F7.scalar(3))) == ("F7(3)", "3")
+    assert (repr(F7.scalar(-4)), str(F7.scalar(-4))) == ("F7(3)", "3")
+    assert (repr(QQ.scalar(Fraction(1, 2))), str(QQ.scalar(Fraction(1, 2)))) == ("Q(1/2)", "1/2")
+    assert (repr(QQ.scalar(-3)), str(QQ.scalar(-3))) == ("Q(-3)", "-3")
