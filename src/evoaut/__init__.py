@@ -23,10 +23,8 @@ from .autgroup import (
     assemble_aut,
     bruteforce_aut,
     bruteforce_aut_count,
-    compose,
     diag_group,
     diag_system,
-    invert,
     twisted_system,
 )
 from .errors import EvoautError
@@ -75,7 +73,6 @@ __all__ = [
     "assemble_aut",
     "bruteforce_aut",
     "bruteforce_aut_count",
-    "compose",
     "diag_group",
     "diag_system",
     "loop_chain_algebra",
@@ -83,7 +80,6 @@ __all__ = [
     "dlog",
     "enumerate_graph_automorphisms",
     "enumerate_solutions_bruteforce",
-    "invert",
     "is_natural_vector",
     "mu_order",
     "nth_roots",

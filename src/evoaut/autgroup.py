@@ -34,9 +34,8 @@ from __future__ import annotations
 from itertools import compress, product
 from operator import add, index, itemgetter, mul, not_
 
-from .algebra import EvolutionAlgebra, Vector, _eliminate
+from .algebra import EvolutionAlgebra, _eliminate
 from .errors import (
-    AlgebraMismatch,
     DimensionMismatch,
     InvariantViolation,
     NotAGraphAutomorphism,
@@ -51,7 +50,7 @@ from .monomial import (
     MonomialSystem,
     solve_homogeneous,
 )
-from .scalar import PrimeField, Scalar
+from .scalar import PrimeField
 from .value import Value
 from .wgraph import GraphAutomorphism, enumerate_graph_automorphisms
 
@@ -101,22 +100,6 @@ class MonomialAutomorphism:
                 f"sigma={self.sigma}, scales fail the square relation on edge "
                 f"{failed[0][0]}->{failed[0][1]}")
 
-    def apply(self, vec) -> Vector:
-        vec = self.algebra.vector(vec)
-        out = list(self.algebra.zero_vector())
-        for i in range(self.algebra.dim):
-            if not vec[i].is_zero():
-                out[self.sigma[i]] = vec[i] * self.scales[i]
-        return tuple(out)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(img == i for i, img in enumerate(self.sigma))
-
-    def is_identity(self) -> bool:
-        one = self.algebra.field.one
-        return self.is_diagonal and all(x == one for x in self.scales)
-
     def matrix_rows(self, zero, entries) -> list[list]:
         """The rows of the matrix with column i holding the image of e_i: ``zero``
         everywhere but the i-th of ``entries`` (one per scale) at row sigma(i)."""
@@ -125,10 +108,6 @@ class MonomialAutomorphism:
         for i, (row, x) in enumerate(zip(self.sigma, entries)):
             rows[row][i] = x
         return rows
-
-    def to_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Matrix with column i holding the image of e_i."""
-        return tuple(map(tuple, self.matrix_rows(self.algebra.field.zero, self.scales)))
 
     def residue_matrix(self) -> tuple[tuple[int, ...], ...]:
         if not isinstance(self.algebra.field, PrimeField):
@@ -152,21 +131,6 @@ class MonomialAutomorphism:
         images = " ".join(f"e{i + 1}->{x}*e{s + 1}"
                           for i, (s, x) in enumerate(zip(self.sigma, self.scales)))
         return f"MonomialAutomorphism({images})"
-
-
-def compose(f: MonomialAutomorphism, g: MonomialAutomorphism) -> MonomialAutomorphism:
-    """f after g, matching matrix multiplication to_matrix(f) @ to_matrix(g)."""
-    if f.algebra != g.algebra:
-        raise AlgebraMismatch("cannot compose automorphisms of different algebras")
-    sigma = tuple(f.sigma[g.sigma[i]] for i in range(len(f.sigma)))
-    scales = tuple(g.scales[i] * f.scales[g.sigma[i]] for i in range(len(f.sigma)))
-    return MonomialAutomorphism(f.algebra, sigma, scales)
-
-
-def invert(f: MonomialAutomorphism) -> MonomialAutomorphism:
-    inv_sigma = GraphAutomorphism(f.sigma).inverse().sigma
-    scales = tuple(f.scales[inv_sigma[j]].inv() for j in range(len(f.sigma)))
-    return MonomialAutomorphism(f.algebra, inv_sigma, scales)
 
 
 def diag_system(algebra: EvolutionAlgebra) -> MonomialSystem:
@@ -243,8 +207,7 @@ class AutPresentation(Value):
     with its canonical particular lift (the section of the quotient map), and
     ``not_lifted`` holds the others, each solved or in the coset of a failed
     one under the lifted group; the lifted sigmas are checked by generators
-    to form a group, and their composition ``table``, indexed like
-    ``lifted``, is computed on demand.
+    to form a group.
     ``full_automorphism_group`` is True when the algebra is 2LI or its structure
     matrix is invertible, so that U is all of Aut(A); otherwise U may be proper.
     """
@@ -282,11 +245,6 @@ class AutPresentation(Value):
     @property
     def diag(self) -> GroupDescription:
         return self.decomposition.homogeneous
-
-    @property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        index = {ga: k for k, (ga, _) in enumerate(self.lifted)}
-        return tuple(tuple(index[a.compose(b)] for b, _ in self.lifted) for a, _ in self.lifted)
 
     @property
     def quotient_order(self) -> int:

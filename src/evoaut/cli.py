@@ -509,14 +509,8 @@ def parse_args(argv=None):
     _refuse("the following arguments are required: command")
 
 
-def build_parser():
-    """The command-line parser: an object whose ``parse_args(argv)`` reads the command line."""
-    return types.SimpleNamespace(parse_args=parse_args)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         for line in args.handler(args):
             sys.stdout.write(line + "\n")

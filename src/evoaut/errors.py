@@ -57,10 +57,6 @@ class NotAGraphAutomorphism(EvoautError):
     """Permutation does not preserve the adjacency of the graph."""
 
 
-class AlgebraMismatch(EvoautError):
-    """Automorphisms of different algebras cannot be combined."""
-
-
 class NotAnAutomorphism(EvoautError):
     """Scales and permutation do not define an algebra automorphism."""
 

@@ -35,11 +35,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import index, mul
+from operator import mul
 
 from .errors import InvariantViolation, NotPrimeField, TooLarge, ZeroArgument
 from .scalar import Field, PrimeField, Scalar, dlog, mu_order, nth_roots, root_logs
-from .snf import SmithDecomposition, _Rows, smith_normal_form
+from .snf import SmithDecomposition, _Rows, _sparse_rows, smith_normal_form
 from .value import Value
 
 ENUMERATION_CAP = 10**6
@@ -50,9 +50,10 @@ class MonomialSystem(Value):
     """Rows (a, c) encode the relations prod_v x_v**a[v] == c, c in K^x.
 
     Each exponent row a is held by its nonzeros, as (v, a[v]) pairs in v
-    order.  The constructor takes a row as such pairs (an empty row is the
-    zero row) or dense, as n_vars integers, and raises ValueError for
-    anything else."""
+    order.  The constructor reads the rows as ``smith_normal_form`` does,
+    with ``_sparse_rows``: a row is such pairs (an empty row is the zero
+    row), a dict {v: a[v]} or dense, as n_vars ints, and anything else (a
+    bool or a float among the exponents) raises ValueError."""
 
     __slots__ = ("field", "n_vars", "rows")
 
@@ -60,13 +61,12 @@ class MonomialSystem(Value):
                  rows: tuple[tuple[tuple[tuple[int, int], ...], Scalar], ...]):
         if n_vars < 0:
             raise ValueError("variable count must be nonnegative")
-        frozen = []
-        for exps, rhs in rows:
-            exps, rhs = _exponent_pairs(exps, n_vars), field.scalar(rhs)
-            if rhs.is_zero():
-                raise ZeroArgument("monomial relations cannot have zero right-hand side")
-            frozen.append((exps, rhs))
-        self.field, self.n_vars, self.rows = field, n_vars, tuple(frozen)
+        rows = tuple(rows)
+        exponents = _sparse_rows([exps for exps, _ in rows], n_vars)
+        rhs = tuple(field.scalar(c) for _, c in rows)
+        if any(c.is_zero() for c in rhs):
+            raise ZeroArgument("monomial relations cannot have zero right-hand side")
+        self.field, self.n_vars, self.rows = field, n_vars, tuple(zip(exponents, rhs))
 
     @classmethod
     def _of_normal_rows(cls, field: Field, n_vars: int, rows) -> MonomialSystem:
@@ -77,31 +77,6 @@ class MonomialSystem(Value):
         system = cls.__new__(cls)
         system.field, system.n_vars, system.rows = field, n_vars, tuple(rows)
         return system
-
-
-def _exponent_pairs(exps, n_vars: int) -> tuple[tuple[int, int], ...]:
-    """An exponent row, as (v, e) pairs in increasing v order or dense, as
-    its nonzero (v, e) pairs in v order.  Pairs out of order or outside
-    range(n_vars), a dense row of another length and a non-integer raise
-    ValueError."""
-    try:
-        if not exps or type(exps[0]) is tuple:
-            last, pairs = -1, []
-            for v, e in exps:
-                v, e = index(v), index(e)
-                if not last < v < n_vars:
-                    raise ValueError(f"exponent row {exps} does not list variables of "
-                                     f"range({n_vars}) in increasing order")
-                last = v
-                if e:
-                    pairs.append((v, e))
-            return tuple(pairs)
-        dense = tuple(map(index, exps))
-    except TypeError:
-        raise ValueError(f"exponent row {exps!r} holds a non-integer") from None
-    if len(dense) != n_vars:
-        raise ValueError(f"exponent row {dense} does not have {n_vars} entries")
-    return tuple((v, e) for v, e in enumerate(dense) if e)
 
 
 class GroupDescription(Value):

@@ -53,10 +53,11 @@ class _Rows(tuple):
 
 def _sparse_rows(rows, width: int) -> _Rows:
     """Each row as its nonzero (column, value) pairs in column order: the one
-    reader of a matrix, for ``smith_normal_form`` and ``SmithDecomposition``
-    alike.  A row is a dict {column: value}, a sequence of (column, value)
-    pairs in strictly increasing column order, or a sequence of ``width``
-    values; an empty row is the zero row.  Every column must lie in
+    reader of a matrix, for ``smith_normal_form``, ``SmithDecomposition``
+    and the exponent rows of ``MonomialSystem`` alike.  A row is a dict
+    {column: value}, a sequence of (column, value) pairs in strictly
+    increasing column order, or a sequence of ``width`` values; an empty row
+    is the zero row.  Every column must lie in
     range(width) and every value be an int (``type(x) is int``: not a bool,
     a float or a Fraction).  A row that breaks this, or a negative width,
     raises ValueError.  A matrix read before, at the same width, is returned
@@ -89,7 +90,8 @@ def _sparse_rows(rows, width: int) -> _Rows:
             raise ValueError(f"row {i} of the matrix, {row!r}, holds a non-integer") from None
         except ValueError:
             raise ValueError(f"row {i} of the matrix, {row!r}, does not fit {width} "
-                             "entries") from None
+                             f"entries: {width} values, or columns of range({width}) "
+                             "in increasing order") from None
         out.append(tuple(nonzero))
     return _Rows(out, width)
 

@@ -36,17 +36,9 @@ class GraphAutomorphism(Value):
             raise DimensionMismatch("sigma is not a permutation")
         self.sigma = sigma
 
-    def __call__(self, v: int) -> int:
-        return self.sigma[v]
-
-    def inverse(self) -> "GraphAutomorphism":
-        inv = [0] * len(self.sigma)
-        for i, img in enumerate(self.sigma):
-            inv[img] = i
-        return GraphAutomorphism(tuple(inv))
-
     def compose(self, other: "GraphAutomorphism") -> "GraphAutomorphism":
-        """self after other: (self . other)(v) = self(other(v))."""
+        """self after other: (self . other)(v) = self(other(v)).  No path of the
+        program calls it; the benchmark's tracer (bench/spans.py) wraps it by name."""
         return GraphAutomorphism(tuple(self.sigma[other.sigma[v]]
                                        for v in range(len(self.sigma))))
 

@@ -3,7 +3,8 @@ dense views of an algebra's structure matrix, scalar references for the
 solver's log arithmetic, the scalar-certified solve chain, references for
 the structural predicates, the natural-basis and 2-power-tower oracles, the
 Smith normal form's elimination, the graph-symmetry backtracking and the
-solve-every-sigma assembly, monkeypatch and profiling probes into the
+solve-every-sigma assembly, composition and inversion of monomial
+automorphisms for the group laws, monkeypatch and profiling probes into the
 solver and the listing, and an exact check of a raised error."""
 
 import itertools
@@ -318,6 +319,46 @@ def coset_automorphisms(algebra, sigma, coset):
     if isinstance(sigma, GraphAutomorphism):
         sigma = sigma.sigma
     return [autgroup.MonomialAutomorphism(algebra, sigma, xs) for xs in coset.elements()]
+
+
+def inverse_permutation(sigma) -> tuple[int, ...]:
+    inverse = [0] * len(sigma)
+    for i, img in enumerate(sigma):
+        inverse[img] = i
+    return tuple(inverse)
+
+
+def compose(f, g):
+    """f after g, for monomial automorphisms of one algebra: e_i goes to
+    g.scales[i] * f.scales[g(i)] e_f(g(i)), the product of their matrices."""
+    sigma = tuple(f.sigma[j] for j in g.sigma)
+    scales = tuple(x * f.scales[j] for x, j in zip(g.scales, g.sigma))
+    return autgroup.MonomialAutomorphism(f.algebra, sigma, scales)
+
+
+def invert(f):
+    sigma = inverse_permutation(f.sigma)
+    return autgroup.MonomialAutomorphism(f.algebra, sigma, [f.scales[j].inv() for j in sigma])
+
+
+def to_matrix(f):
+    """The scalar matrix of f, column i holding the image of e_i."""
+    return tuple(map(tuple, f.matrix_rows(f.algebra.field.zero, f.scales)))
+
+
+def is_diagonal(f) -> bool:
+    return f.sigma == tuple(range(len(f.sigma)))
+
+
+def is_identity(f) -> bool:
+    return is_diagonal(f) and all(x == f.algebra.field.one for x in f.scales)
+
+
+def composition_table(presentation):
+    """The lifted sigmas' multiplication table, indexed like ``lifted``."""
+    index = {ga.sigma: k for k, (ga, _) in enumerate(presentation.lifted)}
+    return tuple(tuple(index[a.compose(b).sigma] for b, _ in presentation.lifted)
+                 for a, _ in presentation.lifted)
 
 
 def dense_exponent_rows(algebra):
@@ -737,7 +778,7 @@ def run_python(args, timeout, cwd=None):
 
 def reference_parser():
     """The argparse parser the command line had before its own command table:
-    the reference that ``evoaut.cli.build_parser`` must agree with."""
+    the reference that ``evoaut.cli.parse_args`` must agree with."""
     import argparse
 
     from evoaut import cli
@@ -793,15 +834,15 @@ def parity_argv(prefix, head, units) -> list[str]:
         [t for unit in units for t in unit]
 
 
-def parse_outcome(parser, argv) -> tuple:
-    """(("exit", code) or the parsed attributes, stdout, stderr) of ``parser`` on ``argv``."""
+def parse_outcome(parse_args, argv) -> tuple:
+    """(("exit", code) or the parsed attributes, stdout, stderr) of ``parse_args(argv)``."""
     import contextlib
     import io
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args = parser.parse_args(argv)
+            args = parse_args(argv)
             outcome = tuple(getattr(args, name, None) for name in PARITY_ATTRIBUTES)
         except SystemExit as exc:
             outcome = ("exit", exc.code)
@@ -824,13 +865,13 @@ def parity_corpus(seed=CORPUS_SEED, count=4000):
 def parity_differences(corpus) -> list[str]:
     """The command lines of ``corpus`` on which the two parsers disagree, or on
     which a refusal writes to stdout or lacks its error line."""
-    from evoaut.cli import build_parser
+    from evoaut.cli import parse_args
 
-    reference, parser = reference_parser(), build_parser()
+    reference = reference_parser().parse_args
     differences = []
     for argv in corpus:
         expected = parse_outcome(reference, argv)[0]
-        outcome, out, err = parse_outcome(parser, argv)
+        outcome, out, err = parse_outcome(parse_args, argv)
         if outcome != expected or outcome == ("exit", 2) and (out or "\nerror: " not in err) \
                 or outcome == ("exit", 0) and not out:
             differences.append(f"{' '.join(argv)!r}: {outcome} against {expected}")

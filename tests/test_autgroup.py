@@ -15,14 +15,11 @@ from evoaut.autgroup import (
     assemble_aut,
     bruteforce_aut,
     bruteforce_aut_count,
-    compose,
     diag_group,
     diag_system,
-    invert,
     is_automorphism_matrix,
 )
 from evoaut.errors import (
-    AlgebraMismatch,
     DimensionMismatch,
     InvariantViolation,
     NotAGraphAutomorphism,
@@ -48,12 +45,18 @@ from helpers import (
     F7,
     assert_raises_exactly,
     block_union_algebra,
+    compose,
+    composition_table,
     coset_automorphisms,
     count_particular_calls,
     count_snf_calls,
     diag_coset,
     drop_lift,
     ear_algebra,
+    inverse_permutation,
+    invert,
+    is_diagonal,
+    is_identity,
     planted_rational_systems,
     random_algebra,
     run_python,
@@ -67,6 +70,7 @@ from helpers import (
     star_algebra,
     structure_matrix,
     three_cycle_algebra,
+    to_matrix,
     twisted_limit,
     two_cycles_algebra,
     two_loop_algebra,
@@ -186,13 +190,13 @@ def test_twisted_limit_three_cycle():
     assert coset.is_feasible
     assert [str(x) for x in coset.particular] == ["-1", "-1/2", "2"]
     lift = MonomialAutomorphism(a, (1, 2, 0), coset.particular)
-    assert matrix_strings(lift.to_matrix()) == [
+    assert matrix_strings(to_matrix(lift)) == [
         ["0", "0", "2"],
         ["-1", "0", "0"],
         ["0", "-1/2", "0"],
     ]
     square = compose(lift, lift)
-    assert matrix_strings(square.to_matrix()) == [
+    assert matrix_strings(to_matrix(square)) == [
         ["0", "-1", "0"],
         ["0", "0", "-2"],
         ["1/2", "0", "0"],
@@ -311,8 +315,8 @@ def test_monomial_automorphism_validation():
     with pytest.raises(NotAnAutomorphism):
         MonomialAutomorphism(a, (0, 1), (QQ.one, QQ.zero))
     ident = MonomialAutomorphism(a, (0, 1), (QQ.one, QQ.one))
-    assert ident.is_identity()
-    assert ident.apply(a.vector([3, -2])) == a.vector([3, -2])
+    assert is_identity(ident)
+    assert to_matrix(ident) == ((QQ.one, QQ.zero), (QQ.zero, QQ.one))
 
 
 def lift_check_accepts(algebra, sigma, scales) -> bool:
@@ -510,12 +514,9 @@ def test_compose_invert_match_matrices():
         # bullet rule: scale at i is g-scale there times f-scale at g(i)
         for i in range(3):
             assert fg.scales[i] == g.scales[i] * f.scales[g.sigma[i]]
-        assert fg.to_matrix() == mat_mul_scalar(f.to_matrix(), g.to_matrix())
-        assert compose(f, invert(f)).is_identity()
-        assert compose(invert(f), f).is_identity()
-    with pytest.raises(AlgebraMismatch):
-        compose(MonomialAutomorphism(z, (0, 1, 2), (F5.one,) * 3),
-                MonomialAutomorphism(zero_algebra(F5, 2), (0, 1), (F5.one,) * 2))
+        assert to_matrix(fg) == mat_mul_scalar(to_matrix(f), to_matrix(g))
+        assert is_identity(compose(f, invert(f)))
+        assert is_identity(compose(invert(f), f))
 
 
 def test_three_cycle_composition_collapses_to_identity():
@@ -524,7 +525,7 @@ def test_three_cycle_composition_collapses_to_identity():
     lifts = {ga.sigma: lift for ga, lift in pres.lifted}
     f = lifts[(1, 2, 0)]
     g = lifts[(2, 0, 1)]
-    assert compose(f, g).is_identity()  # diag is trivial here
+    assert is_identity(compose(f, g))  # diag is trivial here
 
 
 def test_assemble_three_cycle():
@@ -550,7 +551,7 @@ def test_assemble_cubic_root_lift():
     # e1^2 = 2e1 + e2, e2^2 = e1 + e2: loop weights differ by the cube root 2
     pres = assemble_aut(a)
     assert pres.quotient_order == 2
-    assert pres.table == ((0, 1), (1, 0))  # quotient is the 2-element group
+    assert composition_table(pres) == ((0, 1), (1, 0))  # quotient is the 2-element group
     lifts = {ga.sigma: lift for ga, lift in pres.lifted}
     assert tuple(x.residue for x in lifts[(1, 0)].scales) == (2, 4)
 
@@ -573,7 +574,7 @@ def test_assemble_ear():
     assert not pres.full_automorphism_group  # neither 2LI nor invertible
     autos = pres.monomial_elements()
     assert len(autos) == 3
-    assert all(f.is_diagonal for f in autos)
+    assert all(map(is_diagonal, autos))
 
 
 def test_bruteforce_aut_examples():
@@ -762,13 +763,13 @@ def test_umrof_properties_spot_checks():
             assert sorted(f.sort_key() for f in members) == \
                 sorted(compose(d, lift).sort_key() for d in diag_elements)
             # inverse law
-            inverse_members = coset_automorphisms(
-                a, ga.inverse(), twisted_limit(a, ga.inverse()))
+            inverse = inverse_permutation(ga.sigma)
+            inverse_members = coset_automorphisms(a, inverse, twisted_limit(a, inverse))
             assert sorted(invert(f).sort_key() for f in members) == \
                 sorted(f.sort_key() for f in inverse_members)
             # normality of the diagonal subgroup
             for d in diag_elements:
-                assert compose(compose(lift, d), invert(lift)).is_diagonal
+                assert is_diagonal(compose(compose(lift, d), invert(lift)))
         # disjointness across distinct sigmas
         seen = {}
         for ga, _ in pres.lifted:

@@ -23,3 +23,16 @@ def test_library_mix_cases_pass_the_benchmark_checks(monkeypatch, tmp_path):
     for case in cases:
         answer = workloads.summarize_library(case, workloads.run_library(case))
         assert checks.check_library(case, answer) == [], case["name"]
+
+
+def test_traced_bindings_resolve(monkeypatch):
+    # the tracer wraps methods by name: a removed one fails here, not only
+    # in a traced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracer = importlib.import_module("spans").Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert {"wgraph.GraphAutomorphism.compose", "algebra.EvolutionAlgebra.det"} <= set(tracer.names)

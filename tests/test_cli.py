@@ -139,7 +139,7 @@ def test_oracle_pass_and_expected_fail(capsys, tmp_path):
 
 
 def test_internal_violation_exit_code(capsys, monkeypatch):
-    import argparse
+    import types
 
     import evoaut.cli as cli_mod
     from evoaut.errors import InvariantViolation
@@ -147,12 +147,7 @@ def test_internal_violation_exit_code(capsys, monkeypatch):
     def broken(args):
         raise InvariantViolation("forced for the exit-code test")
 
-    def fake_parser():
-        parser = argparse.ArgumentParser()
-        parser.set_defaults(handler=broken)
-        return parser
-
-    monkeypatch.setattr(cli_mod, "build_parser", fake_parser)
+    monkeypatch.setattr(cli_mod, "parse_args", lambda argv: types.SimpleNamespace(handler=broken))
     assert cli_mod.main([]) == 4
     assert "forced" in capsys.readouterr().err
 

@@ -7,9 +7,9 @@ EXPORTS = [
     "GraphAutomorphism", "GroupDescription", "MonomialAutomorphism", "MonomialSystem",
     "Naturality", "PrimeField", "QQ", "RationalField", "Scalar", "SmithDecomposition",
     "SolutionCoset", "TruncatedLimit", "assemble_aut", "bruteforce_aut",
-    "bruteforce_aut_count", "compose", "diag_group", "diag_system", "loop_chain_algebra",
+    "bruteforce_aut_count", "diag_group", "diag_system", "loop_chain_algebra",
     "loop_chain_diag_group", "dlog", "enumerate_graph_automorphisms",
-    "enumerate_solutions_bruteforce", "invert", "is_natural_vector", "mu_order", "nth_roots",
+    "enumerate_solutions_bruteforce", "is_natural_vector", "mu_order", "nth_roots",
     "same_orbit", "smith_normal_form", "solve_homogeneous", "solve_inhomogeneous",
     "tate_module_2", "tate_stationary_index", "tree_of", "truncated_chain", "twisted_system",
     "verify_stationary_collapse", "verify_unique_basis_up_to_scaling",

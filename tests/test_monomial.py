@@ -247,6 +247,18 @@ def test_exponent_rows_are_held_by_their_nonzeros():
         system(F7, 3, [(((0, 2.5),), 3)])
 
 
+def test_exponent_rows_are_read_as_the_snf_reads_them():
+    # a dict row is read by its keys as columns, not as a dense row of keys
+    as_dict = MonomialSystem(F7, 2, [({0: 2, 1: -1}, 1)])
+    assert as_dict == MonomialSystem(F7, 2, [(((0, 2), (1, -1)), 1)]) \
+        == MonomialSystem(F7, 2, [([2, -1], 1)])
+    assert as_dict.rows == ((((0, 2), (1, -1)), F7.one),)
+    assert MonomialSystem(F7, 2, [({1: 2}, 1)]).rows == ((((1, 2),), F7.one),)
+    # as in the SNF, a bool is not an exponent
+    with pytest.raises(ValueError, match="non-integer"):
+        MonomialSystem(F7, 2, [([True, -1], 1)])
+
+
 def test_zero_exponent_rows():
     assert solve_inhomogeneous(system(QQ, 2, [([0, 0], 1)])).is_feasible
     assert not solve_inhomogeneous(system(QQ, 2, [([0, 0], 2)])).is_feasible

@@ -24,6 +24,7 @@ from helpers import (
     block_union_algebra,
     count_search_nodes,
     ear_algebra,
+    inverse_permutation,
     is_unweighted_automorphism,
     random_algebra,
     random_rational_algebra,
@@ -140,7 +141,7 @@ def test_enumeration_matches_brute_force_and_is_a_group():
         assert sigmas[0] == tuple(range(a.dim))
         found = set(sigmas)
         for x in autos:
-            assert x.inverse().sigma in found
+            assert inverse_permutation(x.sigma) in found
             for y in autos:
                 assert x.compose(y).sigma in found
 
@@ -233,6 +234,5 @@ def test_graph_automorphism_type():
     with pytest.raises(Exception):
         GraphAutomorphism((0, 0))
     ga = GraphAutomorphism((1, 2, 0))
-    assert ga(0) == 1
-    assert ga.inverse().sigma == (2, 0, 1)
-    assert ga.compose(ga.inverse()).is_identity()
+    assert inverse_permutation(ga.sigma) == (2, 0, 1)
+    assert ga.compose(GraphAutomorphism((2, 0, 1))).is_identity()
